@@ -1,0 +1,430 @@
+"""Upper bounds on the Cayley-graph diameter of a transposition tree.
+
+The main bound peels the peripheral set of the tree iteratively, charging
+each deleted vertex either the full current diameter or the cheaper paired
+cost (diameter minus a half move), depending on how the largest cluster
+compares to the rest.  All arithmetic is exact, in integer half-move units;
+no floating point enters any bound.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from math import isqrt
+
+from . import tree as tr
+
+
+class UnsupportedClassError(ValueError):
+    """No closed-form diameter is known for the requested tree class."""
+
+
+@dataclass(frozen=True, order=True)
+class HalfMoves:
+    """Exact move count in half-move units (1 move = 2 units)."""
+
+    units: int
+
+    def __post_init__(self):
+        if self.units < 0:
+            raise ValueError("negative half-move count")
+
+    @classmethod
+    def from_moves(cls, moves: int) -> "HalfMoves":
+        return cls(2 * moves)
+
+    def __add__(self, other: "HalfMoves") -> "HalfMoves":
+        return HalfMoves(self.units + other.units)
+
+    def __sub__(self, other: "HalfMoves") -> "HalfMoves":
+        return HalfMoves(self.units - other.units)
+
+    @property
+    def is_whole(self) -> bool:
+        return self.units % 2 == 0
+
+    @property
+    def moves(self) -> int:
+        """The value as whole moves; complete bounds are always whole."""
+        if self.units % 2:
+            raise ValueError(f"{self} is not a whole number of moves")
+        return self.units // 2
+
+    def __str__(self) -> str:
+        return str(self.units // 2) if self.units % 2 == 0 else f"{self.units / 2:.1f}"
+
+    def as_fraction(self) -> tuple[int, int]:
+        """(numerator, denominator) in lowest terms, for serialization."""
+        return (self.units // 2, 1) if self.units % 2 == 0 else (self.units, 2)
+
+
+# Case tags recorded per iteration.
+STAR = "Star"
+CASE1 = "Case1"
+CASE2 = "Case2"
+FULL_S = "FullSDeletion"
+
+
+@dataclass(frozen=True)
+class IterationRecord:
+    tree_code: bytes          # canonical code of the tree entering this step
+    n: int
+    diameter: int             # diameter the costs were charged at
+    s_size: int
+    cluster_sizes: tuple[int, ...]
+    case: str
+    deleted_labels: tuple[int, ...]
+    cost: HalfMoves
+
+
+@dataclass(frozen=True)
+class BoundTrace:
+    records: tuple[IterationRecord, ...]
+    total: HalfMoves
+
+    def __post_init__(self):
+        assert sum(r.cost.units for r in self.records) == self.total.units
+
+    def iteration_costs(self) -> list[HalfMoves]:
+        return [r.cost for r in self.records]
+
+    def to_json(self) -> dict:
+        """Structured document: iteration array plus whole-move total."""
+        iterations = []
+        for r in self.records:
+            num, den = r.cost.as_fraction()
+            iterations.append(
+                {
+                    "tree": r.tree_code.decode("ascii"),
+                    "n": r.n,
+                    "case": r.case,
+                    "diameter": r.diameter,
+                    "s_size": r.s_size,
+                    "cluster_sizes": list(r.cluster_sizes),
+                    "deleted": list(r.deleted_labels),
+                    "cost": {"num": num, "den": den},
+                }
+            )
+        return {
+            "iterations": iterations,
+            "total_moves": self.total.moves,
+            "total_half_moves": self.total.units,
+        }
+
+    def to_text(self) -> str:
+        """Line-oriented human-readable report."""
+        lines = []
+        for i, r in enumerate(self.records, 1):
+            deleted = ",".join(map(str, r.deleted_labels)) or "-"
+            sizes = "+".join(map(str, r.cluster_sizes)) or "-"
+            lines.append(
+                f"  it {i}: n={r.n} diam={r.diameter} |S|={r.s_size} "
+                f"clusters={sizes} {r.case} deleted=[{deleted}] cost={r.cost}"
+            )
+        lines.append(f"  total = {self.total} moves")
+        return "\n".join(lines)
+
+
+def star_bound(n: int) -> HalfMoves:
+    """Sorting bound for the star K_{1,n-1}: floor(3(n-1)/2) whole moves."""
+    if n < 1:
+        raise ValueError("vertex count must be positive")
+    return HalfMoves.from_moves(3 * (n - 1) // 2)
+
+
+def _pick_largest_cluster(clusters, rng):
+    """First cluster in deterministic order, or a random one among the
+    leaders tied on the whole invariant key (size, distSum, canonical code)
+    when a tie-randomizing rng is given.
+
+    The granularity matters: clusters tied through the canonical code leave
+    isomorphic trees behind, so any choice among them must not change the
+    bound.  Ties on (size, distSum) alone do change it from n = 10 up, which
+    is exactly why the deterministic order includes the canonical code.
+    """
+    if rng is None:
+        return clusters[0]
+    lead = clusters[0]
+    tied = [
+        c
+        for c in clusters
+        if (c.size, c.dist_sum, c.canon_key) == (lead.size, lead.dist_sum, lead.canon_key)
+    ]
+    return rng.choice(tied)
+
+
+def delta_star(
+    t: tr.Tree,
+    *,
+    dist_sum_mode: str = "global",
+    strict_pseudocode: bool = False,
+    rng: random.Random | None = None,
+) -> tuple[HalfMoves, BoundTrace]:
+    """Cluster-peeling upper bound with room-aware homing costs.
+
+    Per iteration over a non-star tree: find the peripheral set S and its
+    clusters, keep the largest cluster C* (least distSum on ties), and
+    delete C = S - C*.  When C* holds at least half of S every deleted
+    vertex is charged the full diameter; otherwise only |C*| of them are,
+    and the remaining |C| - |C*| pair up at diameter - 1/2 each (minus
+    another half move when their count is odd).  Stars are charged the
+    closed form and terminate.
+
+    By default all Case-2 terms use the pre-deletion diameter, which is the
+    reading that reproduces the recorded full-binary-tree values; with
+    strict_pseudocode=True the pairing term uses the post-deletion diameter
+    instead.
+    """
+    return _peel(
+        t,
+        variant=None,
+        dist_sum_mode=dist_sum_mode,
+        strict_pseudocode=strict_pseudocode,
+        rng=rng,
+    )
+
+
+def delta_prime(
+    t: tr.Tree,
+    variant: str,
+    *,
+    dist_sum_mode: str = "global",
+    rng: random.Random | None = None,
+) -> tuple[HalfMoves, BoundTrace]:
+    """Baseline bound that sometimes deletes the whole peripheral set.
+
+    variant "v1" deletes all of S when |S - C*| > (2/3)|S|, variant "v2"
+    when >=; the whole set then costs diameter - 1/2 per vertex, minus an
+    extra half when |S| is odd.  Otherwise S - C* goes at the full diameter
+    per vertex.  This is a best-effort reconstruction of the prior method;
+    recorded historical values may disagree and are compared report-only.
+    """
+    if variant not in ("v1", "v2"):
+        raise ValueError(f"variant must be 'v1' or 'v2', got {variant!r}")
+    return _peel(
+        t,
+        variant=variant,
+        dist_sum_mode=dist_sum_mode,
+        strict_pseudocode=False,
+        rng=rng,
+    )
+
+
+def _peel(t, *, variant, dist_sum_mode, strict_pseudocode, rng):
+    records = []
+    total = 0  # half-move units
+    guard = tr.diameter(t) + 2 if t.n > 1 else 2
+
+    while True:
+        code = tr.canonical_code(t)
+        if tr.is_star(t):
+            cost = star_bound(t.n)
+            records.append(
+                IterationRecord(
+                    tree_code=code,
+                    n=t.n,
+                    diameter=tr.diameter(t),
+                    s_size=0,
+                    cluster_sizes=(),
+                    case=STAR,
+                    deleted_labels=(),
+                    cost=cost,
+                )
+            )
+            total += cost.units
+            break
+
+        guard -= 1
+        if guard < 0:
+            raise AssertionError("peeling failed to terminate")
+
+        diam = tr.diameter(t)
+        s = tr.peripheral_set(t)
+        cls = tr.clusters(t, s, dist_sum_mode=dist_sum_mode)
+        c_star = _pick_largest_cluster(cls, rng)
+        c_rest = [v for v in s if v not in c_star.members]
+
+        if variant is not None and _full_s_fires(variant, len(s), len(c_rest)):
+            deleted = list(s)
+            units = len(s) * (2 * diam - 1) - (len(s) % 2)
+            case = FULL_S
+        elif variant is not None:
+            # Baselines never pair up partial deletions: flat diameter each.
+            deleted = c_rest
+            units = 2 * len(c_rest) * diam
+            case = CASE1
+        else:
+            deleted = c_rest
+            x, c = len(c_rest), c_star.size
+            if c * 2 >= len(s):
+                units = 2 * x * diam
+                case = CASE1
+            else:
+                case = CASE2
+                pair_diam = diam
+                if strict_pseudocode:
+                    pair_diam = tr.diameter(tr.delete_vertices(t, deleted))
+                units = 2 * c * diam + (x - c) * (2 * pair_diam - 1) - ((x - c) % 2)
+
+        cost = HalfMoves(units)
+        records.append(
+            IterationRecord(
+                tree_code=code,
+                n=t.n,
+                diameter=diam,
+                s_size=len(s),
+                cluster_sizes=tuple(cl.size for cl in cls),
+                case=case,
+                deleted_labels=tuple(sorted(t.labels[v] for v in deleted)),
+                cost=cost,
+            )
+        )
+        total += units
+        t = tr.delete_vertices(t, deleted)
+
+    return HalfMoves(total), BoundTrace(records=tuple(records), total=HalfMoves(total))
+
+
+def _full_s_fires(variant: str, s_size: int, rest_size: int) -> bool:
+    # |S - C*| > (2/3)|S|  (v1)  /  >= (v2), kept in integers.
+    if variant == "v1":
+        return 3 * rest_size > 2 * s_size
+    return 3 * rest_size >= 2 * s_size
+
+
+# ---------------------------------------------------------------------------
+# Closed-form Cayley diameters for the named tree classes.
+
+@dataclass(frozen=True)
+class TreeClassSpec:
+    """A named tree class with parameters: Star(n), Path(n), FullBinary(d),
+    Spider(m, k), Matchstick(k)."""
+
+    kind: str
+    params: tuple[int, ...]
+
+    @classmethod
+    def star(cls, n: int) -> "TreeClassSpec":
+        return cls("Star", (n,))
+
+    @classmethod
+    def path(cls, n: int) -> "TreeClassSpec":
+        return cls("Path", (n,))
+
+    @classmethod
+    def full_binary(cls, d: int) -> "TreeClassSpec":
+        return cls("FullBinary", (d,))
+
+    @classmethod
+    def spider(cls, m: int, k: int) -> "TreeClassSpec":
+        return cls("Spider", (m, k))
+
+    @classmethod
+    def matchstick(cls, k: int) -> "TreeClassSpec":
+        return cls("Matchstick", (k,))
+
+    def build(self) -> tr.Tree:
+        k = self.kind
+        if k == "Star":
+            return tr.make_star(*self.params)
+        if k == "Path":
+            return tr.make_path(*self.params)
+        if k == "FullBinary":
+            return tr.make_full_binary(*self.params)
+        if k == "Spider":
+            return tr.make_spider(*self.params)
+        if k == "Matchstick":
+            return tr.make_matchstick(*self.params)
+        raise UnsupportedClassError(f"unknown tree class {k!r}")
+
+
+def closed_form_diameter(spec: TreeClassSpec) -> int:
+    """Exact Cayley-graph diameter where a trustworthy closed form exists.
+
+    Star n: floor(3(n-1)/2).  Path n: n choose 2.  Spiders and matchsticks
+    carry recorded formulas, mk(2k+1)/2 and k^2+k-1, but exhaustive search
+    refutes both outside a small verified domain (see below); this function
+    returns only values that exhaustive search or the star/path forms back,
+    and refuses the rest.  Full binary trees have no closed form at all.
+
+    Verified spider instances: m = 1 and m = 2 are paths, k = 1 is a star;
+    all take the matching path/star value.  For genuine spiders the
+    recorded formula overshoots: the true diameter of the 3-spoke spider
+    with legs of 2 is 14 (formula: 15) and of the 4-spoke one 18
+    (formula: 20).  Matchsticks: k = 3 gives 11 as recorded, but the true
+    value at k = 4 is 18 (formula: 19) and at k = 5 it is 26 (formula:
+    29).  The refuted formula values are not diameters but match this
+    package's peel bound on those trees.
+    """
+    kind, params = spec.kind, spec.params
+    if kind == "Star":
+        (n,) = params
+        if n < 1:
+            raise ValueError("star needs n >= 1")
+        return 3 * (n - 1) // 2
+    if kind == "Path":
+        (n,) = params
+        if n < 1:
+            raise ValueError("path needs n >= 1")
+        return n * (n - 1) // 2
+    if kind == "Spider":
+        m, k = params
+        if m < 1 or k < 1:
+            raise ValueError("spider needs m, k >= 1")
+        if m <= 2:
+            return closed_form_diameter(TreeClassSpec.path(m * k + 1))
+        if k == 1:
+            return closed_form_diameter(TreeClassSpec.star(m + 1))
+        raise UnsupportedClassError(
+            f"no verified closed form for a {m}-spoke spider with legs of {k}: "
+            "exhaustive search refutes the recorded mk(2k+1)/2 (e.g. 14 vs 15 "
+            "at m=3,k=2 and 18 vs 20 at m=4,k=2)"
+        )
+    if kind == "Matchstick":
+        (k,) = params
+        if k <= 2:
+            raise UnsupportedClassError("matchstick closed form needs k > 2")
+        if k == 3:
+            return 11
+        raise UnsupportedClassError(
+            f"no verified closed form for the matchstick tree at k={k}: "
+            "exhaustive search refutes the recorded k^2+k-1 (18 vs 19 at k=4, "
+            "26 vs 29 at k=5)"
+        )
+    if kind == "FullBinary":
+        raise UnsupportedClassError("full binary trees have no closed form")
+    raise UnsupportedClassError(f"unknown tree class {kind!r}")
+
+
+def predicted_gap(d: int, baseline: str) -> HalfMoves:
+    """Predicted excess of a baseline bound over the main bound on the full
+    binary tree of depth d (m = 2^d leaves), exact in half-move units.
+
+    v1: (m+1)/6 + 1 + 1/2 for odd d, (m+2)/6 + 1 for even d.
+    v2: (m+1)/6 + sqrt(m/8) + 1/2 for odd d, (m+2)/6 + sqrt(m/4) for even d.
+    """
+    if d < 2:
+        raise ValueError("gap formulas require depth d >= 2")
+    if baseline not in ("v1", "v2"):
+        raise ValueError(f"baseline must be 'v1' or 'v2', got {baseline!r}")
+    m = 2 ** d
+    if d % 2:
+        assert (m + 1) % 3 == 0
+        base = (m + 1) // 3  # 2*(m+1)/6 half-moves
+        if baseline == "v1":
+            units = base + 3
+        else:
+            root = isqrt(m // 8)
+            assert root * root * 8 == m
+            units = base + 2 * root + 1
+    else:
+        assert (m + 2) % 3 == 0
+        base = (m + 2) // 3
+        if baseline == "v1":
+            units = base + 2
+        else:
+            root = isqrt(m // 4)
+            assert root * root * 4 == m
+            units = base + 2 * root
+    return HalfMoves(units)

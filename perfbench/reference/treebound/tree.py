@@ -1,0 +1,437 @@
+"""Labeled free trees and the distance machinery the bound engine runs on.
+
+Vertices are dense 0-based internal indices; every tree carries an external
+label per index (1-based positions of the permutation being sorted).  All
+operations are pure functions over immutable trees, so deleting vertices
+never invalidates anybody else's labels and values can be shared freely
+between workers.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from dataclasses import dataclass, field
+
+
+class TreeError(Exception):
+    """Base class for tree construction and manipulation errors."""
+
+
+class NotATreeError(TreeError):
+    """Edge set is cyclic, disconnected, or has the wrong edge count."""
+
+
+class DuplicateEdgeError(TreeError):
+    pass
+
+
+class BadLabelError(TreeError):
+    pass
+
+
+class NonLeafDeletionError(TreeError):
+    """A vertex scheduled for deletion still has degree > 1."""
+
+
+class EmptyResultError(TreeError):
+    """Deletion would remove every vertex."""
+
+
+class NonCliqueComponentError(TreeError):
+    """A component of the near-diameter relation is not a clique.
+
+    The cluster extraction assumes the "closer than the diameter" relation
+    is transitive on the peripheral set of a tree.  This error fires if an
+    input ever falsifies that, instead of silently returning a non-cluster.
+    """
+
+
+@dataclass(frozen=True)
+class Tree:
+    """Immutable labeled tree: adjacency lists over internal indices 0..n-1."""
+
+    n: int
+    adj: tuple[tuple[int, ...], ...]
+    labels: tuple[int, ...]
+
+    def degree(self, v: int) -> int:
+        return len(self.adj[v])
+
+    def leaves(self) -> list[int]:
+        if self.n == 1:
+            return [0]
+        return [v for v in range(self.n) if len(self.adj[v]) == 1]
+
+    def edges(self) -> list[tuple[int, int]]:
+        """Internal-index edges, each once, endpoints ordered."""
+        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
+
+    def label_edges(self) -> list[tuple[int, int]]:
+        return [(self.labels[u], self.labels[v]) for u, v in self.edges()]
+
+    def index_of_label(self, label: int) -> int:
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise BadLabelError(f"no vertex labeled {label}") from None
+
+
+def build_tree(n: int, edges) -> Tree:
+    """Build a tree from 1..n labels and a list of label pairs.
+
+    Raises BadLabelError / DuplicateEdgeError / NotATreeError when the input
+    is not a spanning tree on n labeled vertices.
+    """
+    if n < 1:
+        raise BadLabelError(f"vertex count must be positive, got {n}")
+    edges = list(edges)
+    if len(edges) != n - 1:
+        raise NotATreeError(f"{n} vertices need {n - 1} edges, got {len(edges)}")
+    neighbors: list[set[int]] = [set() for _ in range(n)]
+    seen = set()
+    for a, b in edges:
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise BadLabelError(f"edge ({a},{b}) outside 1..{n}")
+        if a == b:
+            raise DuplicateEdgeError(f"self-loop at {a}")
+        key = (min(a, b), max(a, b))
+        if key in seen:
+            raise DuplicateEdgeError(f"edge ({a},{b}) repeated")
+        seen.add(key)
+        neighbors[a - 1].add(b - 1)
+        neighbors[b - 1].add(a - 1)
+    t = Tree(
+        n=n,
+        adj=tuple(tuple(sorted(s)) for s in neighbors),
+        labels=tuple(range(1, n + 1)),
+    )
+    if n > 1 and len(_bfs_order(t, 0)) != n:
+        raise NotATreeError("edge set is disconnected (and therefore cyclic)")
+    return t
+
+
+def _bfs_order(t: Tree, start: int) -> list[int]:
+    order = [start]
+    seen = [False] * t.n
+    seen[start] = True
+    q = deque([start])
+    while q:
+        u = q.popleft()
+        for w in t.adj[u]:
+            if not seen[w]:
+                seen[w] = True
+                order.append(w)
+                q.append(w)
+    return order
+
+
+# Distance table from one source: index = internal vertex, value = edge count,
+# table[source] = 0.
+DistanceTable = list[int]
+
+
+def bfs_distances(t: Tree, v: int) -> DistanceTable:
+    """Exact edge-count distances from internal vertex v to every vertex."""
+    dist = [-1] * t.n
+    dist[v] = 0
+    q = deque([v])
+    while q:
+        u = q.popleft()
+        for w in t.adj[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                q.append(w)
+    return dist
+
+
+def _farthest(t: Tree, v: int) -> tuple[int, list[int]]:
+    dist = bfs_distances(t, v)
+    far = max(range(t.n), key=lambda u: (dist[u], -u))
+    return far, dist
+
+
+def eccentricities(t: Tree) -> list[int]:
+    """Per-vertex eccentricity via the diametral-endpoint identity.
+
+    In a tree, ecc(u) = max(d(u,a), d(u,b)) where (a, b) is any diametral
+    pair, found here by double BFS.
+    """
+    if t.n == 1:
+        return [0]
+    a, _ = _farthest(t, 0)
+    b, dist_a = _farthest(t, a)
+    dist_b = bfs_distances(t, b)
+    return [max(da, db) for da, db in zip(dist_a, dist_b)]
+
+
+def diameter(t: Tree) -> int:
+    return max(eccentricities(t))
+
+
+@dataclass(frozen=True)
+class CenterInfo:
+    kind: str  # "centered" | "bicentered"
+    centers: tuple[int, ...]  # internal indices; one vertex or two adjacent
+    radius: int
+
+
+def center(t: Tree) -> CenterInfo:
+    """Center vertex (even diameter) or central edge (odd diameter)."""
+    ecc = eccentricities(t)
+    radius = min(ecc)
+    centers = tuple(v for v in range(t.n) if ecc[v] == radius)
+    diam = max(ecc)
+    kind = "centered" if diam % 2 == 0 else "bicentered"
+    assert len(centers) == (1 if kind == "centered" else 2)
+    return CenterInfo(kind=kind, centers=centers, radius=radius)
+
+
+def peripheral_set(t: Tree) -> list[int]:
+    """Vertices of maximum eccentricity, ascending by internal index."""
+    if t.n < 2:
+        raise TreeError("peripheral set needs at least 2 vertices")
+    ecc = eccentricities(t)
+    diam = max(ecc)
+    return [v for v in range(t.n) if ecc[v] == diam]
+
+
+@dataclass(frozen=True)
+class Cluster:
+    """Maximal peripheral subset whose members are pairwise closer than diam."""
+
+    members: frozenset[int]
+    size: int
+    dist_sum: int
+    canon_key: bytes = field(compare=False)
+    min_label: int = field(compare=False)
+
+    def sort_key(self):
+        return (-self.size, self.dist_sum, self.canon_key, self.min_label)
+
+
+def dist_sum(t: Tree, members, mode: str = "global") -> int:
+    """Tie-breaking key for clusters.
+
+    "global": total distance from the members to every tree vertex.
+    "pairwise": total distance over unordered member pairs only.
+    """
+    members = sorted(members)
+    rows = {v: bfs_distances(t, v) for v in members}
+    if mode == "global":
+        return sum(sum(rows[v]) for v in members)
+    if mode == "pairwise":
+        return sum(
+            rows[u][v] for i, u in enumerate(members) for v in members[i + 1 :]
+        )
+    raise ValueError(f"unknown dist_sum mode {mode!r}")
+
+
+def clusters(t: Tree, s, dist_sum_mode: str = "global") -> list[Cluster]:
+    """Partition the peripheral set by the "closer than diameter" relation.
+
+    Components of the relation graph are extracted and each is asserted to
+    be a clique under the relation (NonCliqueComponentError otherwise).
+    Returned sorted by (size desc, distSum asc, canonical key, min label).
+    """
+    s = sorted(s)
+    if not s:
+        return []
+    diam = diameter(t)
+    rows = {v: bfs_distances(t, v) for v in s}
+
+    parent = {v: v for v in s}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, u in enumerate(s):
+        for v in s[i + 1 :]:
+            if rows[u][v] < diam:
+                parent[find(u)] = find(v)
+
+    groups: dict[int, list[int]] = {}
+    for v in s:
+        groups.setdefault(find(v), []).append(v)
+
+    out = []
+    for members in groups.values():
+        for i, u in enumerate(members):
+            for v in members[i + 1 :]:
+                if rows[u][v] >= diam:
+                    raise NonCliqueComponentError(
+                        f"peripheral vertices {t.labels[u]} and {t.labels[v]} share a "
+                        f"component but are {rows[u][v]} >= diam {diam} apart"
+                    )
+        kept = frozenset(members)
+        deleted = [v for v in s if v not in kept]
+        # Canonical key of the tree this choice of C* would leave behind, so
+        # ties are broken isomorphism-invariantly.
+        key = canonical_code(delete_vertices(t, deleted)) if deleted else canonical_code(t)
+        if dist_sum_mode == "global":
+            dsum = sum(sum(rows[v]) for v in members)
+        else:
+            dsum = sum(
+                rows[u][v] for i, u in enumerate(members) for v in members[i + 1 :]
+            )
+        out.append(
+            Cluster(
+                members=kept,
+                size=len(members),
+                dist_sum=dsum,
+                canon_key=key,
+                min_label=min(t.labels[v] for v in members),
+            )
+        )
+    out.sort(key=Cluster.sort_key)
+    return out
+
+
+def delete_vertices(t: Tree, xs) -> Tree:
+    """Remove a set of leaves, keeping everyone else's external label."""
+    xs = set(xs)
+    if not xs:
+        return t
+    if len(xs) >= t.n:
+        raise EmptyResultError("deletion would empty the tree")
+    for v in xs:
+        if len(t.adj[v]) != 1:
+            raise NonLeafDeletionError(
+                f"vertex labeled {t.labels[v]} has degree {len(t.adj[v])}, not a leaf"
+            )
+    keep = [v for v in range(t.n) if v not in xs]
+    remap = {v: i for i, v in enumerate(keep)}
+    adj = tuple(
+        tuple(sorted(remap[w] for w in t.adj[v] if w not in xs)) for v in keep
+    )
+    # Simultaneous leaf removal keeps a tree connected for n >= 3 (leaves are
+    # never adjacent there); the n = 2 case degenerates to a single vertex.
+    return Tree(n=len(keep), adj=adj, labels=tuple(t.labels[v] for v in keep))
+
+
+def is_star(t: Tree) -> bool:
+    """True for n <= 2 and for K_{1,n-1} (one vertex adjacent to all others)."""
+    if t.n <= 2:
+        return True
+    return any(len(t.adj[v]) == t.n - 1 for v in range(t.n))
+
+
+def canonical_code(t: Tree) -> bytes:
+    """AHU canonical form rooted at the center; equal codes <=> isomorphic."""
+    if t.n == 1:
+        return b"()"
+    info = center(t)
+    if info.kind == "centered":
+        return _rooted_code(t, info.centers[0], avoid=-1)
+    u, v = info.centers
+    a = _rooted_code(t, u, avoid=v)
+    b = _rooted_code(t, v, avoid=u)
+    return min(a, b) + max(a, b)
+
+
+def _rooted_code(t: Tree, root: int, avoid: int) -> bytes:
+    # Iterative AHU: children sorted by code, post-order assembly.
+    order = []
+    parent = {root: avoid}
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for w in t.adj[u]:
+            if w != parent[u]:
+                parent[w] = u
+                stack.append(w)
+    code: dict[int, bytes] = {}
+    for u in reversed(order):
+        kids = sorted(code[w] for w in t.adj[u] if parent.get(w) == u)
+        code[u] = b"(" + b"".join(kids) + b")"
+    return code[root]
+
+
+def relabel(t: Tree, new_labels) -> Tree:
+    """Same shape, different external labels (for relabeling experiments)."""
+    new_labels = tuple(new_labels)
+    if len(new_labels) != t.n or len(set(new_labels)) != t.n:
+        raise BadLabelError("relabeling must be a bijection on the vertices")
+    return Tree(n=t.n, adj=t.adj, labels=new_labels)
+
+
+# ---------------------------------------------------------------------------
+# Constructors for the named tree classes.
+
+def make_star(n: int) -> Tree:
+    """K_{1,n-1}: vertex 1 adjacent to all others."""
+    if n < 1:
+        raise BadLabelError("star needs at least 1 vertex")
+    return build_tree(n, [(1, k) for k in range(2, n + 1)])
+
+
+def make_path(n: int) -> Tree:
+    if n < 1:
+        raise BadLabelError("path needs at least 1 vertex")
+    return build_tree(n, [(k, k + 1) for k in range(1, n)])
+
+
+def make_full_binary(d: int) -> Tree:
+    """Full binary tree of depth d: 2^(d+1) - 1 vertices, heap numbering."""
+    if d < 0:
+        raise BadLabelError("depth must be non-negative")
+    n = 2 ** (d + 1) - 1
+    return build_tree(n, [(k // 2, k) for k in range(2, n + 1)])
+
+
+def make_spider(m: int, k: int) -> Tree:
+    """m legs of k edges each sharing a central vertex: mk + 1 vertices."""
+    if m < 1 or k < 1:
+        raise BadLabelError("spider needs m >= 1 legs of k >= 1 edges")
+    edges = []
+    nxt = 2
+    for _ in range(m):
+        prev = 1
+        for _ in range(k):
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+    return build_tree(m * k + 1, edges)
+
+
+def make_matchstick(k: int) -> Tree:
+    """Path on k vertices with one pendant leaf per path vertex: 2k vertices."""
+    if k < 1:
+        raise BadLabelError("matchstick needs k >= 1")
+    edges = [(i, i + 1) for i in range(1, k)]
+    edges += [(i, k + i) for i in range(1, k + 1)]
+    return build_tree(2 * k, edges)
+
+
+# ---------------------------------------------------------------------------
+# Edge-list text format: first line n, then one "u v" pair per line,
+# 1-based labels, '#' comments ignored.
+
+def parse_edge_list(text: str) -> Tree:
+    rows = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            rows.append(line)
+    if not rows:
+        raise NotATreeError("empty edge-list input")
+    try:
+        n = int(rows[0])
+    except ValueError:
+        raise NotATreeError(f"first line must be the vertex count, got {rows[0]!r}")
+    edges = []
+    for line in rows[1:]:
+        parts = line.split()
+        if len(parts) != 2:
+            raise NotATreeError(f"expected 'u v', got {line!r}")
+        edges.append((int(parts[0]), int(parts[1])))
+    return build_tree(n, edges)
+
+
+def format_edge_list(t: Tree) -> str:
+    lines = [str(t.n)]
+    lines += [f"{a} {b}" for a, b in sorted(t.label_edges())]
+    return "\n".join(lines) + "\n"
