@@ -212,6 +212,9 @@ def delta_prime(
 
 
 def _peel(t, *, variant, dist_sum_mode, strict_pseudocode, rng):
+    # checked up front: a star input never reaches tr.clusters
+    if dist_sum_mode not in tr.DIST_SUM_MODES:
+        raise ValueError(f"unknown dist_sum mode {dist_sum_mode!r}")
     records = []
     total = 0  # half-move units
     guard = tr.diameter(t) + 2 if t.n > 1 else 2

@@ -24,7 +24,7 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import bounds as bd
 from . import enumeration as en
@@ -37,6 +37,12 @@ EXIT_HARD = 1
 EXIT_MISMATCH = 2
 
 BOUND_NAMES = ("delta-star", "delta-prime-v1", "delta-prime-v2")
+# column each bound is recorded under in the embedded reference tables
+GOLDEN_COLUMN = {"delta-star": "dstar", "delta-prime-v1": "v1", "delta-prime-v2": "v2"}
+
+
+class UsageError(Exception):
+    """Unusable flag value, environment default or tree source."""
 
 
 @dataclass
@@ -60,34 +66,74 @@ class Comparison:
 
 @dataclass
 class ExperimentReport:
+    """Rows of one batch experiment, their reference comparisons, and the
+    one renderer for its text, csv and json forms.
+
+    `columns` holds (row key, text label) pairs in output order.  The
+    first column names a row: comparisons refer to it as "label=value".
+    The text form is `header`, one line per row, then `footer`.  A text
+    row ends with its comparisons against reference-table cells; any other
+    comparison (a derived check) needs a footer line of its own.  `extra`
+    holds further top-level keys of the json form.
+    """
+
     experiment: str
     parameters: dict
+    header: str
+    columns: list
     rows: list = field(default_factory=list)
     comparisons: list = field(default_factory=list)
-    wall_time: float = 0.0
+    footer: list = field(default_factory=list)
+    extra: dict = field(default_factory=dict)
+
+    def row_id(self, row: dict) -> str:
+        key, label = self.columns[0]
+        return f"{label}={row[key]}"
+
+    def compare(self, row: dict, gold) -> None:
+        """Compare the row's bound columns against its reference row, if any."""
+        if gold is None:
+            return
+        for key, _ in self.columns:
+            if key in GOLDEN_COLUMN:
+                col = GOLDEN_COLUMN[key]
+                self.comparisons.append(
+                    Comparison(self.row_id(row), col, gold.values[col], row[key],
+                               gold.source, gold.suspect)
+                )
 
     def exit_code(self) -> int:
         return EXIT_OK if all(c.match for c in self.comparisons) else EXIT_MISMATCH
 
-    def to_json(self) -> dict:
-        # wall time deliberately left out: stdout must not vary across runs
-        return {
-            "experiment": self.experiment,
-            "parameters": self.parameters,
-            "rows": self.rows,
-            "comparisons": [
-                {
-                    "row": c.row,
-                    "column": c.column,
-                    "expected": c.expected,
-                    "actual": c.actual,
-                    "match": c.match,
-                    "source": c.source,
-                    "suspect": c.suspect,
-                }
-                for c in self.comparisons
-            ],
-        }
+    def render(self, fmt: str) -> str:
+        if fmt == "json":
+            # no wall time anywhere in stdout: it must not vary across runs
+            return _json({
+                "experiment": self.experiment,
+                "parameters": self.parameters,
+                "rows": self.rows,
+                "comparisons": [{**asdict(c), "match": c.match} for c in self.comparisons],
+                **self.extra,
+            })
+        by_row: dict[str, list[Comparison]] = {}
+        for c in self.comparisons:
+            by_row.setdefault(c.row, []).append(c)
+        keys = [key for key, _ in self.columns]
+        if fmt == "csv":
+            lines = [",".join(keys + ["mismatched_columns"])]
+            for row in self.rows:
+                bad = [c.column for c in by_row.get(self.row_id(row), ()) if not c.match]
+                lines.append(",".join([str(row[k]) for k in keys] + [";".join(bad)]))
+            return "\n".join(lines)
+        lines = [self.header]
+        for row in self.rows:
+            line = " ".join(f"{label}={row[key]}" for key, label in self.columns)
+            comps = [c for c in by_row.get(self.row_id(row), ())
+                     if c.column in GOLDEN_COLUMN.values()]
+            if comps:
+                line += " | recorded " + " ".join(c.render() for c in comps)
+            lines.append(line)
+        return "\n".join(lines + self.footer)
 
 
 def _env(name: str, default=None):
@@ -97,7 +143,12 @@ def _env(name: str, default=None):
 
 def _env_int(name: str, default=None):
     v = _env(name)
-    return default if v is None else int(v)
+    if v is None:
+        return default
+    try:
+        return int(v)
+    except ValueError:
+        raise UsageError(f"TREEBOUND_{name} must be an integer, got {v!r}") from None
 
 
 def _env_flag(name: str) -> bool:
@@ -111,6 +162,10 @@ def _emit(text: str) -> None:
 def _note(text: str) -> None:
     sys.stdout.flush()
     sys.stderr.write(text + "\n")
+
+
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +187,10 @@ def _parse_make(spec: str) -> tuple[str, bd.TreeClassSpec]:
             raise ValueError
         return spec, ctor(*params)
     except (KeyError, ValueError):
-        raise SystemExit(
+        raise UsageError(
             f"bad --make spec {spec!r}; expected star:N, path:N, full-binary:D, "
             "spider:M,K or matchstick:K"
-        )
+        ) from None
 
 
 def _load_trees(args) -> list[tuple[str, tr.Tree]]:
@@ -144,7 +199,7 @@ def _load_trees(args) -> list[tuple[str, tr.Tree]]:
         name, spec = _parse_make(args.make)
         return [(name, spec.build())]
     if not args.input:
-        raise SystemExit("no tree source: pass --make or --input")
+        raise UsageError("no tree source: pass --make or --input")
     with open(args.input, encoding="ascii") as fh:
         text = fh.read()
     if args.format == "edges":
@@ -155,72 +210,67 @@ def _load_trees(args) -> list[tuple[str, tr.Tree]]:
         if line and not line.startswith("#"):
             out.append((line, en.parse_graph6(line)))
     if not out:
-        raise SystemExit(f"no graph6 lines in {args.input}")
+        raise UsageError(f"no graph6 lines in {args.input}")
     return out
 
-
-def _tie_rng(seed, key: str):
-    return None if seed is None else random.Random(f"{seed}:{key}")
-
-
-# ---------------------------------------------------------------------------
-# bound
 
 def _selected(bound: str) -> tuple[str, ...]:
     if bound == "all":
         return BOUND_NAMES
     if bound not in BOUND_NAMES:
-        raise SystemExit(f"unknown bound {bound!r}")
+        raise UsageError(f"unknown bound {bound!r}")
     return (bound,)
 
 
-def _compute_bound(name, t, *, distsum, strict, rng):
-    if name == "delta-star":
-        return bd.delta_star(
-            t, dist_sum_mode=distsum, strict_pseudocode=strict, rng=rng
-        )
-    variant = "v1" if name.endswith("v1") else "v2"
-    return bd.delta_prime(t, variant, dist_sum_mode=distsum, rng=rng)
+def _bounds(t, names, *, distsum, strict, seed=None, key="") -> dict:
+    """Bound name -> (value, trace) for each named bound, in order.
 
+    Each bound breaks full ties with its own fresh rng seeded by (seed, key).
+    """
+    out = {}
+    for name in names:
+        rng = None if seed is None else random.Random(f"{seed}:{key}")
+        if name == "delta-star":
+            out[name] = bd.delta_star(
+                t, dist_sum_mode=distsum, strict_pseudocode=strict, rng=rng
+            )
+        else:
+            variant = name.rsplit("-", 1)[1]
+            out[name] = bd.delta_prime(t, variant, dist_sum_mode=distsum, rng=rng)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# bound
 
 def cmd_bound(args) -> int:
-    trees = _load_trees(args)
     names = _selected(args.bound)
-    payload = []
-    for ident, t in trees:
-        row = {"tree": ident, "n": t.n}
-        traces = {}
-        for name in names:
-            val, trace = _compute_bound(
-                name,
-                t,
-                distsum=args.distsum,
-                strict=args.strict_pseudocode,
-                rng=_tie_rng(args.seed, ident),
-            )
-            row[name] = val.moves
-            traces[name] = trace
-        payload.append((row, traces))
+    results = [
+        (ident, t, _bounds(t, names, distsum=args.distsum,
+                           strict=args.strict_pseudocode, seed=args.seed, key=ident))
+        for ident, t in _load_trees(args)
+    ]
 
     if args.output == "json":
-        doc = [
-            {**row, "traces": {k: v.to_json() for k, v in traces.items()}}
-            if args.trace else dict(row)
-            for row, traces in payload
-        ]
-        _emit(json.dumps(doc, indent=2, sort_keys=True))
+        doc = []
+        for ident, t, res in results:
+            row = {"tree": ident, "n": t.n, **{k: v.moves for k, (v, _) in res.items()}}
+            if args.trace:
+                row["traces"] = {k: trace.to_json() for k, (_, trace) in res.items()}
+            doc.append(row)
+        _emit(_json(doc))
     elif args.output == "csv":
         _emit("tree,n," + ",".join(names))
-        for row, _ in payload:
-            _emit(",".join([row["tree"], str(row["n"])] + [str(row[n]) for n in names]))
+        for ident, t, res in results:
+            _emit(",".join([ident, str(t.n)] + [str(v.moves) for v, _ in res.values()]))
     else:
-        for row, traces in payload:
-            vals = " ".join(f"{n}={row[n]}" for n in names)
-            _emit(f"tree {row['tree']} n={row['n']} {vals}")
+        for ident, t, res in results:
+            vals = " ".join(f"{k}={v.moves}" for k, (v, _) in res.items())
+            _emit(f"tree {ident} n={t.n} {vals}")
             if args.trace:
-                for name in names:
-                    _emit(f"trace {name}:")
-                    _emit(traces[name].to_text())
+                for k, (_, trace) in res.items():
+                    _emit(f"trace {k}:")
+                    _emit(trace.to_text())
     return EXIT_OK
 
 
@@ -229,17 +279,15 @@ def cmd_bound(args) -> int:
 
 def _table1_worker(job) -> tuple[int, int, int]:
     g6, distsum, strict, seed = job
-    t = en.parse_graph6(g6)
-    rng = _tie_rng(seed, g6)
-    ds = bd.delta_star(t, dist_sum_mode=distsum, strict_pseudocode=strict, rng=rng)[0]
-    v1 = bd.delta_prime(t, "v1", dist_sum_mode=distsum, rng=_tie_rng(seed, g6))[0]
-    v2 = bd.delta_prime(t, "v2", dist_sum_mode=distsum, rng=_tie_rng(seed, g6))[0]
-    return ds.moves, v1.moves, v2.moves
+    res = _bounds(en.parse_graph6(g6), BOUND_NAMES, distsum=distsum, strict=strict,
+                  seed=seed, key=g6)
+    return tuple(v.moves for v, _ in res.values())
 
 
 def cmd_table1(args) -> int:
     names = _selected(args.bound)
     jobs = args.jobs if args.jobs and args.jobs > 0 else (os.cpu_count() or 1)
+    case2 = "post" if args.strict_pseudocode else "pre"
     report = ExperimentReport(
         "table1",
         {
@@ -247,180 +295,80 @@ def cmd_table1(args) -> int:
             "n_max": args.n_max,
             "bounds": list(names),
             "distsum": args.distsum,
-            "case2_diameter": "post" if args.strict_pseudocode else "pre",
+            "case2_diameter": case2,
             "seed": args.seed,
         },
+        header=f"experiment table1 bounds={args.bound} distsum={args.distsum} case2={case2}",
+        columns=[("n", "n"), ("trees", "trees")] + [(k, k) for k in names],
     )
     t0 = time.time()
     ordering_ok = True
     for n in range(args.n_min, args.n_max + 1):
-        stream = en.enumerate_free_trees(n)
-        lines = [en.encode_graph6(t) for t in stream]
+        lines = [en.encode_graph6(t) for t in en.enumerate_free_trees(n)]
         work = [(g6, args.distsum, args.strict_pseudocode, args.seed) for g6 in lines]
         if jobs > 1 and len(work) >= 64:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 triples = list(pool.map(_table1_worker, work, chunksize=64))
         else:
             triples = [_table1_worker(w) for w in work]
-        sums = {
-            "delta-star": sum(x[0] for x in triples),
-            "delta-prime-v1": sum(x[1] for x in triples),
-            "delta-prime-v2": sum(x[2] for x in triples),
-        }
-        row = {"n": n, "trees": len(lines)}
-        row.update({k: sums[k] for k in names})
+        sums = {k: sum(x[i] for x in triples) for i, k in enumerate(BOUND_NAMES)}
+        row = {"n": n, "trees": len(lines), **{k: sums[k] for k in names}}
         report.rows.append(row)
         if not sums["delta-star"] <= sums["delta-prime-v2"] <= sums["delta-prime-v1"]:
             ordering_ok = False
-        gold = golden.CUMULATIVE.get(n)
-        if gold:
-            col_of = {"delta-star": "dstar", "delta-prime-v1": "v1", "delta-prime-v2": "v2"}
-            for k in names:
-                report.comparisons.append(
-                    Comparison(
-                        row=f"n={n}",
-                        column=col_of[k],
-                        expected=gold.values[col_of[k]],
-                        actual=sums[k],
-                        source=gold.source,
-                        suspect=gold.suspect,
-                    )
-                )
-    report.wall_time = time.time() - t0
+        report.compare(row, golden.CUMULATIVE.get(n))
+    report.footer.append(f"ordering dstar<=v2<=v1: {'ok' if ordering_ok else 'VIOLATED'}")
 
-    if args.output == "json":
-        _emit(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    elif args.output == "csv":
-        _emit("n,trees," + ",".join(names) + ",mismatched_columns")
-        by_row = {}
-        for c in report.comparisons:
-            if not c.match:
-                by_row.setdefault(c.row, []).append(c.column)
-        for row in report.rows:
-            bad = ";".join(by_row.get(f"n={row['n']}", []))
-            _emit(
-                ",".join(
-                    [str(row["n"]), str(row["trees"])]
-                    + [str(row[k]) for k in names]
-                    + [bad]
-                )
-            )
-    else:
-        _emit(
-            "experiment table1 "
-            f"bounds={args.bound} distsum={args.distsum} "
-            f"case2={report.parameters['case2_diameter']}"
-        )
-        comp_by_row = {}
-        for c in report.comparisons:
-            comp_by_row.setdefault(c.row, []).append(c)
-        for row in report.rows:
-            vals = " ".join(f"{k}={row[k]}" for k in names)
-            line = f"n={row['n']} trees={row['trees']} {vals}"
-            comps = comp_by_row.get(f"n={row['n']}")
-            if comps:
-                line += " | recorded " + " ".join(c.render() for c in comps)
-            _emit(line)
-        _emit(f"ordering dstar<=v2<=v1: {'ok' if ordering_ok else 'VIOLATED'}")
-    _note(f"wall-time: {report.wall_time:.2f}s jobs={jobs}")
-    if not ordering_ok:
-        return EXIT_HARD
-    return report.exit_code()
+    _emit(report.render(args.output))
+    _note(f"wall-time: {time.time() - t0:.2f}s jobs={jobs}")
+    return report.exit_code() if ordering_ok else EXIT_HARD
 
 
 # ---------------------------------------------------------------------------
 # table2
 
 def cmd_table2(args) -> int:
+    names = ("delta-prime-v1", "delta-prime-v2", "delta-star")  # column order
+    case2 = "post" if args.strict_pseudocode else "pre"
     report = ExperimentReport(
         "table2",
         {
             "d_min": args.d_min,
             "d_max": args.d_max,
             "distsum": args.distsum,
-            "case2_diameter": "post" if args.strict_pseudocode else "pre",
+            "case2_diameter": case2,
         },
+        header=f"experiment table2 distsum={args.distsum} case2={case2}",
+        columns=[("d", "d"), ("n", "n"), ("leaves", "leaves")]
+        + [(k, GOLDEN_COLUMN[k]) for k in names],
     )
     t0 = time.time()
-    gap_lines = []
     for d in range(args.d_min, args.d_max + 1):
         t = tr.make_full_binary(d)
-        ds = bd.delta_star(
-            t, dist_sum_mode=args.distsum, strict_pseudocode=args.strict_pseudocode
-        )[0]
-        v1 = bd.delta_prime(t, "v1", dist_sum_mode=args.distsum)[0]
-        v2 = bd.delta_prime(t, "v2", dist_sum_mode=args.distsum)[0]
-        row = {
-            "d": d,
-            "n": t.n,
-            "leaves": (t.n + 1) // 2,
-            "delta-prime-v1": v1.moves,
-            "delta-prime-v2": v2.moves,
-            "delta-star": ds.moves,
-        }
+        res = _bounds(t, names, distsum=args.distsum, strict=args.strict_pseudocode)
+        row = {"d": d, "n": t.n, "leaves": (t.n + 1) // 2,
+               **{k: v.moves for k, (v, _) in res.items()}}
         report.rows.append(row)
         gold = golden.BINARY.get(d)
-        if gold:
-            for col, actual in (("v1", v1.moves), ("v2", v2.moves), ("dstar", ds.moves)):
-                report.comparisons.append(
-                    Comparison(f"d={d}", col, gold.values[col], actual, gold.source)
-                )
-            if d >= 2:
-                for variant in ("v1", "v2"):
-                    formula = bd.predicted_gap(d, variant)
-                    recorded = golden.recorded_gap(d, variant)
-                    report.comparisons.append(
-                        Comparison(
-                            f"d={d}",
-                            f"gap-{variant}",
-                            recorded,
-                            formula.moves,
-                            gold.source + "+formula",
-                        )
-                    )
-                    gap_lines.append(
-                        f"gap-check d={d} {variant}: formula={formula} "
-                        f"recorded-diff={recorded} "
-                        f"{'ok' if formula.moves == recorded else 'MISMATCH'}"
-                    )
-    report.wall_time = time.time() - t0
+        report.compare(row, gold)
+        if gold is None or d < 2:
+            continue
+        for variant in ("v1", "v2"):
+            gap = Comparison(
+                report.row_id(row),
+                f"gap-{variant}",
+                golden.recorded_gap(d, variant),
+                bd.predicted_gap(d, variant).moves,
+                gold.source + "+formula",
+            )
+            report.comparisons.append(gap)
+            report.footer.append(
+                f"gap-check d={d} {variant}: formula={gap.actual} "
+                f"recorded-diff={gap.expected} {'ok' if gap.match else 'MISMATCH'}"
+            )
 
-    if args.output == "json":
-        _emit(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    elif args.output == "csv":
-        _emit("d,n,leaves,delta-prime-v1,delta-prime-v2,delta-star,mismatched_columns")
-        by_row = {}
-        for c in report.comparisons:
-            if not c.match:
-                by_row.setdefault(c.row, []).append(c.column)
-        for row in report.rows:
-            bad = ";".join(by_row.get(f"d={row['d']}", []))
-            _emit(
-                f"{row['d']},{row['n']},{row['leaves']},{row['delta-prime-v1']},"
-                f"{row['delta-prime-v2']},{row['delta-star']},{bad}"
-            )
-    else:
-        _emit(
-            "experiment table2 "
-            f"distsum={args.distsum} case2={report.parameters['case2_diameter']}"
-        )
-        comp_by_row = {}
-        for c in report.comparisons:
-            if not c.column.startswith("gap-"):
-                comp_by_row.setdefault(c.row, []).append(c)
-        for row in report.rows:
-            line = (
-                f"d={row['d']} n={row['n']} leaves={row['leaves']} "
-                f"v1={row['delta-prime-v1']} v2={row['delta-prime-v2']} "
-                f"dstar={row['delta-star']}"
-            )
-            comps = comp_by_row.get(f"d={row['d']}")
-            if comps:
-                line += " | recorded " + " ".join(c.render() for c in comps)
-            _emit(line)
-        for gl in gap_lines:
-            _emit(gl)
-    _note(f"wall-time: {report.wall_time:.2f}s")
+    _emit(report.render(args.output))
+    _note(f"wall-time: {time.time() - t0:.2f}s")
     return report.exit_code()
 
 
@@ -429,42 +377,39 @@ def cmd_table2(args) -> int:
 
 def cmd_verify(args) -> int:
     report = ExperimentReport(
-        "verify", {"n_min": args.n_min, "n_max": args.n_max, "cap": args.cap}
+        "verify",
+        {"n_min": args.n_min, "n_max": args.n_max, "cap": args.cap},
+        header=f"experiment verify n={args.n_min}..{args.n_max}",
+        columns=[("n", "n"), ("trees", "trees")],
     )
     t0 = time.time()
     histogram: dict[int, int] = {}
     violations = []
     for n in range(args.n_min, args.n_max + 1):
-        count = 0
-        for t in en.enumerate_free_trees(n):
+        stream = en.enumerate_free_trees(n)
+        for t in stream:
             exact = orc.cayley_diameter(t, cap=args.cap)
             bound = bd.delta_star(t, dist_sum_mode=args.distsum)[0].moves
             slack = bound - exact
             histogram[slack] = histogram.get(slack, 0) + 1
             if slack < 0:
                 violations.append((en.encode_graph6(t), bound, exact))
-            count += 1
-        report.rows.append({"n": n, "trees": count})
-    report.wall_time = time.time() - t0
+        report.rows.append({"n": n, "trees": stream.count})
+    slacks = sorted(histogram.items())
+    report.footer = (
+        ["slack,count"]
+        + [f"{slack},{cnt}" for slack, cnt in slacks]
+        + [f"VIOLATION tree={g6} bound={b} exact={e}" for g6, b, e in violations]
+        + [f"violations-total={len(violations)}"]
+    )
+    report.extra = {
+        "slack_histogram": {str(slack): cnt for slack, cnt in slacks},
+        "violations": [{"tree": g6, "bound": b, "exact": e} for g6, b, e in violations],
+    }
 
-    if args.output == "json":
-        doc = report.to_json()
-        doc["slack_histogram"] = {str(k): v for k, v in sorted(histogram.items())}
-        doc["violations"] = [
-            {"tree": g6, "bound": b, "exact": e} for g6, b, e in violations
-        ]
-        _emit(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        _emit(f"experiment verify n={args.n_min}..{args.n_max}")
-        for row in report.rows:
-            _emit(f"n={row['n']} trees={row['trees']}")
-        _emit("slack,count")
-        for slack, cnt in sorted(histogram.items()):
-            _emit(f"{slack},{cnt}")
-        for g6, b, e in violations:
-            _emit(f"VIOLATION tree={g6} bound={b} exact={e}")
-        _emit(f"violations-total={len(violations)}")
-    _note(f"wall-time: {report.wall_time:.2f}s backend={orc.backend_name()}")
+    # verify has no csv form of its own: --output csv prints the text report
+    _emit(report.render("json" if args.output == "json" else "text"))
+    _note(f"wall-time: {time.time() - t0:.2f}s backend={orc.backend_name()}")
     return EXIT_HARD if violations else EXIT_OK
 
 
@@ -473,13 +418,10 @@ def cmd_verify(args) -> int:
 
 def cmd_enumerate(args) -> int:
     stream = en.enumerate_free_trees(args.n)
-    blocks = []
-    for t in stream:
-        if args.format == "edges":
-            blocks.append(tr.format_edge_list(t).rstrip("\n"))
-        else:
-            blocks.append(en.encode_graph6(t))
-    _emit("\n\n".join(blocks) if args.format == "edges" else "\n".join(blocks))
+    if args.format == "edges":
+        _emit("\n\n".join(tr.format_edge_list(t).rstrip("\n") for t in stream))
+    else:
+        _emit("\n".join(en.encode_graph6(t) for t in stream))
     _note(f"trees: {stream.count}")
     return EXIT_OK
 
@@ -487,28 +429,24 @@ def cmd_enumerate(args) -> int:
 def cmd_oracle(args) -> int:
     trees = _load_trees(args)
     t0 = time.time()
-    if args.output == "json":
-        doc = []
-        for ident, t in trees:
-            profile = orc.depth_profile(t, cap=args.cap)
-            doc.append(
-                {
-                    "tree": ident,
-                    "n": t.n,
-                    "diameter": len(profile) - 1,
-                    "profile": profile,
-                }
-            )
-        _emit(json.dumps(doc, indent=2, sort_keys=True))
-    elif args.output == "csv":
+    doc = []
+    if args.output == "csv":
         _emit("tree,depth,count")
-        for ident, t in trees:
-            for depth, cnt in enumerate(orc.depth_profile(t, cap=args.cap)):
-                _emit(f"{ident},{depth},{cnt}")
-    else:
-        for ident, t in trees:
-            _emit(f"tree {ident} n={t.n} diameter={orc.cayley_diameter(t, cap=args.cap)}")
-            _emit(orc.profile_csv(t, cap=args.cap))
+    # text and csv stream per tree, so trees done before an error are shown
+    for ident, t in trees:
+        profile = orc.depth_profile(t, cap=args.cap)
+        counts = [f"{depth},{cnt}" for depth, cnt in enumerate(profile)]
+        if args.output == "json":
+            doc.append(
+                {"tree": ident, "n": t.n, "diameter": len(profile) - 1, "profile": profile}
+            )
+        elif args.output == "csv":
+            _emit("\n".join(f"{ident},{line}" for line in counts))
+        else:
+            _emit(f"tree {ident} n={t.n} diameter={len(profile) - 1}")
+            _emit("\n".join(["depth,count"] + counts))
+    if args.output == "json":
+        _emit(_json(doc))
     _note(f"wall-time: {time.time() - t0:.2f}s backend={orc.backend_name()}")
     return EXIT_OK
 
@@ -518,7 +456,7 @@ def cmd_oracle(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", choices=("text", "csv", "json"),
                    default=_env("OUTPUT", "text"))
-    p.add_argument("--distsum", choices=("global", "pairwise"),
+    p.add_argument("--distsum", choices=tr.DIST_SUM_MODES,
                    default=_env("DISTSUM", "global"))
     p.add_argument("--strict-pseudocode", action="store_true",
                    default=_env_flag("STRICT_PSEUDOCODE"))
@@ -585,11 +523,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (tr.TreeError, en.MalformedGraph6Error, orc.TooLargeError,
-            orc.NotGeneratingError, bd.UnsupportedClassError, OSError) as exc:
+    except (UsageError, tr.TreeError, en.MalformedGraph6Error, en.TreeSizeError,
+            orc.TooLargeError, orc.NotGeneratingError, bd.UnsupportedClassError,
+            OSError) as exc:
         _note(f"error: {exc}")
         return EXIT_HARD
 

@@ -18,6 +18,10 @@ class MalformedGraph6Error(ValueError):
     """Input line is not valid short-form graph6."""
 
 
+class TreeSizeError(ValueError):
+    """Requested tree size is outside what enumeration supports."""
+
+
 class TreeStream:
     """Iterator over all free trees on n vertices, one per isomorphism
     class, in canonical-code order.  `count` tracks trees yielded so far;
@@ -45,7 +49,7 @@ def _from_networkx(n: int, g) -> tr.Tree:
 def enumerate_free_trees(n: int) -> TreeStream:
     """All free trees on n vertices, each isomorphism class exactly once."""
     if not 1 <= n <= 16:
-        raise ValueError(f"supported range is 1 <= n <= 16, got {n}")
+        raise TreeSizeError(f"supported range is 1 <= n <= 16, got {n}")
     if n == 1:
         trees = [tr.build_tree(1, [])]
     elif n == 2:

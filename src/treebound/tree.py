@@ -209,6 +209,9 @@ class Cluster:
         return (-self.size, self.dist_sum, self.canon_key, self.min_label)
 
 
+DIST_SUM_MODES = ("global", "pairwise")
+
+
 def dist_sum(t: Tree, members, mode: str = "global") -> int:
     """Tie-breaking key for clusters.
 
@@ -216,7 +219,11 @@ def dist_sum(t: Tree, members, mode: str = "global") -> int:
     "pairwise": total distance over unordered member pairs only.
     """
     members = sorted(members)
-    rows = {v: bfs_distances(t, v) for v in members}
+    return _dist_sum({v: bfs_distances(t, v) for v in members}, members, mode)
+
+
+def _dist_sum(rows, members, mode: str) -> int:
+    # rows: BFS distance row of every member; members ascending
     if mode == "global":
         return sum(sum(rows[v]) for v in members)
     if mode == "pairwise":
@@ -270,17 +277,11 @@ def clusters(t: Tree, s, dist_sum_mode: str = "global") -> list[Cluster]:
         # Canonical key of the tree this choice of C* would leave behind, so
         # ties are broken isomorphism-invariantly.
         key = canonical_code(delete_vertices(t, deleted)) if deleted else canonical_code(t)
-        if dist_sum_mode == "global":
-            dsum = sum(sum(rows[v]) for v in members)
-        else:
-            dsum = sum(
-                rows[u][v] for i, u in enumerate(members) for v in members[i + 1 :]
-            )
         out.append(
             Cluster(
                 members=kept,
                 size=len(members),
-                dist_sum=dsum,
+                dist_sum=_dist_sum(rows, members, dist_sum_mode),
                 canon_key=key,
                 min_label=min(t.labels[v] for v in members),
             )
@@ -427,7 +428,10 @@ def parse_edge_list(text: str) -> Tree:
         parts = line.split()
         if len(parts) != 2:
             raise NotATreeError(f"expected 'u v', got {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise NotATreeError(f"edge endpoints must be integers, got {line!r}") from None
     return build_tree(n, edges)
 
 

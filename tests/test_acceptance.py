@@ -303,3 +303,24 @@ def test_criterion_10_baseline_reconstruction(sweep, all_trees):
     assert order_ok, "cumulative ordering violated"
     assert not v1_bad, v1_bad
     assert not v2_bad, f"v2 per-tree dominance fails: {v2_bad}"
+
+
+# ---------------------------------------------------------------------------
+# Passing regression tests for the values the three failing gates print:
+# those gates are red by design, so a change in the values they report
+# would otherwise go unnoticed.
+
+def test_cumulative_values_past_reference(sweep):
+    got = {n: sum(row[1] for row in sweep[n]) for n in range(12, 16)}
+    assert got == {12: 20158, 13: 54793, 14: 151588, 15: 418971}
+
+
+def test_v2_dominance_counterexample_values():
+    t = en.parse_graph6("LhI?GCA_??_@?A")
+    assert bd.delta_star(t)[0].moves == 48
+    assert bd.delta_prime(t, "v2")[0].moves == 47
+
+
+def test_oracle_values_refuting_closed_forms():
+    assert orc.cayley_diameter(tr.make_spider(3, 2)) == 14
+    assert orc.cayley_diameter(tr.make_matchstick(4)) == 18

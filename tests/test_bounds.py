@@ -91,6 +91,17 @@ def test_delta_prime_variant_validation():
         bd.delta_prime(tr.make_path(4), "v3")
 
 
+def test_dist_sum_mode_validation():
+    # a star is charged its closed form without reaching tr.clusters, so
+    # an unknown mode must be refused before peeling starts
+    star = tr.make_star(5)
+    with pytest.raises(ValueError, match="bogus"):
+        bd.delta_star(star, dist_sum_mode="bogus")
+    for variant in ("v1", "v2"):
+        with pytest.raises(ValueError, match="bogus"):
+            bd.delta_prime(star, variant, dist_sum_mode="bogus")
+
+
 # ---------------------------------------------------------------------------
 # trace invariants over every small tree
 

@@ -13,6 +13,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_error(capsys, prefix, *argv):
+    """Bad input: exit 1, nothing on stdout, one `error:` line on stderr."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
 # ---------------------------------------------------------------------------
 # bound
 
@@ -70,10 +77,8 @@ def test_bound_csv(capsys):
 
 
 def test_bound_bad_make_spec(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["bound", "--make", "pentagon:5"])
-    with pytest.raises(SystemExit):
-        cli.main(["bound", "--make", "spider:3"])
+    for spec in ("pentagon:5", "spider:3"):
+        assert_error(capsys, "error: bad --make spec", "bound", "--make", spec)
 
 
 def test_bound_missing_file(capsys):
@@ -249,3 +254,34 @@ def test_table1_parallel_matches_serial(capsys):
     _, parallel, _ = run(capsys, "table1", "--n-min", "10", "--n-max", "10",
                          "--jobs", "4")
     assert serial == parallel
+
+
+# ---------------------------------------------------------------------------
+# error contract: one `error:` line and exit 1, never a traceback
+
+def test_edge_list_non_integer_token(capsys, tmp_path):
+    path = tmp_path / "tree.txt"
+    path.write_text("2\n1 x\n")
+    assert_error(capsys, "error: edge endpoints must be integers",
+                 "bound", "--input", str(path), "--format", "edges")
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--n", "20"),
+    ("enumerate", "--n", "0"),
+    ("verify", "--n-min", "0", "--n-max", "3"),
+], ids=["enumerate-20", "enumerate-0", "verify-n-min-0"])
+def test_tree_size_out_of_range(capsys, argv):
+    assert_error(capsys, "error: supported range is 1 <= n <= 16", *argv)
+
+
+@pytest.mark.parametrize("name", ["JOBS", "SEED", "CAP"])
+def test_env_non_integer(capsys, monkeypatch, name):
+    monkeypatch.setenv("TREEBOUND_" + name, "many")
+    assert_error(capsys, f"error: TREEBOUND_{name} must be an integer",
+                 "bound", "--make", "star:4")
+
+
+def test_unknown_bound(capsys):
+    assert_error(capsys, "error: unknown bound 'nope'",
+                 "bound", "--make", "star:4", "--bound", "nope")

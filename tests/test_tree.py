@@ -117,6 +117,16 @@ def test_dist_sum_modes():
         tr.dist_sum(t, ends, "median")
 
 
+def test_cluster_keys_follow_dist_sum(all_trees):
+    for t in all_trees(9):
+        s = tr.peripheral_set(t)
+        for mode in tr.DIST_SUM_MODES:
+            for c in tr.clusters(t, s, dist_sum_mode=mode):
+                assert c.dist_sum == tr.dist_sum(t, c.members, mode)
+        with pytest.raises(ValueError):
+            tr.clusters(t, s, dist_sum_mode="median")
+
+
 def test_clusters_path():
     t = tr.make_path(7)
     cs = tr.clusters(t, tr.peripheral_set(t))
