@@ -1,15 +1,21 @@
 """BFS kernels over the n!-state permutation space.
 
-Two interchangeable backends fill a dense uint8 depth table indexed by
-Lehmer rank (identity = rank 0, unvisited = 255):
+Both backends fill a dense uint8 depth table indexed by Lehmer rank
+(identity = rank 0, unvisited = 255), one level at a time, so their tables
+are bit-identical:
 
-  * a numba-jitted per-state kernel (default when numba imports),
-  * a chunked, vectorized pure-numpy kernel.
+  * a chunked, vectorized numpy kernel.  It decodes each frontier chunk to
+    Lehmer digits and symbols once, then gets every neighbour's rank from
+    the few digits a swap changes (the digit-delta rule below), with no
+    re-ranking and no per-edge sort.  It needs only numpy and is the fast
+    path of a default install.
+  * a numba-jitted per-state kernel, selected when the optional numba
+    package imports.
 
 Setting the environment variable TREEBOUND_NO_NUMBA to anything non-empty
-forces the numpy path.  Both backends are level-synchronous and must
-produce bit-identical depth tables; the benchmark under benchmarks/
-asserts that on every run.
+forces the numpy path.  tests/test_oracle.py checks the numpy kernel
+against a plain-Python BFS, and the two backends against each other when
+numba is installed.
 """
 
 from __future__ import annotations
@@ -30,63 +36,44 @@ def _factorials(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# numpy backend: whole frontier levels processed as (rows, n) matrices.
-
-def _unrank_rows(ranks: np.ndarray, n: int, fact: np.ndarray) -> np.ndarray:
-    """Decode ranks (int64) to permutation rows (uint8, symbols 0..n-1)."""
-    rows = ranks.shape[0]
-    digits = np.empty((rows, n), np.int64)
-    rr = ranks.astype(np.int64, copy=True)
-    for k in range(n):
-        f = fact[n - 1 - k]
-        digits[:, k] = rr // f
-        rr %= f
-    perms = np.empty((rows, n), np.uint8)
-    avail = np.ones((rows, n), bool)
-    ridx = np.arange(rows)
-    for k in range(n):
-        # index of the digits[:,k]-th still-available symbol per row:
-        # first column where the running count of available cells hits it
-        want = digits[:, k] + 1
-        hit = np.cumsum(avail, axis=1) == want[:, None]
-        idx = np.argmax(hit, axis=1)
-        perms[:, k] = idx
-        avail[ridx, idx] = False
-    return perms
-
-
-def _rank_rows(perms: np.ndarray, fact: np.ndarray) -> np.ndarray:
-    """Lehmer ranks of permutation rows (inverse of _unrank_rows)."""
-    n = perms.shape[1]
-    p16 = perms.astype(np.int16)
-    inversions = (p16[:, :, None] > p16[:, None, :]) & np.triu(np.ones((n, n), bool), 1)
-    weights = fact[:n][::-1].copy()
-    return (inversions.sum(axis=2) * weights).sum(axis=1)
-
+# numpy backend: a frontier chunk held as (n, rows) Lehmer digits and symbols.
+#
+# Swapping positions i < j with symbols a = p[i], b = p[j] changes only the
+# Lehmer digits i..j:
+#   d_i' = d_j + #{i<l<j: p_l<b} + [a<b]
+#   d_j' = d_i - [b<a] - #{i<l<j: p_l<a}
+#   d_k' = d_k + [a<p_k] - [b<p_k] = d_k + [p_k<b] - [p_k<a]   (i < k < j)
+# so the neighbour's rank is the state's rank plus O(j - i) weighted terms.
 
 def bfs_numpy(n: int, edges: np.ndarray, chunk: int = 1 << 15) -> np.ndarray:
     """Depth table via chunked vectorized BFS from the identity."""
     fact = _factorials(n)
+    # int32 ranks: n! < 2**31 for every n up to 12, past the oracle's cap
+    w = fact[n - 1::-1].astype(np.int32)  # w[k] = (n-1-k)!, weight of digit k
+    pairs = [(min(e), max(e)) for e in edges.tolist()]
     depth = np.full(fact[n], UNSEEN, np.uint8)
     depth[0] = 0
-    frontier = np.zeros(1, np.int64)
+    frontier = np.zeros(1, np.int32)
     level = 0
     while frontier.size:
-        parts = []
         for lo in range(0, frontier.size, chunk):
-            perms = _unrank_rows(frontier[lo:lo + chunk], n, fact)
-            for i, j in edges:
-                swapped = perms.copy()
-                swapped[:, [i, j]] = swapped[:, [j, i]]
-                r2 = _rank_rows(swapped, fact)
-                # unique() collapses same-state hits within this batch; the
-                # depth mark keeps later batches from re-adding them
-                fresh = np.unique(r2[depth[r2] == UNSEEN])
-                if fresh.size:
-                    depth[fresh] = level + 1
-                    parts.append(fresh)
-        frontier = np.concatenate(parts) if parts else np.empty(0, np.int64)
+            ranks = frontier[lo:lo + chunk]
+            digits = np.stack([ranks // w[k] % (n - k) for k in range(n)])
+            # right to left: symbol k is digit k among the symbols after it
+            perms = digits.astype(np.int8)
+            for k in range(n - 2, -1, -1):
+                perms[k + 1:] += perms[k + 1:] >= perms[k]
+            for i, j in pairs:
+                a, b = perms[i], perms[j]
+                nbr = ranks + (digits[j] - digits[i]) * (w[i] - w[j])
+                nbr += (a < b) * (w[i] + w[j]) - w[j]
+                for k in range(i + 1, j):
+                    nbr += (perms[k] < b) * (w[i] + w[k])
+                    nbr -= (perms[k] < a) * (w[j] + w[k])
+                nbr = nbr[depth[nbr] == UNSEEN]
+                depth[nbr] = level + 1
         level += 1
+        frontier = np.flatnonzero(depth == level).astype(np.int32)
     return depth
 
 

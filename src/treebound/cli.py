@@ -45,6 +45,15 @@ class UsageError(Exception):
     """Unusable flag value, environment default or tree source."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a UsageError (exit 1), not argparse's
+    usage block and exit 2, which would read as a reference mismatch.
+    Subparsers inherit the class; --help still exits 0."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 @dataclass
 class Comparison:
     row: str
@@ -214,6 +223,13 @@ def _load_trees(args) -> list[tuple[str, tr.Tree]]:
     return out
 
 
+def _span(lo: int, hi: int, flag: str) -> range:
+    """lo..hi inclusive, from the --FLAG-min/--FLAG-max pair; never empty."""
+    if lo > hi:
+        raise UsageError(f"empty range: --{flag}-min {lo} > --{flag}-max {hi}")
+    return range(lo, hi + 1)
+
+
 def _selected(bound: str) -> tuple[str, ...]:
     if bound == "all":
         return BOUND_NAMES
@@ -286,6 +302,7 @@ def _table1_worker(job) -> tuple[int, int, int]:
 
 def cmd_table1(args) -> int:
     names = _selected(args.bound)
+    sizes = _span(args.n_min, args.n_max, "n")
     jobs = args.jobs if args.jobs and args.jobs > 0 else (os.cpu_count() or 1)
     case2 = "post" if args.strict_pseudocode else "pre"
     report = ExperimentReport(
@@ -303,7 +320,7 @@ def cmd_table1(args) -> int:
     )
     t0 = time.time()
     ordering_ok = True
-    for n in range(args.n_min, args.n_max + 1):
+    for n in sizes:
         lines = [en.encode_graph6(t) for t in en.enumerate_free_trees(n)]
         work = [(g6, args.distsum, args.strict_pseudocode, args.seed) for g6 in lines]
         if jobs > 1 and len(work) >= 64:
@@ -329,6 +346,7 @@ def cmd_table1(args) -> int:
 
 def cmd_table2(args) -> int:
     names = ("delta-prime-v1", "delta-prime-v2", "delta-star")  # column order
+    depths = _span(args.d_min, args.d_max, "d")
     case2 = "post" if args.strict_pseudocode else "pre"
     report = ExperimentReport(
         "table2",
@@ -343,7 +361,7 @@ def cmd_table2(args) -> int:
         + [(k, GOLDEN_COLUMN[k]) for k in names],
     )
     t0 = time.time()
-    for d in range(args.d_min, args.d_max + 1):
+    for d in depths:
         t = tr.make_full_binary(d)
         res = _bounds(t, names, distsum=args.distsum, strict=args.strict_pseudocode)
         row = {"d": d, "n": t.n, "leaves": (t.n + 1) // 2,
@@ -376,6 +394,7 @@ def cmd_table2(args) -> int:
 # verify
 
 def cmd_verify(args) -> int:
+    sizes = _span(args.n_min, args.n_max, "n")
     report = ExperimentReport(
         "verify",
         {"n_min": args.n_min, "n_max": args.n_max, "cap": args.cap},
@@ -385,7 +404,7 @@ def cmd_verify(args) -> int:
     t0 = time.time()
     histogram: dict[int, int] = {}
     violations = []
-    for n in range(args.n_min, args.n_max + 1):
+    for n in sizes:
         stream = en.enumerate_free_trees(n)
         for t in stream:
             exact = orc.cayley_diameter(t, cap=args.cap)
@@ -473,7 +492,7 @@ def _add_source(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="treebound",
         description="Diameter bounds for Cayley graphs of transposition trees",
     )

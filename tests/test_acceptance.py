@@ -324,3 +324,5 @@ def test_v2_dominance_counterexample_values():
 def test_oracle_values_refuting_closed_forms():
     assert orc.cayley_diameter(tr.make_spider(3, 2)) == 14
     assert orc.cayley_diameter(tr.make_matchstick(4)) == 18
+    assert orc.cayley_diameter(tr.make_spider(4, 2)) == 18  # n = 9
+    assert orc.cayley_diameter(tr.make_matchstick(5)) == 26  # n = 10

@@ -285,3 +285,30 @@ def test_env_non_integer(capsys, monkeypatch, name):
 def test_unknown_bound(capsys):
     assert_error(capsys, "error: unknown bound 'nope'",
                  "bound", "--make", "star:4", "--bound", "nope")
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (("enumerate", "--n", "abc"),
+     "error: treebound enumerate: argument --n: invalid int value: 'abc'"),
+    (("table2", "--output", "xml"), "error: treebound table2: argument --output"),
+    (("bound", "--bogus"), "error: treebound: unrecognized arguments: --bogus"),
+    ((), "error: treebound: the following arguments are required: command"),
+], ids=["bad-int", "bad-choice", "unknown-flag", "no-command"])
+def test_argparse_errors_exit_1(capsys, argv, prefix):
+    assert_error(capsys, prefix, *argv)
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["enumerate", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: treebound enumerate")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("table1", "--n-min", "8", "--n-max", "5"), "--n-min 8 > --n-max 5"),
+    (("table2", "--d-min", "3", "--d-max", "2"), "--d-min 3 > --d-max 2"),
+    (("verify", "--n-min", "5", "--n-max", "4"), "--n-min 5 > --n-max 4"),
+], ids=["table1", "table2", "verify"])
+def test_empty_range(capsys, argv, flag):
+    assert_error(capsys, f"error: empty range: {flag}", *argv)

@@ -200,6 +200,38 @@ def test_backend_name():
     assert orc.backend_name() in ("numba", "numpy")
 
 
+def _reference_depths(n, edges):
+    """Depth per Lehmer rank by a plain-Python BFS over permutation tuples."""
+    depth = [kern.UNSEEN] * math.factorial(n)
+    depth[0] = 0
+    frontier = [orc.identity(n)]
+    level = 0
+    while frontier:
+        level += 1
+        nxt = []
+        for p in frontier:
+            for i, j in edges:
+                q = orc.apply_move(p, (i + 1, j + 1))
+                r = orc.rank(q)
+                if depth[r] == kern.UNSEEN:
+                    depth[r] = level
+                    nxt.append(q)
+        frontier = nxt
+    return np.array(depth, np.uint8)
+
+
+def test_numpy_kernel_matches_reference_bfs(all_trees):
+    trees = [t for n in range(2, 7) for t in all_trees(n)]
+    trees += [tr.make_path(7), tr.make_star(7), tr.make_spider(2, 3)]
+    for t in trees:
+        forward = [(min(a, b) - 1, max(a, b) - 1) for a, b in t.label_edges()]
+        expected = _reference_depths(t.n, forward)
+        for edges in (forward, [(j, i) for i, j in forward]):
+            got = kern.bfs_numpy(t.n, np.array(edges, np.int64))
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, expected), (t.n, edges)
+
+
 def test_numpy_and_numba_tables_agree():
     if not kern.HAS_NUMBA:
         pytest.skip("numba unavailable")
