@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from . import tree as tr
 
@@ -133,25 +134,58 @@ def star_bound(n: int) -> HalfMoves:
     return HalfMoves.from_moves(3 * (n - 1) // 2)
 
 
-def _pick_largest_cluster(clusters, rng):
-    """First cluster in deterministic order, or a random one among the
-    leaders tied on the whole invariant key (size, distSum, canonical code)
-    when a tie-randomizing rng is given.
+class _Survey(NamedTuple):
+    """What one eccentricity pass gives a peel step about its tree."""
+
+    tree: tr.Tree
+    ecc: list[int]
+    rows: dict[int, list[int]]  # BFS rows of the diametral pair, both in S
+    code: bytes  # canonical code
+
+
+def _survey(t: tr.Tree) -> _Survey:
+    ecc, rows = tr._eccentricity_pass(t)
+    return _Survey(t, ecc, rows, tr._canonical_code(t, ecc))
+
+
+def _pick_largest_cluster(t, s, rows, groups, dist_sum_mode, rng):
+    """C* among the clusters of S (member lists from tr._cluster_groups).
+
+    The deterministic order is tr.clusters' (size desc, distSum asc,
+    canonical code of the tree C* would leave behind, least label), and C*
+    is its first cluster; with a tie-randomizing rng, C* is a random one
+    among the leaders tied on the whole invariant key (size, distSum,
+    canonical code).  Returns C*'s members and, when a tie made it build
+    the leftover tree S - C* leaves, the _Survey of that tree (else None).
+
+    Keys are lazy: the canonical code is built only for the clusters tied
+    with the leader on (size, distSum), since no other cluster can reach
+    the front.  rng consumption is unchanged by that: rng.choice is called
+    exactly once per call, on the candidates tied on the whole key in the
+    deterministic order, even when only one candidate is left.
 
     The granularity matters: clusters tied through the canonical code leave
     isomorphic trees behind, so any choice among them must not change the
     bound.  Ties on (size, distSum) alone do change it from n = 10 up, which
     is exactly why the deterministic order includes the canonical code.
     """
-    if rng is None:
-        return clusters[0]
-    lead = clusters[0]
-    tied = [
-        c
-        for c in clusters
-        if (c.size, c.dist_sum, c.canon_key) == (lead.size, lead.dist_sum, lead.canon_key)
-    ]
-    return rng.choice(tied)
+    keyed = sorted(
+        ((-len(m), tr._dist_sum(rows, m, dist_sum_mode), m) for m in groups),
+        key=lambda k: k[:2],
+    )
+    lead = [m for size, ds, m in keyed if (size, ds) == keyed[0][:2]]
+    if len(lead) == 1:
+        if rng is not None:
+            rng.choice(lead)
+        return lead[0], None
+    ranked = []
+    for m in lead:
+        left = _survey(tr.delete_vertices(t, [v for v in s if v not in m]))
+        ranked.append((left.code, min(t.labels[v] for v in m), m, left))
+    ranked.sort(key=lambda r: r[:2])
+    if rng is not None:
+        ranked = [rng.choice([r for r in ranked if r[0] == ranked[0][0]])]
+    return ranked[0][2], ranked[0][3]
 
 
 def delta_star(
@@ -212,22 +246,34 @@ def delta_prime(
 
 
 def _peel(t, *, variant, dist_sum_mode, strict_pseudocode, rng):
-    # checked up front: a star input never reaches tr.clusters
+    """Peel t down to a star, one step per iteration record.
+
+    Each step runs one eccentricity pass over its tree (or takes the pass
+    a tie or the strict pairing diameter already ran on it) and derives the
+    rest from that: the diameter, whether the tree is a star (diameter
+    <= 2), the peripheral set S, the tree code, and the BFS rows of S that
+    feed the cluster relation and distSum.  Canonical tie keys are lazy
+    (see _pick_largest_cluster) and the rng stream is the one a full key
+    per cluster would draw.
+    """
+    # checked up front: a star input never reaches a distSum
     if dist_sum_mode not in tr.DIST_SUM_MODES:
         raise ValueError(f"unknown dist_sum mode {dist_sum_mode!r}")
     records = []
     total = 0  # half-move units
-    guard = tr.diameter(t) + 2 if t.n > 1 else 2
+    step = _survey(t)
+    guard = max(step.ecc) + 2
 
     while True:
-        code = tr.canonical_code(t)
-        if tr.is_star(t):
+        t, ecc = step.tree, step.ecc
+        diam = max(ecc)
+        if diam <= 2:  # n <= 2 or K_{1,n-1}
             cost = star_bound(t.n)
             records.append(
                 IterationRecord(
-                    tree_code=code,
+                    tree_code=step.code,
                     n=t.n,
-                    diameter=tr.diameter(t),
+                    diameter=diam,
                     s_size=0,
                     cluster_sizes=(),
                     case=STAR,
@@ -242,16 +288,17 @@ def _peel(t, *, variant, dist_sum_mode, strict_pseudocode, rng):
         if guard < 0:
             raise AssertionError("peeling failed to terminate")
 
-        diam = tr.diameter(t)
-        s = tr.peripheral_set(t)
-        cls = tr.clusters(t, s, dist_sum_mode=dist_sum_mode)
-        c_star = _pick_largest_cluster(cls, rng)
-        c_rest = [v for v in s if v not in c_star.members]
+        s = [v for v in range(t.n) if ecc[v] == diam]
+        rows = {v: step.rows[v] if v in step.rows else tr.bfs_distances(t, v) for v in s}
+        groups = tr._cluster_groups(t, s, rows, diam)
+        c_star, leftover = _pick_largest_cluster(t, s, rows, groups, dist_sum_mode, rng)
+        c_rest = [v for v in s if v not in c_star]
 
         if variant is not None and _full_s_fires(variant, len(s), len(c_rest)):
             deleted = list(s)
             units = len(s) * (2 * diam - 1) - (len(s) % 2)
             case = FULL_S
+            leftover = None  # the leftover of S - C*, not of S
         elif variant is not None:
             # Baselines never pair up partial deletions: flat diameter each.
             deleted = c_rest
@@ -259,7 +306,7 @@ def _peel(t, *, variant, dist_sum_mode, strict_pseudocode, rng):
             case = CASE1
         else:
             deleted = c_rest
-            x, c = len(c_rest), c_star.size
+            x, c = len(c_rest), len(c_star)
             if c * 2 >= len(s):
                 units = 2 * x * diam
                 case = CASE1
@@ -267,24 +314,25 @@ def _peel(t, *, variant, dist_sum_mode, strict_pseudocode, rng):
                 case = CASE2
                 pair_diam = diam
                 if strict_pseudocode:
-                    pair_diam = tr.diameter(tr.delete_vertices(t, deleted))
+                    leftover = leftover or _survey(tr.delete_vertices(t, deleted))
+                    pair_diam = max(leftover.ecc)
                 units = 2 * c * diam + (x - c) * (2 * pair_diam - 1) - ((x - c) % 2)
 
         cost = HalfMoves(units)
         records.append(
             IterationRecord(
-                tree_code=code,
+                tree_code=step.code,
                 n=t.n,
                 diameter=diam,
                 s_size=len(s),
-                cluster_sizes=tuple(cl.size for cl in cls),
+                cluster_sizes=tuple(sorted(map(len, groups), reverse=True)),
                 case=case,
                 deleted_labels=tuple(sorted(t.labels[v] for v in deleted)),
                 cost=cost,
             )
         )
         total += units
-        t = tr.delete_vertices(t, deleted)
+        step = leftover or _survey(tr.delete_vertices(t, deleted))
 
     return HalfMoves(total), BoundTrace(records=tuple(records), total=HalfMoves(total))
 

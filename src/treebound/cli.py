@@ -300,6 +300,25 @@ def _table1_worker(job) -> tuple[int, int, int]:
     return tuple(v.moves for v, _ in res.values())
 
 
+def _table1_sweep(sizes, *, distsum="global", strict=False, seed=None, jobs=1) -> dict:
+    """n -> [(graph6, (delta-star, v1, v2 moves))] over every free tree of
+    each size, in enumeration order.
+
+    All sizes are enumerated first; one process pool then maps
+    _table1_worker over every tree, when jobs > 1 and there are at least
+    64 trees in all.
+    """
+    lines = {n: [en.encode_graph6(t) for t in en.enumerate_free_trees(n)] for n in sizes}
+    work = [(g6, distsum, strict, seed) for n in sizes for g6 in lines[n]]
+    if jobs > 1 and len(work) >= 64:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            triples = list(pool.map(_table1_worker, work, chunksize=64))
+    else:
+        triples = [_table1_worker(w) for w in work]
+    it = iter(triples)
+    return {n: [(g6, next(it)) for g6 in lines[n]] for n in sizes}
+
+
 def cmd_table1(args) -> int:
     names = _selected(args.bound)
     sizes = _span(args.n_min, args.n_max, "n")
@@ -320,16 +339,11 @@ def cmd_table1(args) -> int:
     )
     t0 = time.time()
     ordering_ok = True
-    for n in sizes:
-        lines = [en.encode_graph6(t) for t in en.enumerate_free_trees(n)]
-        work = [(g6, args.distsum, args.strict_pseudocode, args.seed) for g6 in lines]
-        if jobs > 1 and len(work) >= 64:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                triples = list(pool.map(_table1_worker, work, chunksize=64))
-        else:
-            triples = [_table1_worker(w) for w in work]
-        sums = {k: sum(x[i] for x in triples) for i, k in enumerate(BOUND_NAMES)}
-        row = {"n": n, "trees": len(lines), **{k: sums[k] for k in names}}
+    sweep = _table1_sweep(sizes, distsum=args.distsum, strict=args.strict_pseudocode,
+                          seed=args.seed, jobs=jobs)
+    for n, rows in sweep.items():
+        sums = {k: sum(x[i] for _, x in rows) for i, k in enumerate(BOUND_NAMES)}
+        row = {"n": n, "trees": len(rows), **{k: sums[k] for k in names}}
         report.rows.append(row)
         if not sums["delta-star"] <= sums["delta-prime-v2"] <= sums["delta-prime-v1"]:
             ordering_ok = False

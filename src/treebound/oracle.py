@@ -123,7 +123,7 @@ def _check_cap(n: int, cap: int | None) -> None:
         )
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _depth_table_cached(n: int, edges: tuple[tuple[int, int], ...]) -> np.ndarray:
     arr = np.array([(i - 1, j - 1) for i, j in edges], np.int64).reshape(-1, 2)
     depth = kernels.bfs_depth_table(n, arr)

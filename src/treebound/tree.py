@@ -134,20 +134,20 @@ def bfs_distances(t: Tree, v: int) -> DistanceTable:
     """Exact edge-count distances from internal vertex v to every vertex."""
     dist = [-1] * t.n
     dist[v] = 0
-    q = deque([v])
-    while q:
-        u = q.popleft()
+    order = [v]
+    for u in order:  # grows while it is walked: a FIFO queue without pops
+        du = dist[u] + 1
         for w in t.adj[u]:
             if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                q.append(w)
+                dist[w] = du
+                order.append(w)
     return dist
 
 
 def _farthest(t: Tree, v: int) -> tuple[int, list[int]]:
+    # least index among the vertices farthest from v
     dist = bfs_distances(t, v)
-    far = max(range(t.n), key=lambda u: (dist[u], -u))
-    return far, dist
+    return dist.index(max(dist)), dist
 
 
 def eccentricities(t: Tree) -> list[int]:
@@ -156,12 +156,19 @@ def eccentricities(t: Tree) -> list[int]:
     In a tree, ecc(u) = max(d(u,a), d(u,b)) where (a, b) is any diametral
     pair, found here by double BFS.
     """
+    return _eccentricity_pass(t)[0]
+
+
+def _eccentricity_pass(t: Tree) -> tuple[list[int], dict[int, DistanceTable]]:
+    """Eccentricities plus the BFS rows of the diametral pair (a, b) they
+    came from; both a and b are peripheral, so callers that need peripheral
+    rows get these two for free."""
     if t.n == 1:
-        return [0]
+        return [0], {}
     a, _ = _farthest(t, 0)
     b, dist_a = _farthest(t, a)
     dist_b = bfs_distances(t, b)
-    return [max(da, db) for da, db in zip(dist_a, dist_b)]
+    return [max(da, db) for da, db in zip(dist_a, dist_b)], {a: dist_a, b: dist_b}
 
 
 def diameter(t: Tree) -> int:
@@ -238,40 +245,17 @@ def clusters(t: Tree, s, dist_sum_mode: str = "global") -> list[Cluster]:
 
     Components of the relation graph are extracted and each is asserted to
     be a clique under the relation (NonCliqueComponentError otherwise).
+    Every cluster carries its full key, the canonical code of the tree it
+    would leave behind included (the peel engine builds that code only for
+    clusters tied on size and distSum; see bounds._pick_largest_cluster).
     Returned sorted by (size desc, distSum asc, canonical key, min label).
     """
     s = sorted(s)
     if not s:
         return []
-    diam = diameter(t)
     rows = {v: bfs_distances(t, v) for v in s}
-
-    parent = {v: v for v in s}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, u in enumerate(s):
-        for v in s[i + 1 :]:
-            if rows[u][v] < diam:
-                parent[find(u)] = find(v)
-
-    groups: dict[int, list[int]] = {}
-    for v in s:
-        groups.setdefault(find(v), []).append(v)
-
     out = []
-    for members in groups.values():
-        for i, u in enumerate(members):
-            for v in members[i + 1 :]:
-                if rows[u][v] >= diam:
-                    raise NonCliqueComponentError(
-                        f"peripheral vertices {t.labels[u]} and {t.labels[v]} share a "
-                        f"component but are {rows[u][v]} >= diam {diam} apart"
-                    )
+    for members in _cluster_groups(t, s, rows, diameter(t)):
         kept = frozenset(members)
         deleted = [v for v in s if v not in kept]
         # Canonical key of the tree this choice of C* would leave behind, so
@@ -290,6 +274,41 @@ def clusters(t: Tree, s, dist_sum_mode: str = "global") -> list[Cluster]:
     return out
 
 
+def _cluster_groups(t: Tree, s: list[int], rows, diam: int) -> list[list[int]]:
+    """Member lists of the clusters of s (ascending), without their keys.
+
+    rows holds the BFS row of every vertex of s.  Components of the "closer
+    than diam" relation come out ordered by least member, members
+    ascending; each is checked to be a clique under the relation.
+    """
+    parent = {v: v for v in s}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, u in enumerate(s):
+        for v in s[i + 1 :]:
+            if rows[u][v] < diam:
+                parent[find(u)] = find(v)
+
+    groups: dict[int, list[int]] = {}
+    for v in s:
+        groups.setdefault(find(v), []).append(v)
+
+    for members in groups.values():
+        for i, u in enumerate(members):
+            for v in members[i + 1 :]:
+                if rows[u][v] >= diam:
+                    raise NonCliqueComponentError(
+                        f"peripheral vertices {t.labels[u]} and {t.labels[v]} share a "
+                        f"component but are {rows[u][v]} >= diam {diam} apart"
+                    )
+    return list(groups.values())
+
+
 def delete_vertices(t: Tree, xs) -> Tree:
     """Remove a set of leaves, keeping everyone else's external label."""
     xs = set(xs)
@@ -304,9 +323,8 @@ def delete_vertices(t: Tree, xs) -> Tree:
             )
     keep = [v for v in range(t.n) if v not in xs]
     remap = {v: i for i, v in enumerate(keep)}
-    adj = tuple(
-        tuple(sorted(remap[w] for w in t.adj[v] if w not in xs)) for v in keep
-    )
+    # remap is increasing, so sorted adjacency stays sorted
+    adj = tuple(tuple(remap[w] for w in t.adj[v] if w not in xs) for v in keep)
     # Simultaneous leaf removal keeps a tree connected for n >= 3 (leaves are
     # never adjacent there); the n = 2 case degenerates to a single vertex.
     return Tree(n=len(keep), adj=adj, labels=tuple(t.labels[v] for v in keep))
@@ -321,32 +339,37 @@ def is_star(t: Tree) -> bool:
 
 def canonical_code(t: Tree) -> bytes:
     """AHU canonical form rooted at the center; equal codes <=> isomorphic."""
+    return _canonical_code(t, eccentricities(t))
+
+
+def _canonical_code(t: Tree, ecc: list[int]) -> bytes:
+    """canonical_code(t), given the eccentricities of t."""
     if t.n == 1:
         return b"()"
-    info = center(t)
-    if info.kind == "centered":
-        return _rooted_code(t, info.centers[0], avoid=-1)
-    u, v = info.centers
+    radius = min(ecc)
+    centers = [v for v in range(t.n) if ecc[v] == radius]
+    if len(centers) == 1:
+        return _rooted_code(t, centers[0], avoid=-1)
+    u, v = centers
     a = _rooted_code(t, u, avoid=v)
     b = _rooted_code(t, v, avoid=u)
     return min(a, b) + max(a, b)
 
 
 def _rooted_code(t: Tree, root: int, avoid: int) -> bytes:
-    # Iterative AHU: children sorted by code, post-order assembly.
-    order = []
-    parent = {root: avoid}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        order.append(u)
+    # Iterative AHU: children sorted by code, assembled leaves-up in
+    # reverse BFS order; the walk never crosses into avoid.
+    parent = [-1] * t.n
+    parent[root] = avoid
+    order = [root]
+    for u in order:
         for w in t.adj[u]:
             if w != parent[u]:
                 parent[w] = u
-                stack.append(w)
-    code: dict[int, bytes] = {}
+                order.append(w)
+    code = [b""] * t.n
     for u in reversed(order):
-        kids = sorted(code[w] for w in t.adj[u] if parent.get(w) == u)
+        kids = sorted([code[w] for w in t.adj[u] if w != parent[u]])
         code[u] = b"(" + b"".join(kids) + b")"
     return code[root]
 

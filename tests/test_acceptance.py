@@ -17,7 +17,6 @@ implementation:
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -34,23 +33,11 @@ def _verdict(tag: str, ok: bool, detail: str = "") -> None:
     print(f"[ACCEPT] {tag}: {'PASS' if ok else 'FAIL'}{' - ' + detail if detail else ''}")
 
 
-def _fanout(work):
-    jobs = os.cpu_count() or 1
-    if jobs > 1 and len(work) >= 64:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(cli._table1_worker, work, chunksize=64))
-    return [cli._table1_worker(w) for w in work]
-
-
 @pytest.fixture(scope="module")
 def sweep():
     """Per-tree (graph6, delta-star, v1, v2) moves for every tree, n = 6..15."""
-    data = {}
-    for n in range(6, 16):
-        lines = [en.encode_graph6(t) for t in en.enumerate_free_trees(n)]
-        triples = _fanout([(g6, "global", False, None) for g6 in lines])
-        data[n] = [(g6, *t) for g6, t in zip(lines, triples)]
-    return data
+    sweep = cli._table1_sweep(range(6, 16), jobs=os.cpu_count() or 1)
+    return {n: [(g6, *t) for g6, t in rows] for n, rows in sweep.items()}
 
 
 # ---------------------------------------------------------------------------

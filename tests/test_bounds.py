@@ -5,6 +5,7 @@ import random
 import pytest
 
 from treebound import bounds as bd
+from treebound import enumeration as en
 from treebound import tree as tr
 
 
@@ -160,6 +161,42 @@ def test_randomized_ties_do_not_change_totals(all_trees):
         base = dstar(t)
         for rng in rng_values:
             assert dstar(t, rng=rng) == base
+
+
+PEEL_RUNS = [
+    lambda t: bd.delta_star(t),
+    lambda t: bd.delta_star(t, strict_pseudocode=True),
+    lambda t: bd.delta_star(t, dist_sum_mode="pairwise"),
+    lambda t: bd.delta_star(t, rng=random.Random(3)),
+    lambda t: bd.delta_prime(t, "v1"),
+    lambda t: bd.delta_prime(t, "v2"),
+]
+
+
+def test_peel_derives_each_step_from_one_pass(monkeypatch, all_trees):
+    trees = [t for n in range(1, 10) for t in all_trees(n)]
+    trees.append(en.parse_graph6("IhCS?C@?G"))  # no (size, distSum) tie at any step
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the peel loop recomputes eccentricities")
+
+    for name in ("diameter", "peripheral_set", "center", "clusters", "is_star",
+                 "canonical_code", "eccentricities"):
+        monkeypatch.setattr(tr, name, forbidden)
+    passes, rows = [], []
+    real_pass, real_bfs = tr._eccentricity_pass, tr.bfs_distances
+    monkeypatch.setattr(tr, "_eccentricity_pass", lambda t: passes.append(t.n) or real_pass(t))
+    monkeypatch.setattr(tr, "bfs_distances", lambda t, v: rows.append(v) or real_bfs(t, v))
+
+    for run in PEEL_RUNS:
+        for t in trees:
+            run(t)
+        passes.clear()
+        rows.clear()
+        _, trace = run(trees[-1])
+        # one pass (three BFS rows) per step, plus a row per other member of S
+        assert len(passes) == len(trace.records) == 7
+        assert len(rows) == sum(3 + max(r.s_size - 2, 0) for r in trace.records)
 
 
 def test_distsum_modes_diverge():

@@ -132,6 +132,18 @@ def test_profile_csv():
     assert text.splitlines()[1] == "0,1"
 
 
+def test_depth_table_cache_keeps_one_table():
+    # each caller asks for one tree's table at a time; holding more only
+    # keeps n!-byte tables alive
+    for t in (tr.make_path(5), tr.make_star(5), tr.make_spider(2, 2)):
+        orc.depth_profile(t)
+    before = orc._depth_table_cached.cache_info()
+    orc.cayley_diameter(tr.make_spider(2, 2))  # same tree again: a hit
+    after = orc._depth_table_cached.cache_info()
+    assert after.currsize == 1
+    assert after.hits == before.hits + 1
+
+
 def test_every_state_reached(all_trees):
     for n in range(2, 9):
         for t in all_trees(n):
