@@ -1,5 +1,6 @@
 """Tree enumeration counts and the graph6 codec."""
 
+import hashlib
 import random
 
 import networkx as nx
@@ -91,6 +92,35 @@ def test_random_trees_hit_known_classes(all_trees):
         codes = {tr.canonical_code(t) for t in all_trees(n)}
         for _ in range(2000):
             assert tr.canonical_code(prufer_tree(n, rng)) in codes
+
+
+# sha256 of `treebound enumerate --n k` stdout: every graph6 line, each
+# ending in a newline.  Pins the labelled representative of every class
+# and the emission order, whatever generator produces them.
+ENUMERATE_DIGESTS = {
+    1: "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
+    2: "fae4bfc454bd04363dcd5222772f2973b1193e1ff6f676e822a427323a677ef9",
+    3: "881159da90c6f28631b6a3eafd6d6d13cda0d0e4cc09d828374719d272f3da34",
+    4: "05d413031ea89bce8435a57103213f9eb735dfef1578231805d3296c4511b4b7",
+    5: "efbe3b801f35b4c4f66df55ae8963debe14476e9c341979151f48c1f1625d4a5",
+    6: "09ee6fec194bccb7a8ca7da81948cdd424301628d6ee1e2960d187af3ca16b69",
+    7: "da0e641acc280eedcf998c8f94e86c5436a264230a21f25e034fca32b768c186",
+    8: "5b8d19c6038e44daffd09bacec412da1a05a4450f2b97362fa941f7fb2067427",
+    9: "0be20f37e5d000b010cb0ce5394eb8ad5a28430b31b43f20c1496f37639ef930",
+    10: "b9c2f82cc9c2b4b44bc53a2df38d1812d2bad682cfa5e4ebd2b6076ac1fbab74",
+    11: "0f62e25c4f5797fd7d6b371c32a98a472d307ed3205c62d3e82b27878550e7db",
+    12: "e0d87a5a408a64f21c86803964d575f2007a5d331d6156c30a2c17f78295e259",
+    13: "6e5dc1973d1480c6b40e4538d74619bf6120c11408b85173088b703d9d16e7a1",
+    14: "7eed0f76885dc25bd3d2ae688abb2091d648c84732ef8843a625a86bbf627a03",
+    15: "d85b290316e53560e44ae027fc161be71c0a85533369241cf291be27e0a66478",
+    16: "e0c6643c9f4987abcc62006d73e6421469af1364e2c4f5e11ff184be43697b9a",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ENUMERATE_DIGESTS))
+def test_enumeration_output_digest(all_trees, n):
+    text = "".join(en.encode_graph6(t) + "\n" for t in all_trees(n))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == ENUMERATE_DIGESTS[n]
 
 
 def test_enumeration_codes_distinct_up_to_12():
