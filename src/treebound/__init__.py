@@ -16,7 +16,6 @@ from .bounds import (
 )
 from .enumeration import (
     MalformedGraph6Error,
-    TreeStream,
     encode_graph6,
     enumerate_free_trees,
     parse_graph6,
@@ -30,7 +29,6 @@ from .oracle import (
     TooLargeError,
     apply_move,
     cayley_diameter,
-    cycle_count,
     depth_profile,
     format_permutation,
     identity,
@@ -40,7 +38,6 @@ from .oracle import (
     sort_distance,
     unrank,
 )
-from .oracle import backend_name as oracle_backend
 from .tree import (
     BadLabelError,
     CenterInfo,

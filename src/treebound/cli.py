@@ -6,8 +6,7 @@ Every flag can also be set through an environment variable with the
 TREEBOUND_ prefix (TREEBOUND_JOBS, TREEBOUND_SEED, TREEBOUND_CAP,
 TREEBOUND_OUTPUT, TREEBOUND_DISTSUM, TREEBOUND_STRICT_PSEUDOCODE,
 TREEBOUND_FORMAT, TREEBOUND_BOUND); explicit flags win.  Stdout is
-byte-stable given identical flags: wall time and backend identity go to
-stderr only.
+byte-stable given identical flags: wall time goes to stderr only.
 
 Exit codes: 0 when every comparison against the embedded reference tables
 matched; 2 when the run completed but some comparisons mismatched (the
@@ -419,15 +418,15 @@ def cmd_verify(args) -> int:
     histogram: dict[int, int] = {}
     violations = []
     for n in sizes:
-        stream = en.enumerate_free_trees(n)
-        for t in stream:
+        trees = en.enumerate_free_trees(n)
+        for t in trees:
             exact = orc.cayley_diameter(t, cap=args.cap)
             bound = bd.delta_star(t, dist_sum_mode=args.distsum)[0].moves
             slack = bound - exact
             histogram[slack] = histogram.get(slack, 0) + 1
             if slack < 0:
                 violations.append((en.encode_graph6(t), bound, exact))
-        report.rows.append({"n": n, "trees": stream.count})
+        report.rows.append({"n": n, "trees": len(trees)})
     slacks = sorted(histogram.items())
     report.footer = (
         ["slack,count"]
@@ -442,7 +441,7 @@ def cmd_verify(args) -> int:
 
     # verify has no csv form of its own: --output csv prints the text report
     _emit(report.render("json" if args.output == "json" else "text"))
-    _note(f"wall-time: {time.time() - t0:.2f}s backend={orc.backend_name()}")
+    _note(f"wall-time: {time.time() - t0:.2f}s")
     return EXIT_HARD if violations else EXIT_OK
 
 
@@ -450,12 +449,12 @@ def cmd_verify(args) -> int:
 # enumerate / oracle
 
 def cmd_enumerate(args) -> int:
-    stream = en.enumerate_free_trees(args.n)
+    trees = en.enumerate_free_trees(args.n)
     if args.format == "edges":
-        _emit("\n\n".join(tr.format_edge_list(t).rstrip("\n") for t in stream))
+        _emit("\n\n".join(tr.format_edge_list(t).rstrip("\n") for t in trees))
     else:
-        _emit("\n".join(en.encode_graph6(t) for t in stream))
-    _note(f"trees: {stream.count}")
+        _emit("\n".join(en.encode_graph6(t) for t in trees))
+    _note(f"trees: {len(trees)}")
     return EXIT_OK
 
 
@@ -480,21 +479,26 @@ def cmd_oracle(args) -> int:
             _emit("\n".join(["depth,count"] + counts))
     if args.output == "json":
         _emit(_json(doc))
-    _note(f"wall-time: {time.time() - t0:.2f}s backend={orc.backend_name()}")
+    _note(f"wall-time: {time.time() - t0:.2f}s")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
+    """--output and --distsum, plus those of --strict-pseudocode, --seed and
+    --cap that `flags` names."""
     p.add_argument("--output", choices=("text", "csv", "json"),
                    default=_env("OUTPUT", "text"))
     p.add_argument("--distsum", choices=tr.DIST_SUM_MODES,
                    default=_env("DISTSUM", "global"))
-    p.add_argument("--strict-pseudocode", action="store_true",
-                   default=_env_flag("STRICT_PSEUDOCODE"))
-    p.add_argument("--seed", type=int, default=_env_int("SEED"))
-    p.add_argument("--cap", type=int, default=_env_int("CAP"))
+    if "strict-pseudocode" in flags:
+        p.add_argument("--strict-pseudocode", action="store_true",
+                       default=_env_flag("STRICT_PSEUDOCODE"))
+    if "seed" in flags:
+        p.add_argument("--seed", type=int, default=_env_int("SEED"))
+    if "cap" in flags:
+        p.add_argument("--cap", type=int, default=_env_int("CAP"))
 
 
 def _add_source(p: argparse.ArgumentParser) -> None:
@@ -517,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", default=_env("BOUND", "all"),
                    help="delta-star | delta-prime-v1 | delta-prime-v2 | all")
     p.add_argument("--trace", action="store_true")
-    _add_common(p)
+    _add_common(p, "strict-pseudocode", "seed")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("table1", help="cumulative bounds over all free trees")
@@ -526,19 +530,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", default=_env("BOUND", "all"))
     p.add_argument("--jobs", type=int, default=_env_int("JOBS", 0),
                    help="worker processes (0 = all cores)")
-    _add_common(p)
+    _add_common(p, "strict-pseudocode", "seed")
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("table2", help="bounds on full binary trees")
     p.add_argument("--d-min", type=int, default=1)
     p.add_argument("--d-max", type=int, default=7)
-    _add_common(p)
+    _add_common(p, "strict-pseudocode")
     p.set_defaults(func=cmd_table2)
 
     p = sub.add_parser("verify", help="bound vs exact BFS diameter")
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=8)
-    _add_common(p)
+    _add_common(p, "cap")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("enumerate", help="dump all free trees on n vertices")
@@ -549,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact diameters with depth profiles")
     _add_source(p)
-    _add_common(p)
+    _add_common(p, "cap")
     p.set_defaults(func=cmd_oracle)
 
     return ap

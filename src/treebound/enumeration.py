@@ -1,15 +1,16 @@
 """Enumeration of non-isomorphic free trees and the graph6 text format.
 
-Generation is delegated to networkx (write-once, well-tested WROM-style
-generator); the test suite re-derives the counts and the isomorphism-class
-uniqueness independently, so a generator defect cannot pass silently.
-Emission is sorted by canonical code to keep downstream reports byte-stable
-regardless of generator ordering.
+Free trees are generated as level sequences by the algorithm of Wright,
+Richmond, Odlyzko & McKay, "Constant time generation of free trees" (SIAM
+J. Comput. 15, 1986), which walks the rooted-tree successor of Beyer &
+Hedetniemi (1980) and jumps over every sequence that is not the canonical
+one of its free tree.  The test suite re-derives the counts and the
+isomorphism-class uniqueness independently, so a generator defect cannot
+pass silently.  Emission is sorted by canonical code to keep downstream
+reports byte-stable regardless of generator ordering.
 """
 
 from __future__ import annotations
-
-import networkx as nx
 
 from . import tree as tr
 
@@ -22,42 +23,74 @@ class TreeSizeError(ValueError):
     """Requested tree size is outside what enumeration supports."""
 
 
-class TreeStream:
-    """Iterator over all free trees on n vertices, one per isomorphism
-    class, in canonical-code order.  `count` tracks trees yielded so far;
-    len() gives the total."""
+def _successor(seq: list[int], p: int | None = None) -> list[int] | None:
+    """Beyer-Hedetniemi: the next rooted level sequence, None after the last.
 
-    def __init__(self, n: int, trees: list[tr.Tree]):
-        self.n = n
-        self.count = 0
-        self._trees = trees
-
-    def __len__(self) -> int:
-        return len(self._trees)
-
-    def __iter__(self):
-        for t in self._trees:
-            self.count += 1
-            yield t
-
-
-def _from_networkx(n: int, g) -> tr.Tree:
-    # networkx emits vertices 0..n-1; external labels are 1-based.
-    return tr.build_tree(n, [(u + 1, v + 1) for u, v in g.edges()])
+    Position p is advanced; by default the last vertex above level 1.
+    """
+    if p is None:
+        p = len(seq) - 1
+        while seq[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while seq[q] != seq[p] - 1:
+        q -= 1
+    out = seq[:p]
+    for i in range(p, len(seq)):
+        out.append(out[i - p + q])
+    return out
 
 
-def enumerate_free_trees(n: int) -> TreeStream:
-    """All free trees on n vertices, each isomorphism class exactly once."""
+def _split(seq: list[int]) -> tuple[list[int], list[int]]:
+    """The root's first subtree, and the tree with that subtree removed."""
+    m = next((i for i in range(2, len(seq)) if seq[i] == 1), len(seq))
+    return [x - 1 for x in seq[1:m]], [0] + seq[m:]
+
+
+def _free_level_sequences(n: int):
+    """Level sequences of every free tree on n >= 2 vertices (WROM)."""
+    seq = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))  # centred path
+    while seq is not None:
+        left, rest = _split(seq)
+        # canonical when the first subtree is no higher than the rest, then
+        # no larger, then not lexicographically later
+        if (max(left), len(left), left) > (max(rest), len(rest), rest):
+            # jump: advance at the first subtree's last vertex p and, when
+            # needed, make the tail a path one level higher than that subtree
+            p = len(left)
+            jumped = _successor(seq, p)
+            if seq[p] > 2:
+                height = max(_split(jumped)[0])
+                jumped[-height - 1:] = range(1, height + 2)
+            seq = jumped
+        yield seq
+        seq = _successor(seq)
+
+
+def _from_level_sequence(seq: list[int]) -> tr.Tree:
+    # vertex i's parent is the last earlier vertex one level up; label i + 1
+    last = [0] * len(seq)
+    edges = []
+    for i, level in enumerate(seq):
+        if level:
+            edges.append((last[level - 1] + 1, i + 1))
+        last[level] = i
+    return tr.build_tree(len(seq), edges)
+
+
+def enumerate_free_trees(n: int) -> list[tr.Tree]:
+    """All free trees on n vertices, each isomorphism class exactly once,
+    in canonical-code order."""
     if not 1 <= n <= 16:
         raise TreeSizeError(f"supported range is 1 <= n <= 16, got {n}")
     if n == 1:
         trees = [tr.build_tree(1, [])]
-    elif n == 2:
-        trees = [tr.build_tree(2, [(1, 2)])]
     else:
-        trees = [_from_networkx(n, g) for g in nx.nonisomorphic_trees(n)]
+        trees = [_from_level_sequence(seq) for seq in _free_level_sequences(n)]
     trees.sort(key=tr.canonical_code)
-    return TreeStream(n, trees)
+    return trees
 
 
 # ---------------------------------------------------------------------------

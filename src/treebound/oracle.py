@@ -67,22 +67,6 @@ def apply_move(p: Permutation, e: tuple[int, int]) -> Permutation:
     return tuple(q)
 
 
-def cycle_count(p: Permutation) -> int:
-    """Number of cycles, fixed points included."""
-    n = _validate(p)
-    seen = [False] * n
-    count = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        count += 1
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            v = p[v] - 1
-    return count
-
-
 def rank(p: Permutation) -> PermRank:
     """Lehmer rank in [0, n!); the identity ranks 0."""
     n = _validate(p)
@@ -166,6 +150,6 @@ def cayley_diameter(t: tr.Tree, *, cap: int | None = None) -> int:
     return len(depth_profile(t, cap=cap)) - 1
 
 
+# perfbench records this; it goes with the benchmark-upkeep change (ROADMAP item 6)
 def backend_name() -> str:
-    """Which BFS kernel is active ("numba" or "numpy")."""
-    return kernels.backend_name()
+    return "numpy"

@@ -9,7 +9,6 @@ between workers.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 
@@ -105,24 +104,9 @@ def build_tree(n: int, edges) -> Tree:
         adj=tuple(tuple(sorted(s)) for s in neighbors),
         labels=tuple(range(1, n + 1)),
     )
-    if n > 1 and len(_bfs_order(t, 0)) != n:
+    if -1 in bfs_distances(t, 0):
         raise NotATreeError("edge set is disconnected (and therefore cyclic)")
     return t
-
-
-def _bfs_order(t: Tree, start: int) -> list[int]:
-    order = [start]
-    seen = [False] * t.n
-    seen[start] = True
-    q = deque([start])
-    while q:
-        u = q.popleft()
-        for w in t.adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                order.append(w)
-                q.append(w)
-    return order
 
 
 # Distance table from one source: index = internal vertex, value = edge count,

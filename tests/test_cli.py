@@ -1,6 +1,10 @@
 """Command line behavior: outputs, exit codes, byte stability, env overrides."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -275,11 +279,14 @@ def test_tree_size_out_of_range(capsys, argv):
     assert_error(capsys, "error: supported range is 1 <= n <= 16", *argv)
 
 
-@pytest.mark.parametrize("name", ["JOBS", "SEED", "CAP"])
-def test_env_non_integer(capsys, monkeypatch, name):
+@pytest.mark.parametrize("name, argv", [
+    ("JOBS", ("bound", "--make", "star:4")),
+    ("SEED", ("bound", "--make", "star:4")),
+    ("CAP", ("oracle", "--make", "star:3")),
+], ids=["JOBS", "SEED", "CAP"])
+def test_env_non_integer(capsys, monkeypatch, name, argv):
     monkeypatch.setenv("TREEBOUND_" + name, "many")
-    assert_error(capsys, f"error: TREEBOUND_{name} must be an integer",
-                 "bound", "--make", "star:4")
+    assert_error(capsys, f"error: TREEBOUND_{name} must be an integer", *argv)
 
 
 def test_unknown_bound(capsys):
@@ -293,7 +300,14 @@ def test_unknown_bound(capsys):
     (("table2", "--output", "xml"), "error: treebound table2: argument --output"),
     (("bound", "--bogus"), "error: treebound: unrecognized arguments: --bogus"),
     ((), "error: treebound: the following arguments are required: command"),
-], ids=["bad-int", "bad-choice", "unknown-flag", "no-command"])
+    # each subcommand accepts only the flags it reads
+    (("verify", "--seed", "3"), "error: treebound: unrecognized arguments: --seed 3"),
+    (("bound", "--make", "star:4", "--cap", "5"),
+     "error: treebound: unrecognized arguments: --cap 5"),
+    (("oracle", "--make", "star:3", "--strict-pseudocode"),
+     "error: treebound: unrecognized arguments: --strict-pseudocode"),
+], ids=["bad-int", "bad-choice", "unknown-flag", "no-command",
+        "verify-seed", "bound-cap", "oracle-strict-pseudocode"])
 def test_argparse_errors_exit_1(capsys, argv, prefix):
     assert_error(capsys, prefix, *argv)
 
@@ -312,3 +326,22 @@ def test_help_exits_0(capsys):
 ], ids=["table1", "table2", "verify"])
 def test_empty_range(capsys, argv, flag):
     assert_error(capsys, f"error: empty range: {flag}", *argv)
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies
+
+def test_runtime_needs_neither_networkx_nor_numba():
+    # None in sys.modules makes any import of the name raise ImportError
+    code = (
+        "import sys\n"
+        "sys.modules['networkx'] = None\n"
+        "sys.modules['numba'] = None\n"
+        "import treebound.cli as cli\n"
+        "assert cli.main(['enumerate', '--n', '6']) == 0\n"
+        "assert cli.main(['oracle', '--make', 'star:4']) == 0\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

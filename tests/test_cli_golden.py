@@ -92,7 +92,7 @@ def _write_files(directory: pathlib.Path) -> None:
 @pytest.fixture
 def scratch_dir(tmp_path, monkeypatch):
     for key in list(os.environ):
-        if key.startswith("TREEBOUND_") and key != "TREEBOUND_NO_NUMBA":
+        if key.startswith("TREEBOUND_"):
             monkeypatch.delenv(key)
     _write_files(tmp_path)
     monkeypatch.chdir(tmp_path)
@@ -121,7 +121,7 @@ def _record() -> None:
     import tempfile
 
     for key in list(os.environ):
-        if key.startswith("TREEBOUND_") and key != "TREEBOUND_NO_NUMBA":
+        if key.startswith("TREEBOUND_"):
             del os.environ[key]
     here = os.getcwd()
     doc = {}

@@ -17,10 +17,9 @@ from conftest import prufer_tree
 
 def test_stream_counts(all_trees):
     for n in range(1, 11):
-        stream = en.enumerate_free_trees(n)
-        assert len(stream) == golden.TREE_COUNTS[n]
-        assert sum(1 for _ in stream) == golden.TREE_COUNTS[n]
-        assert stream.count == golden.TREE_COUNTS[n]
+        trees = en.enumerate_free_trees(n)
+        assert len(trees) == golden.TREE_COUNTS[n]
+        assert sum(1 for _ in trees) == golden.TREE_COUNTS[n]
 
 
 def test_stream_range_check():
@@ -125,8 +124,7 @@ def test_enumeration_output_digest(all_trees, n):
 
 def test_enumeration_codes_distinct_up_to_12():
     for n in (11, 12):
-        stream = en.enumerate_free_trees(n)
-        codes = [tr.canonical_code(t) for t in stream]
+        codes = [tr.canonical_code(t) for t in en.enumerate_free_trees(n)]
         assert len(set(codes)) == golden.TREE_COUNTS[n]
         assert codes == sorted(codes), "emission is canonical-code ordered"
 

@@ -48,13 +48,6 @@ def test_apply_move_is_involution():
         assert orc.apply_move(orc.apply_move(p, (i, j)), (i, j)) == p
 
 
-def test_cycle_count():
-    assert orc.cycle_count((1, 2, 3, 4)) == 4
-    assert orc.cycle_count((2, 3, 1)) == 1
-    assert orc.cycle_count((2, 1, 4, 3)) == 2
-    assert orc.cycle_count((2, 1, 3)) == 2
-
-
 def test_rank_unrank():
     assert orc.rank(orc.identity(5)) == 0
     assert [orc.rank(orc.unrank(r, 3)) for r in range(6)] == list(range(6))
@@ -206,10 +199,10 @@ def test_non_generating_edges_detected():
 
 
 # ---------------------------------------------------------------------------
-# kernel backends
+# BFS kernel
 
 def test_backend_name():
-    assert orc.backend_name() in ("numba", "numpy")
+    assert orc.backend_name() == "numpy"
 
 
 def _reference_depths(n, edges):
@@ -242,22 +235,3 @@ def test_numpy_kernel_matches_reference_bfs(all_trees):
             got = kern.bfs_numpy(t.n, np.array(edges, np.int64))
             assert got.dtype == np.uint8
             assert np.array_equal(got, expected), (t.n, edges)
-
-
-def test_numpy_and_numba_tables_agree():
-    if not kern.HAS_NUMBA:
-        pytest.skip("numba unavailable")
-    for t in (tr.make_path(6), tr.make_star(6), tr.make_matchstick(3),
-              tr.make_full_binary(2)):
-        edges = np.array(
-            [(min(a, b) - 1, max(a, b) - 1) for a, b in t.label_edges()],
-            dtype=np.int64,
-        )
-        assert np.array_equal(kern.bfs_numba(t.n, edges), kern.bfs_numpy(t.n, edges))
-
-
-def test_env_flag_disables_numba(monkeypatch):
-    monkeypatch.setenv("TREEBOUND_NO_NUMBA", "1")
-    assert not kern.use_numba()
-    monkeypatch.delenv("TREEBOUND_NO_NUMBA")
-    assert kern.use_numba() == kern.HAS_NUMBA
