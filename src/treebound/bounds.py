@@ -245,6 +245,55 @@ def delta_prime(
     )
 
 
+class _Step:
+    """The part of one non-star peel step that every bound shares.
+
+    From the survey of the tree entering the step come its diameter, the
+    peripheral set S, the clusters of S and C* (see _pick_largest_cluster).
+    The bounds differ only in the charge: which vertices go and what they
+    cost (charge, deleted), and so in the tree the step leaves (left).
+    """
+
+    def __init__(self, survey: _Survey, dist_sum_mode: str, rng):
+        t, ecc = survey.tree, survey.ecc
+        self.survey = survey
+        self.diam = diam = max(ecc)
+        self.s = s = [v for v in range(t.n) if ecc[v] == diam]
+        rows = {v: survey.rows[v] if v in survey.rows else tr.bfs_distances(t, v) for v in s}
+        self.groups = tr._cluster_groups(t, s, rows, diam)
+        self.c_star, rest = _pick_largest_cluster(t, s, rows, self.groups, dist_sum_mode, rng)
+        self.c_rest = [v for v in s if v not in self.c_star]
+        # leftover survey per deleted set (True: all of S), each built once
+        self._left = {False: rest}
+
+    def charge(self, variant: str | None, strict_pseudocode: bool) -> tuple[str, int]:
+        """(case, cost in half-move units) of this step under one bound:
+        variant None for delta-star, "v1" or "v2" for the baselines, which
+        ignore strict_pseudocode."""
+        s, diam = self.s, self.diam
+        x = len(self.c_rest)
+        if variant is not None:
+            if _full_s_fires(variant, len(s), x):
+                return FULL_S, len(s) * (2 * diam - 1) - (len(s) % 2)
+            # Baselines never pair up partial deletions: flat diameter each.
+            return CASE1, 2 * x * diam
+        c = len(self.c_star)
+        if c * 2 >= len(s):
+            return CASE1, 2 * x * diam
+        pair_diam = max(self.left(CASE2).ecc) if strict_pseudocode else diam
+        return CASE2, 2 * c * diam + (x - c) * (2 * pair_diam - 1) - ((x - c) % 2)
+
+    def deleted(self, case: str) -> list[int]:
+        return self.s if case == FULL_S else self.c_rest
+
+    def left(self, case: str) -> _Survey:
+        """Survey of the tree this step leaves when it deletes per `case`."""
+        full = case == FULL_S
+        if self._left.get(full) is None:
+            self._left[full] = _survey(tr.delete_vertices(self.survey.tree, self.deleted(case)))
+        return self._left[full]
+
+
 def _peel(t, *, variant, dist_sum_mode, strict_pseudocode, rng):
     """Peel t down to a star, one step per iteration record.
 
@@ -261,17 +310,17 @@ def _peel(t, *, variant, dist_sum_mode, strict_pseudocode, rng):
         raise ValueError(f"unknown dist_sum mode {dist_sum_mode!r}")
     records = []
     total = 0  # half-move units
-    step = _survey(t)
-    guard = max(step.ecc) + 2
+    survey = _survey(t)
+    guard = max(survey.ecc) + 2
 
     while True:
-        t, ecc = step.tree, step.ecc
-        diam = max(ecc)
+        t = survey.tree
+        diam = max(survey.ecc)
         if diam <= 2:  # n <= 2 or K_{1,n-1}
             cost = star_bound(t.n)
             records.append(
                 IterationRecord(
-                    tree_code=step.code,
+                    tree_code=survey.code,
                     n=t.n,
                     diameter=diam,
                     s_size=0,
@@ -288,53 +337,65 @@ def _peel(t, *, variant, dist_sum_mode, strict_pseudocode, rng):
         if guard < 0:
             raise AssertionError("peeling failed to terminate")
 
-        s = [v for v in range(t.n) if ecc[v] == diam]
-        rows = {v: step.rows[v] if v in step.rows else tr.bfs_distances(t, v) for v in s}
-        groups = tr._cluster_groups(t, s, rows, diam)
-        c_star, leftover = _pick_largest_cluster(t, s, rows, groups, dist_sum_mode, rng)
-        c_rest = [v for v in s if v not in c_star]
-
-        if variant is not None and _full_s_fires(variant, len(s), len(c_rest)):
-            deleted = list(s)
-            units = len(s) * (2 * diam - 1) - (len(s) % 2)
-            case = FULL_S
-            leftover = None  # the leftover of S - C*, not of S
-        elif variant is not None:
-            # Baselines never pair up partial deletions: flat diameter each.
-            deleted = c_rest
-            units = 2 * len(c_rest) * diam
-            case = CASE1
-        else:
-            deleted = c_rest
-            x, c = len(c_rest), len(c_star)
-            if c * 2 >= len(s):
-                units = 2 * x * diam
-                case = CASE1
-            else:
-                case = CASE2
-                pair_diam = diam
-                if strict_pseudocode:
-                    leftover = leftover or _survey(tr.delete_vertices(t, deleted))
-                    pair_diam = max(leftover.ecc)
-                units = 2 * c * diam + (x - c) * (2 * pair_diam - 1) - ((x - c) % 2)
-
-        cost = HalfMoves(units)
+        step = _Step(survey, dist_sum_mode, rng)
+        case, units = step.charge(variant, strict_pseudocode)
         records.append(
             IterationRecord(
-                tree_code=step.code,
+                tree_code=survey.code,
                 n=t.n,
                 diameter=diam,
-                s_size=len(s),
-                cluster_sizes=tuple(sorted(map(len, groups), reverse=True)),
+                s_size=len(step.s),
+                cluster_sizes=tuple(sorted(map(len, step.groups), reverse=True)),
                 case=case,
-                deleted_labels=tuple(sorted(t.labels[v] for v in deleted)),
-                cost=cost,
+                deleted_labels=tuple(sorted(t.labels[v] for v in step.deleted(case))),
+                cost=HalfMoves(units),
             )
         )
         total += units
-        step = leftover or _survey(tr.delete_vertices(t, deleted))
+        survey = step.left(case)
 
     return HalfMoves(total), BoundTrace(records=tuple(records), total=HalfMoves(total))
+
+
+def peel_sweep(
+    trees, *, dist_sum_mode: str = "global", strict_pseudocode: bool = False
+) -> list[tuple[HalfMoves, HalfMoves, HalfMoves]]:
+    """(delta_star, v1, v2) of every tree, as delta_star(t, dist_sum_mode=...,
+    strict_pseudocode=...) and delta_prime(t, "v1" / "v2", dist_sum_mode=...)
+    would return them, without traces.
+
+    Dynamic programming over isomorphism classes.  A bound's value depends
+    only on the isomorphism class of its tree: what a step charges (the
+    diameter, |S|, |C*|, the leftover's diameter) is invariant, and C* is
+    chosen by an invariant key whose full ties leave isomorphic trees.  So
+    value(T) = cost of T's first step + value(leftover), and the leftover's
+    value is remembered under its canonical code.  Per tree that is one
+    step shared by the three bounds, three charges and one survey per
+    distinct deleted set.  A leftover not valued yet is valued the same way
+    on demand; given every tree of each size in ascending order, that
+    happens only below the smallest size.  For the same reason a
+    tie-randomizing rng cannot change a value, and none is taken.
+    """
+    if dist_sum_mode not in tr.DIST_SUM_MODES:
+        raise ValueError(f"unknown dist_sum mode {dist_sum_mode!r}")
+    memo: dict[bytes, tuple[int, int, int]] = {}
+
+    def units(survey: _Survey) -> tuple[int, int, int]:
+        got = memo.get(survey.code)
+        if got is None:
+            if max(survey.ecc) <= 2:  # n <= 2 or K_{1,n-1}
+                got = (star_bound(survey.tree.n).units,) * 3
+            else:
+                step = _Step(survey, dist_sum_mode, None)
+                got = []
+                for i, variant in enumerate((None, "v1", "v2")):
+                    case, cost = step.charge(variant, strict_pseudocode)
+                    got.append(cost + units(step.left(case))[i])
+                got = tuple(got)
+            memo[survey.code] = got
+        return got
+
+    return [tuple(map(HalfMoves, units(_survey(t)))) for t in trees]
 
 
 def _full_s_fires(variant: str, s_size: int, rest_size: int) -> bool:

@@ -22,8 +22,8 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from . import bounds as bd
 from . import enumeration as en
@@ -44,13 +44,32 @@ class UsageError(Exception):
     """Unusable flag value, environment default or tree source."""
 
 
+class _EnvInt(NamedTuple):
+    """Default of an integer flag: TREEBOUND_<name> if set, else `fallback`.
+
+    _Parser reads the variable only when the subcommand that has the flag
+    runs, so a bad value breaks no other subcommand.
+    """
+
+    name: str
+    fallback: int | None = None
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as a UsageError (exit 1), not argparse's
     usage block and exit 2, which would read as a reference mismatch.
-    Subparsers inherit the class; --help still exits 0."""
+    Subparsers inherit the class; --help still exits 0.  Each parser
+    resolves its own _EnvInt defaults after parsing."""
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        for key, value in list(vars(namespace).items()):
+            if isinstance(value, _EnvInt):
+                setattr(namespace, key, _env_int(value.name, value.fallback))
+        return namespace, extras
 
 
 @dataclass
@@ -292,36 +311,26 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 # table1
 
-def _table1_worker(job) -> tuple[int, int, int]:
-    g6, distsum, strict, seed = job
-    res = _bounds(en.parse_graph6(g6), BOUND_NAMES, distsum=distsum, strict=strict,
-                  seed=seed, key=g6)
-    return tuple(v.moves for v, _ in res.values())
-
-
-def _table1_sweep(sizes, *, distsum="global", strict=False, seed=None, jobs=1) -> dict:
-    """n -> [(graph6, (delta-star, v1, v2 moves))] over every free tree of
+def _table1_sweep(sizes, *, distsum="global", strict=False) -> dict:
+    """n -> [(tree, (delta-star, v1, v2 moves))] over every free tree of
     each size, in enumeration order.
 
-    All sizes are enumerated first; one process pool then maps
-    _table1_worker over every tree, when jobs > 1 and there are at least
-    64 trees in all.
+    One bounds.peel_sweep pass over all sizes in ascending order, in this
+    process: each tree costs one peel step plus a lookup of the value of
+    the smaller tree it leaves (see peel_sweep for why that is exact).  No
+    --seed is passed: full ties leave isomorphic trees, so no tie choice
+    can change a value.
     """
-    lines = {n: [en.encode_graph6(t) for t in en.enumerate_free_trees(n)] for n in sizes}
-    work = [(g6, distsum, strict, seed) for n in sizes for g6 in lines[n]]
-    if jobs > 1 and len(work) >= 64:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            triples = list(pool.map(_table1_worker, work, chunksize=64))
-    else:
-        triples = [_table1_worker(w) for w in work]
-    it = iter(triples)
-    return {n: [(g6, next(it)) for g6 in lines[n]] for n in sizes}
+    trees = {n: en.enumerate_free_trees(n) for n in sizes}
+    values = iter(bd.peel_sweep([t for n in sizes for t in trees[n]],
+                                dist_sum_mode=distsum, strict_pseudocode=strict))
+    return {n: [(t, tuple(v.moves for v in next(values))) for t in trees[n]]
+            for n in sizes}
 
 
 def cmd_table1(args) -> int:
     names = _selected(args.bound)
     sizes = _span(args.n_min, args.n_max, "n")
-    jobs = args.jobs if args.jobs and args.jobs > 0 else (os.cpu_count() or 1)
     case2 = "post" if args.strict_pseudocode else "pre"
     report = ExperimentReport(
         "table1",
@@ -338,8 +347,7 @@ def cmd_table1(args) -> int:
     )
     t0 = time.time()
     ordering_ok = True
-    sweep = _table1_sweep(sizes, distsum=args.distsum, strict=args.strict_pseudocode,
-                          seed=args.seed, jobs=jobs)
+    sweep = _table1_sweep(sizes, distsum=args.distsum, strict=args.strict_pseudocode)
     for n, rows in sweep.items():
         sums = {k: sum(x[i] for _, x in rows) for i, k in enumerate(BOUND_NAMES)}
         row = {"n": n, "trees": len(rows), **{k: sums[k] for k in names}}
@@ -350,7 +358,7 @@ def cmd_table1(args) -> int:
     report.footer.append(f"ordering dstar<=v2<=v1: {'ok' if ordering_ok else 'VIOLATED'}")
 
     _emit(report.render(args.output))
-    _note(f"wall-time: {time.time() - t0:.2f}s jobs={jobs}")
+    _note(f"wall-time: {time.time() - t0:.2f}s")
     return report.exit_code() if ordering_ok else EXIT_HARD
 
 
@@ -496,9 +504,9 @@ def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
         p.add_argument("--strict-pseudocode", action="store_true",
                        default=_env_flag("STRICT_PSEUDOCODE"))
     if "seed" in flags:
-        p.add_argument("--seed", type=int, default=_env_int("SEED"))
+        p.add_argument("--seed", type=int, default=_EnvInt("SEED"))
     if "cap" in flags:
-        p.add_argument("--cap", type=int, default=_env_int("CAP"))
+        p.add_argument("--cap", type=int, default=_EnvInt("CAP"))
 
 
 def _add_source(p: argparse.ArgumentParser) -> None:
@@ -528,8 +536,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=6)
     p.add_argument("--n-max", type=int, default=13)
     p.add_argument("--bound", default=_env("BOUND", "all"))
-    p.add_argument("--jobs", type=int, default=_env_int("JOBS", 0),
-                   help="worker processes (0 = all cores)")
+    p.add_argument("--jobs", type=int, default=_EnvInt("JOBS", 0),
+                   help="ignored: table1 runs in one process; the flag is kept "
+                        "for compatibility")
     _add_common(p, "strict-pseudocode", "seed")
     p.set_defaults(func=cmd_table1)
 

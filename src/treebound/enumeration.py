@@ -70,14 +70,19 @@ def _free_level_sequences(n: int):
 
 
 def _from_level_sequence(seq: list[int]) -> tr.Tree:
-    # vertex i's parent is the last earlier vertex one level up; label i + 1
+    # vertex i's parent is the last earlier vertex one level up; label i + 1.
+    # A tree by construction, so build_tree's checks are skipped; each
+    # neighbour list comes out ascending (parent first, then children).
     last = [0] * len(seq)
-    edges = []
+    adj: list[list[int]] = [[] for _ in seq]
     for i, level in enumerate(seq):
         if level:
-            edges.append((last[level - 1] + 1, i + 1))
+            parent = last[level - 1]
+            adj[parent].append(i)
+            adj[i].append(parent)
         last[level] = i
-    return tr.build_tree(len(seq), edges)
+    n = len(seq)
+    return tr.Tree(n=n, adj=tuple(map(tuple, adj)), labels=tuple(range(1, n + 1)))
 
 
 def enumerate_free_trees(n: int) -> list[tr.Tree]:

@@ -116,12 +116,13 @@ DistanceTable = list[int]
 
 def bfs_distances(t: Tree, v: int) -> DistanceTable:
     """Exact edge-count distances from internal vertex v to every vertex."""
+    adj = t.adj
     dist = [-1] * t.n
     dist[v] = 0
     order = [v]
     for u in order:  # grows while it is walked: a FIFO queue without pops
         du = dist[u] + 1
-        for w in t.adj[u]:
+        for w in adj[u]:
             if dist[w] < 0:
                 dist[w] = du
                 order.append(w)
@@ -306,9 +307,11 @@ def delete_vertices(t: Tree, xs) -> Tree:
                 f"vertex labeled {t.labels[v]} has degree {len(t.adj[v])}, not a leaf"
             )
     keep = [v for v in range(t.n) if v not in xs]
-    remap = {v: i for i, v in enumerate(keep)}
+    remap = [-1] * t.n
+    for i, v in enumerate(keep):
+        remap[v] = i
     # remap is increasing, so sorted adjacency stays sorted
-    adj = tuple(tuple(remap[w] for w in t.adj[v] if w not in xs) for v in keep)
+    adj = tuple(tuple([remap[w] for w in t.adj[v] if remap[w] >= 0]) for v in keep)
     # Simultaneous leaf removal keeps a tree connected for n >= 3 (leaves are
     # never adjacent there); the n = 2 case degenerates to a single vertex.
     return Tree(n=len(keep), adj=adj, labels=tuple(t.labels[v] for v in keep))
@@ -343,18 +346,21 @@ def _canonical_code(t: Tree, ecc: list[int]) -> bytes:
 def _rooted_code(t: Tree, root: int, avoid: int) -> bytes:
     # Iterative AHU: children sorted by code, assembled leaves-up in
     # reverse BFS order; the walk never crosses into avoid.
+    adj = t.adj
     parent = [-1] * t.n
     parent[root] = avoid
     order = [root]
     for u in order:
-        for w in t.adj[u]:
-            if w != parent[u]:
+        p = parent[u]
+        for w in adj[u]:
+            if w != p:
                 parent[w] = u
                 order.append(w)
-    code = [b""] * t.n
+    code = [b"()"] * t.n  # every leaf's code
     for u in reversed(order):
-        kids = sorted([code[w] for w in t.adj[u] if w != parent[u]])
-        code[u] = b"(" + b"".join(kids) + b")"
+        if len(adj[u]) > 1 or u == root:
+            p = parent[u]
+            code[u] = b"(" + b"".join(sorted([code[w] for w in adj[u] if w != p])) + b")"
     return code[root]
 
 

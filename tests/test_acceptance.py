@@ -15,7 +15,6 @@ implementation:
 """
 
 import math
-import os
 import time
 from fractions import Fraction
 
@@ -36,8 +35,8 @@ def _verdict(tag: str, ok: bool, detail: str = "") -> None:
 @pytest.fixture(scope="module")
 def sweep():
     """Per-tree (graph6, delta-star, v1, v2) moves for every tree, n = 6..15."""
-    sweep = cli._table1_sweep(range(6, 16), jobs=os.cpu_count() or 1)
-    return {n: [(g6, *t) for g6, t in rows] for n, rows in sweep.items()}
+    sweep = cli._table1_sweep(range(6, 16))
+    return {n: [(en.encode_graph6(t), *v) for t, v in rows] for n, rows in sweep.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,8 @@ def test_dist_sum_mode_validation():
     for variant in ("v1", "v2"):
         with pytest.raises(ValueError, match="bogus"):
             bd.delta_prime(star, variant, dist_sum_mode="bogus")
+    with pytest.raises(ValueError, match="bogus"):
+        bd.peel_sweep([star], dist_sum_mode="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +199,24 @@ def test_peel_derives_each_step_from_one_pass(monkeypatch, all_trees):
         # one pass (three BFS rows) per step, plus a row per other member of S
         assert len(passes) == len(trace.records) == 7
         assert len(rows) == sum(3 + max(r.s_size - 2, 0) for r in trace.records)
+
+
+def test_peel_sweep_matches_engine(all_trees):
+    # Sizes 7..10 go first, so the leftovers below 7 are valued on demand
+    # and sizes 1..6 then come out of the memo: both paths are checked.
+    trees = [t for n in (*range(7, 11), *range(1, 7)) for t in all_trees(n)]
+    for mode in ("global", "pairwise"):
+        for strict in (False, True):
+            swept = bd.peel_sweep(trees, dist_sum_mode=mode, strict_pseudocode=strict)
+            for t, (ds, v1, v2) in zip(trees, swept, strict=True):
+                g6 = en.encode_graph6(t)
+                assert ds == bd.delta_star(t, dist_sum_mode=mode,
+                                           strict_pseudocode=strict)[0], (g6, mode, strict)
+                assert v1 == bd.delta_prime(t, "v1", dist_sum_mode=mode)[0], (g6, mode)
+                assert v2 == bd.delta_prime(t, "v2", dist_sum_mode=mode)[0], (g6, mode)
+                if (mode, strict) == ("global", False):
+                    assert ds == bd.delta_star(t, rng=random.Random(f"7:{g6}"))[0], g6
+                    assert v2 == bd.delta_prime(t, "v2", rng=random.Random(f"7:{g6}"))[0], g6
 
 
 def test_distsum_modes_diverge():

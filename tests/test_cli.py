@@ -280,13 +280,25 @@ def test_tree_size_out_of_range(capsys, argv):
 
 
 @pytest.mark.parametrize("name, argv", [
-    ("JOBS", ("bound", "--make", "star:4")),
+    ("JOBS", ("table1", "--n-max", "6")),
     ("SEED", ("bound", "--make", "star:4")),
     ("CAP", ("oracle", "--make", "star:3")),
 ], ids=["JOBS", "SEED", "CAP"])
 def test_env_non_integer(capsys, monkeypatch, name, argv):
     monkeypatch.setenv("TREEBOUND_" + name, "many")
     assert_error(capsys, f"error: TREEBOUND_{name} must be an integer", *argv)
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("JOBS", ("bound", "--make", "star:4")),
+    ("SEED", ("enumerate", "--n", "3")),
+    ("CAP", ("bound", "--make", "star:4")),
+], ids=["JOBS", "SEED", "CAP"])
+def test_env_non_integer_ignored_where_unread(capsys, monkeypatch, name, argv):
+    # each variable is read only by the subcommands that have its flag
+    monkeypatch.setenv("TREEBOUND_" + name, "many")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and "error" not in err, err
 
 
 def test_unknown_bound(capsys):
