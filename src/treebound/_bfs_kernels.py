@@ -6,6 +6,10 @@ It decodes each frontier chunk to Lehmer digits and symbols once, then gets
 every neighbour's rank from the few digits a swap changes (the digit-delta
 rule below), with no re-ranking and no per-edge sort.  tests/test_oracle.py
 checks it against a plain-Python BFS.
+
+This is the only module that imports numpy.  oracle.py imports it on its
+first depth-table build, so subcommands that never run the oracle (table1,
+table2, bound, enumerate) do not load numpy at all.
 """
 
 from __future__ import annotations
@@ -67,11 +71,16 @@ def bfs_numpy(n: int, edges: np.ndarray, chunk: int = 1 << 15) -> np.ndarray:
     return depth
 
 
-def bfs_depth_table(n: int, edges: np.ndarray) -> np.ndarray:
+def bfs_depth_table(n: int, edges: list[tuple[int, int]]) -> np.ndarray:
     """Depth per rank from the identity.
 
-    edges: (m, 2) int array of 0-based position pairs.
+    edges: 0-based position pairs.
     """
     if n == 1:
         return np.zeros(1, np.uint8)
-    return bfs_numpy(n, edges)
+    return bfs_numpy(n, np.array(edges, np.int64).reshape(-1, 2))
+
+
+def level_counts(depth: np.ndarray) -> list[int]:
+    """Count of states at each depth; unvisited states are left out."""
+    return np.bincount(depth[depth != UNSEEN]).tolist()

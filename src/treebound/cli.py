@@ -313,7 +313,9 @@ def cmd_bound(args) -> int:
 
 def _table1_sweep(sizes, *, distsum="global", strict=False) -> dict:
     """n -> [(tree, (delta-star, v1, v2 moves))] over every free tree of
-    each size, in enumeration order.
+    each size, in generation order (not enumerate_free_trees' sorted order:
+    table1 only sums per size, so the sort key's eccentricity pass and
+    canonical code per tree would be wasted).
 
     One bounds.peel_sweep pass over all sizes in ascending order, in this
     process: each tree costs one peel step plus a lookup of the value of
@@ -321,7 +323,7 @@ def _table1_sweep(sizes, *, distsum="global", strict=False) -> dict:
     --seed is passed: full ties leave isomorphic trees, so no tie choice
     can change a value.
     """
-    trees = {n: en.enumerate_free_trees(n) for n in sizes}
+    trees = {n: en._free_trees(n) for n in sizes}
     values = iter(bd.peel_sweep([t for n in sizes for t in trees[n]],
                                 dist_sum_mode=distsum, strict_pseudocode=strict))
     return {n: [(t, tuple(v.moves for v in next(values))) for t in trees[n]]

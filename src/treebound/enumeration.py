@@ -6,8 +6,10 @@ J. Comput. 15, 1986), which walks the rooted-tree successor of Beyer &
 Hedetniemi (1980) and jumps over every sequence that is not the canonical
 one of its free tree.  The test suite re-derives the counts and the
 isomorphism-class uniqueness independently, so a generator defect cannot
-pass silently.  Emission is sorted by canonical code to keep downstream
-reports byte-stable regardless of generator ordering.
+pass silently.  enumerate_free_trees sorts the trees by canonical code, so
+its output does not depend on the generator's order; _free_trees gives
+them unsorted, in generation order, for callers such as table1 whose
+results do not depend on order and which need not pay for the sort key.
 """
 
 from __future__ import annotations
@@ -85,17 +87,20 @@ def _from_level_sequence(seq: list[int]) -> tr.Tree:
     return tr.Tree(n=n, adj=tuple(map(tuple, adj)), labels=tuple(range(1, n + 1)))
 
 
-def enumerate_free_trees(n: int) -> list[tr.Tree]:
+def _free_trees(n: int) -> list[tr.Tree]:
     """All free trees on n vertices, each isomorphism class exactly once,
-    in canonical-code order."""
+    in generation order."""
     if not 1 <= n <= 16:
         raise TreeSizeError(f"supported range is 1 <= n <= 16, got {n}")
     if n == 1:
-        trees = [tr.build_tree(1, [])]
-    else:
-        trees = [_from_level_sequence(seq) for seq in _free_level_sequences(n)]
-    trees.sort(key=tr.canonical_code)
-    return trees
+        return [tr.build_tree(1, [])]
+    return [_from_level_sequence(seq) for seq in _free_level_sequences(n)]
+
+
+def enumerate_free_trees(n: int) -> list[tr.Tree]:
+    """All free trees on n vertices, each isomorphism class exactly once,
+    in canonical-code order."""
+    return sorted(_free_trees(n), key=tr.canonical_code)
 
 
 # ---------------------------------------------------------------------------

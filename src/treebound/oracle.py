@@ -6,17 +6,20 @@ symbols at the two endpoint positions of a tree edge.  A single BFS from
 the identity suffices: the graph is vertex-transitive, and with involutive
 generators the distance to the identity equals the distance from it, so
 one depth table answers both diameter and per-permutation queries.
+
+Everything here but the BFS itself is plain Python.  The numpy kernel
+module (_bfs_kernels) is imported on the first depth-table build, so
+importing this module, or the CLI, does not load numpy.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
-import numpy as np
-
-from . import _bfs_kernels as kernels
 from . import tree as tr
 
 # One-line external view: p[i] is the symbol at 1-based position i+1.
@@ -107,20 +110,28 @@ def _check_cap(n: int, cap: int | None) -> None:
         )
 
 
+class _Table(NamedTuple):
+    """One tree's BFS from the identity."""
+
+    depth: Sequence[int]  # depth per Lehmer rank (a uint8 numpy array)
+    profile: tuple[int, ...]  # count of states at each depth
+
+
 @lru_cache(maxsize=1)
-def _depth_table_cached(n: int, edges: tuple[tuple[int, int], ...]) -> np.ndarray:
-    arr = np.array([(i - 1, j - 1) for i, j in edges], np.int64).reshape(-1, 2)
-    depth = kernels.bfs_depth_table(n, arr)
-    visited = int(np.count_nonzero(depth != kernels.UNSEEN))
-    if visited != factorial(n):
+def _depth_table_cached(n: int, edges: tuple[tuple[int, int], ...]) -> _Table:
+    from . import _bfs_kernels as kernels  # numpy loads with the first table
+
+    depth = kernels.bfs_depth_table(n, [(i - 1, j - 1) for i, j in edges])
+    profile = tuple(kernels.level_counts(depth))
+    if sum(profile) != factorial(n):
         raise NotGeneratingError(
-            f"BFS visited {visited} of {factorial(n)} states; "
+            f"BFS visited {sum(profile)} of {factorial(n)} states; "
             "the edge set does not generate the symmetric group"
         )
-    return depth
+    return _Table(depth, profile)
 
 
-def _depth_table(t: tr.Tree, cap: int | None) -> np.ndarray:
+def _depth_table(t: tr.Tree, cap: int | None) -> _Table:
     _check_cap(t.n, cap)
     key = tuple(sorted((min(e), max(e)) for e in t.label_edges()))
     return _depth_table_cached(t.n, key)
@@ -130,13 +141,12 @@ def sort_distance(t: tr.Tree, p: Permutation, *, cap: int | None = None) -> int:
     """Exact minimum number of moves sorting p to the identity."""
     if _validate(p) != t.n:
         raise ValueError(f"permutation size {len(p)} != tree size {t.n}")
-    return int(_depth_table(t, cap)[rank(p)])
+    return int(_depth_table(t, cap).depth[rank(p)])
 
 
 def depth_profile(t: tr.Tree, *, cap: int | None = None) -> list[int]:
     """Count of states at each BFS depth; sums to n!."""
-    depth = _depth_table(t, cap)
-    return np.bincount(depth[depth != kernels.UNSEEN]).tolist()
+    return list(_depth_table(t, cap).profile)
 
 
 def profile_csv(t: tr.Tree, *, cap: int | None = None) -> str:

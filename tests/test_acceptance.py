@@ -34,7 +34,8 @@ def _verdict(tag: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def sweep():
-    """Per-tree (graph6, delta-star, v1, v2) moves for every tree, n = 6..15."""
+    """Per-tree (graph6, delta-star, v1, v2) moves for every tree, n = 6..15,
+    in generation order."""
     sweep = cli._table1_sweep(range(6, 16))
     return {n: [(en.encode_graph6(t), *v) for t, v in rows] for n, rows in sweep.items()}
 

@@ -8,7 +8,10 @@ import sys
 
 import pytest
 
+from treebound import bounds as bd
 from treebound import cli
+from treebound import enumeration as en
+from treebound import tree as tr
 
 
 def run(capsys, *argv):
@@ -136,6 +139,24 @@ def test_table1_csv(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("n,trees,delta-star")
     assert lines[1].startswith("6,6,63,63,63")
+
+
+def test_table1_sweep_skips_the_sort_key(monkeypatch):
+    # table1 only sums per size, so it takes each size's trees unsorted and
+    # never computes enumerate_free_trees' sort key
+    def no_sort_key(t):
+        raise AssertionError("table1 computed the enumeration sort key")
+
+    with monkeypatch.context() as m:
+        m.setattr(tr, "canonical_code", no_sort_key)
+        sweep = cli._table1_sweep(range(6, 12))
+    for n, rows in sweep.items():
+        got = {en.encode_graph6(t): v for t, v in rows}
+        trees = en.enumerate_free_trees(n)
+        want = {en.encode_graph6(t): tuple(x.moves for x in v)
+                for t, v in zip(trees, bd.peel_sweep(trees))}
+        assert len(rows) == len(trees)
+        assert got == want, n
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +364,12 @@ def test_empty_range(capsys, argv, flag):
 # ---------------------------------------------------------------------------
 # runtime dependencies
 
+def _run_python(code):
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_runtime_needs_neither_networkx_nor_numba():
     # None in sys.modules makes any import of the name raise ImportError
     code = (
@@ -353,7 +380,32 @@ def test_runtime_needs_neither_networkx_nor_numba():
         "assert cli.main(['enumerate', '--n', '6']) == 0\n"
         "assert cli.main(['oracle', '--make', 'star:4']) == 0\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = _run_python(code)
+    assert done.returncode == 0, done.stderr
+
+
+def test_subcommands_without_the_oracle_run_without_numpy():
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import treebound.cli as cli\n"
+        "assert cli.main(['table1', '--n-min', '6', '--n-max', '8']) == 0\n"
+        "assert cli.main(['table2', '--d-max', '3']) == 2\n"
+        "assert cli.main(['bound', '--make', 'spider:3,2']) == 0\n"
+        "assert cli.main(['enumerate', '--n', '7']) == 0\n"
+    )
+    done = _run_python(code)
+    assert done.returncode == 0, done.stderr
+
+
+def test_oracle_loads_numpy_on_first_use():
+    code = (
+        "import sys\n"
+        "import treebound, treebound.cli as cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert cli.main(['oracle', '--make', 'star:4']) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+        "assert cli.main(['verify', '--n-min', '3', '--n-max', '5']) == 0\n"
+    )
+    done = _run_python(code)
     assert done.returncode == 0, done.stderr
