@@ -4,8 +4,10 @@ A chunked, vectorized numpy kernel fills a dense uint8 depth table indexed
 by Lehmer rank (identity = rank 0, unvisited = 255), one level at a time.
 It decodes each frontier chunk to Lehmer digits and symbols once, then gets
 every neighbour's rank from the few digits a swap changes (the digit-delta
-rule below), with no re-ranking and no per-edge sort.  tests/test_oracle.py
-checks it against a plain-Python BFS.
+rule below), with no re-ranking and no per-edge sort.  Each level's frontier
+is exactly the set of states at that depth, so its size is that level's
+count in the depth profile; the kernel returns these sizes with the table.
+tests/test_oracle.py checks both against a plain-Python BFS.
 
 This is the only module that imports numpy.  oracle.py imports it on its
 first depth-table build, so subcommands that never run the oracle (table1,
@@ -14,19 +16,14 @@ table2, bound, enumerate) do not load numpy at all.
 
 from __future__ import annotations
 
+from math import factorial
+
 import numpy as np
 
 UNSEEN = 255
 # perfbench records this; it goes with the benchmark-upkeep change (ROADMAP item 6)
 HAS_NUMBA = False
-
-
-def _factorials(n: int) -> np.ndarray:
-    fact = np.empty(n + 1, np.int64)
-    fact[0] = 1
-    for k in range(1, n + 1):
-        fact[k] = fact[k - 1] * k
-    return fact
+CHUNK = 1 << 15  # frontier states decoded at once
 
 
 # ---------------------------------------------------------------------------
@@ -39,19 +36,24 @@ def _factorials(n: int) -> np.ndarray:
 #   d_k' = d_k + [a<p_k] - [b<p_k] = d_k + [p_k<b] - [p_k<a]   (i < k < j)
 # so the neighbour's rank is the state's rank plus O(j - i) weighted terms.
 
-def bfs_numpy(n: int, edges: np.ndarray, chunk: int = 1 << 15) -> np.ndarray:
-    """Depth table via chunked vectorized BFS from the identity."""
-    fact = _factorials(n)
+def bfs_numpy(n: int, edges: list[tuple[int, int]]) -> tuple[np.ndarray, list[int]]:
+    """BFS from the identity over 0-based position pairs.
+
+    Returns the depth table and the level sizes: sizes[d] is the size of
+    the level-d frontier, which is exactly the set of states at depth d.
+    """
     # int32 ranks: n! < 2**31 for every n up to 12, past the oracle's cap
-    w = fact[n - 1::-1].astype(np.int32)  # w[k] = (n-1-k)!, weight of digit k
-    pairs = [(min(e), max(e)) for e in edges.tolist()]
-    depth = np.full(fact[n], UNSEEN, np.uint8)
+    w = np.array([factorial(n - 1 - k) for k in range(n)], np.int32)  # weight of digit k
+    pairs = [(min(e), max(e)) for e in edges]
+    depth = np.full(factorial(n), UNSEEN, np.uint8)
     depth[0] = 0
     frontier = np.zeros(1, np.int32)
+    sizes = []
     level = 0
     while frontier.size:
-        for lo in range(0, frontier.size, chunk):
-            ranks = frontier[lo:lo + chunk]
+        sizes.append(frontier.size)
+        for lo in range(0, frontier.size, CHUNK):
+            ranks = frontier[lo:lo + CHUNK]
             digits = np.stack([ranks // w[k] % (n - k) for k in range(n)])
             # right to left: symbol k is digit k among the symbols after it
             perms = digits.astype(np.int8)
@@ -68,19 +70,4 @@ def bfs_numpy(n: int, edges: np.ndarray, chunk: int = 1 << 15) -> np.ndarray:
                 depth[nbr] = level + 1
         level += 1
         frontier = np.flatnonzero(depth == level).astype(np.int32)
-    return depth
-
-
-def bfs_depth_table(n: int, edges: list[tuple[int, int]]) -> np.ndarray:
-    """Depth per rank from the identity.
-
-    edges: 0-based position pairs.
-    """
-    if n == 1:
-        return np.zeros(1, np.uint8)
-    return bfs_numpy(n, np.array(edges, np.int64).reshape(-1, 2))
-
-
-def level_counts(depth: np.ndarray) -> list[int]:
-    """Count of states at each depth; unvisited states are left out."""
-    return np.bincount(depth[depth != UNSEEN]).tolist()
+    return depth, sizes

@@ -102,9 +102,12 @@ def _check_cap(n: int, cap: int | None) -> None:
             f"pass a cap up to {MAX_CAP} to override"
         )
     if n > DEFAULT_CAP:
+        # 6.5 bytes per state: `oracle --make star:11 --cap 11` peaked at 243 MB
+        # RSS (ru_maxrss), 6.4 per state; path:11 at 151 MB.  Table, level mask
+        # and the widest level's int64 flatnonzero index with its int32 copy.
         warnings.warn(
             f"oracle BFS at n={n} touches {factorial(n)} states "
-            f"(~{factorial(n) * 9 // 2 ** 20} MB); expect a long run",
+            f"(~{factorial(n) * 13 // 2 ** 21} MB); expect a long run",
             ResourceWarning,
             stacklevel=3,
         )
@@ -121,14 +124,13 @@ class _Table(NamedTuple):
 def _depth_table_cached(n: int, edges: tuple[tuple[int, int], ...]) -> _Table:
     from . import _bfs_kernels as kernels  # numpy loads with the first table
 
-    depth = kernels.bfs_depth_table(n, [(i - 1, j - 1) for i, j in edges])
-    profile = tuple(kernels.level_counts(depth))
-    if sum(profile) != factorial(n):
+    depth, sizes = kernels.bfs_numpy(n, [(i - 1, j - 1) for i, j in edges])
+    if sum(sizes) != factorial(n):
         raise NotGeneratingError(
-            f"BFS visited {sum(profile)} of {factorial(n)} states; "
+            f"BFS visited {sum(sizes)} of {factorial(n)} states; "
             "the edge set does not generate the symmetric group"
         )
-    return _Table(depth, profile)
+    return _Table(depth, tuple(sizes))
 
 
 def _depth_table(t: tr.Tree, cap: int | None) -> _Table:

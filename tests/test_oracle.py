@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,18 @@ def test_depth_profile_path3():
     assert orc.depth_profile(tr.make_path(3)) == [1, 2, 2, 1]
 
 
+@pytest.mark.parametrize("t, profile", [
+    (tr.build_tree(1, []), [1]),
+    (tr.make_path(2), [1, 1]),
+])
+def test_smallest_trees(t, profile):
+    # one level with no moves, and one edge with a single move
+    assert orc.depth_profile(t) == profile
+    assert orc.cayley_diameter(t) == len(profile) - 1
+    reversal = tuple(range(t.n, 0, -1))
+    assert orc.sort_distance(t, reversal) == len(profile) - 1
+
+
 def test_profile_csv():
     text = orc.profile_csv(tr.make_path(3))
     assert text.splitlines()[0] == "depth,count"
@@ -192,6 +205,20 @@ def test_big_n_warns():
         orc._check_cap(11, 11)
 
 
+def test_depth_profile_memory():
+    # the profile comes from the BFS's own level sizes: building a table
+    # and its profile must not need several more copies of the n!-byte table
+    orc._depth_table_cached.cache_clear()  # numpy is imported at module top
+    tracemalloc.start()
+    try:
+        orc.depth_profile(tr.make_path(10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        orc._depth_table_cached.cache_clear()
+    assert peak < 6 * math.factorial(10), peak
+
+
 def test_non_generating_edges_detected():
     # a strict subset of a tree's transpositions cannot generate S_n
     with pytest.raises(orc.NotGeneratingError):
@@ -231,7 +258,9 @@ def test_numpy_kernel_matches_reference_bfs(all_trees):
     for t in trees:
         forward = [(min(a, b) - 1, max(a, b) - 1) for a, b in t.label_edges()]
         expected = _reference_depths(t.n, forward)
+        expected_sizes = np.bincount(expected).tolist()
         for edges in (forward, [(j, i) for i, j in forward]):
-            got = kern.bfs_numpy(t.n, np.array(edges, np.int64))
-            assert got.dtype == np.uint8
-            assert np.array_equal(got, expected), (t.n, edges)
+            depth, sizes = kern.bfs_numpy(t.n, edges)
+            assert depth.dtype == np.uint8
+            assert np.array_equal(depth, expected), (t.n, edges)
+            assert sizes == expected_sizes, (t.n, edges)
