@@ -57,7 +57,6 @@ from .tree import (
     clusters,
     delete_vertices,
     diameter,
-    dist_sum,
     eccentricities,
     format_edge_list,
     is_star,

@@ -24,6 +24,7 @@ UNSEEN = 255
 # perfbench records this; it goes with the benchmark-upkeep change (ROADMAP item 6)
 HAS_NUMBA = False
 CHUNK = 1 << 15  # frontier states decoded at once
+SCAN = 1 << 18  # depth-table entries scanned at once for the next frontier
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +53,7 @@ def bfs_numpy(n: int, edges: list[tuple[int, int]]) -> tuple[np.ndarray, list[in
     level = 0
     while frontier.size:
         sizes.append(frontier.size)
+        found = 0  # states first reached at level + 1
         for lo in range(0, frontier.size, CHUNK):
             ranks = frontier[lo:lo + CHUNK]
             digits = np.stack([ranks // w[k] % (n - k) for k in range(n)])
@@ -66,8 +68,27 @@ def bfs_numpy(n: int, edges: list[tuple[int, int]]) -> tuple[np.ndarray, list[in
                 for k in range(i + 1, j):
                     nbr += (perms[k] < b) * (w[i] + w[k])
                     nbr -= (perms[k] < a) * (w[j] + w[k])
+                # found counts each new state once: a swap is a bijection, so
+                # nbr has no repeats, and states an earlier swap marked fail
+                # this filter
                 nbr = nbr[depth[nbr] == UNSEEN]
                 depth[nbr] = level + 1
+                found += nbr.size
         level += 1
-        frontier = np.flatnonzero(depth == level).astype(np.int32)
+        frontier = _level_ranks(depth, level, found)
     return depth, sizes
+
+
+def _level_ranks(depth: np.ndarray, level: int, count: int) -> np.ndarray:
+    """Ascending int32 ranks of the count states at depth level, found by a
+    block-wise scan that stops once all are found: no whole-table mask and
+    no int64 index of the whole level."""
+    out = np.empty(count, np.int32)
+    at = 0
+    for lo in range(0, depth.size, SCAN):
+        if at == count:
+            break
+        idx = np.flatnonzero(depth[lo:lo + SCAN] == level)
+        np.add(idx, lo, out=out[at:at + idx.size], casting="unsafe")
+        at += idx.size
+    return out

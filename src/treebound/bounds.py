@@ -10,7 +10,6 @@ no floating point enters any bound.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple
 
@@ -21,15 +20,22 @@ class UnsupportedClassError(ValueError):
     """No closed-form diameter is known for the requested tree class."""
 
 
-@dataclass(frozen=True, order=True)
-class HalfMoves:
-    """Exact move count in half-move units (1 move = 2 units)."""
-
+class _HalfMovesFields(NamedTuple):
     units: int
 
-    def __post_init__(self):
-        if self.units < 0:
+
+class HalfMoves(_HalfMovesFields):
+    """Exact move count in half-move units (1 move = 2 units).
+
+    Immutable, hashable and ordered by units; + and - give HalfMoves.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, units: int) -> "HalfMoves":
+        if units < 0:
             raise ValueError("negative half-move count")
+        return super().__new__(cls, units)
 
     @classmethod
     def from_moves(cls, moves: int) -> "HalfMoves":
@@ -67,8 +73,7 @@ CASE2 = "Case2"
 FULL_S = "FullSDeletion"
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     tree_code: bytes          # canonical code of the tree entering this step
     n: int
     diameter: int             # diameter the costs were charged at
@@ -79,13 +84,20 @@ class IterationRecord:
     cost: HalfMoves
 
 
-@dataclass(frozen=True)
-class BoundTrace:
+class _BoundTraceFields(NamedTuple):
     records: tuple[IterationRecord, ...]
     total: HalfMoves
 
-    def __post_init__(self):
-        assert sum(r.cost.units for r in self.records) == self.total.units
+
+class BoundTrace(_BoundTraceFields):
+    """The iteration records of one bound; their costs sum to the total."""
+
+    __slots__ = ()
+
+    def __new__(cls, records: tuple[IterationRecord, ...], total: HalfMoves) -> "BoundTrace":
+        if sum(r.cost.units for r in records) != total.units:
+            raise ValueError("iteration costs do not sum to the trace total")
+        return super().__new__(cls, records, total)
 
     def iteration_costs(self) -> list[HalfMoves]:
         return [r.cost for r in self.records]
@@ -408,8 +420,7 @@ def _full_s_fires(variant: str, s_size: int, rest_size: int) -> bool:
 # ---------------------------------------------------------------------------
 # Closed-form Cayley diameters for the named tree classes.
 
-@dataclass(frozen=True)
-class TreeClassSpec:
+class TreeClassSpec(NamedTuple):
     """A named tree class with parameters: Star(n), Path(n), FullBinary(d),
     Spider(m, k), Matchstick(k)."""
 

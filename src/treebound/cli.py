@@ -17,12 +17,10 @@ hard failures: soundness violations, invariant breaches, unusable input.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 from . import bounds as bd
@@ -72,8 +70,7 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
-@dataclass
-class Comparison:
+class Comparison(NamedTuple):
     row: str
     column: str
     expected: int
@@ -91,7 +88,6 @@ class Comparison:
         return f"{self.column}={self.expected} {verdict}{tail}"
 
 
-@dataclass
 class ExperimentReport:
     """Rows of one batch experiment, their reference comparisons, and the
     one renderer for its text, csv and json forms.
@@ -104,14 +100,15 @@ class ExperimentReport:
     holds further top-level keys of the json form.
     """
 
-    experiment: str
-    parameters: dict
-    header: str
-    columns: list
-    rows: list = field(default_factory=list)
-    comparisons: list = field(default_factory=list)
-    footer: list = field(default_factory=list)
-    extra: dict = field(default_factory=dict)
+    def __init__(self, experiment: str, parameters: dict, header: str, columns: list):
+        self.experiment = experiment
+        self.parameters = parameters
+        self.header = header
+        self.columns = columns
+        self.rows: list = []
+        self.comparisons: list = []
+        self.footer: list = []
+        self.extra: dict = {}
 
     def row_id(self, row: dict) -> str:
         key, label = self.columns[0]
@@ -139,7 +136,7 @@ class ExperimentReport:
                 "experiment": self.experiment,
                 "parameters": self.parameters,
                 "rows": self.rows,
-                "comparisons": [{**asdict(c), "match": c.match} for c in self.comparisons],
+                "comparisons": [{**c._asdict(), "match": c.match} for c in self.comparisons],
                 **self.extra,
             })
         by_row: dict[str, list[Comparison]] = {}
@@ -192,6 +189,8 @@ def _note(text: str) -> None:
 
 
 def _json(doc) -> str:
+    import json  # only --output json needs it; imported here to keep start-up short
+
     return json.dumps(doc, indent=2, sort_keys=True)
 
 

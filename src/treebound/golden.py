@@ -11,11 +11,10 @@ reported, never treated as gates here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class GoldenRow:
+class GoldenRow(NamedTuple):
     key: int                  # n (cumulative table) or depth d (binary table)
     values: dict[str, int]    # column name -> recorded value
     source: str

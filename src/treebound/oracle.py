@@ -102,12 +102,13 @@ def _check_cap(n: int, cap: int | None) -> None:
             f"pass a cap up to {MAX_CAP} to override"
         )
     if n > DEFAULT_CAP:
-        # 6.5 bytes per state: `oracle --make star:11 --cap 11` peaked at 243 MB
-        # RSS (ru_maxrss), 6.4 per state; path:11 at 151 MB.  Table, level mask
-        # and the widest level's int64 flatnonzero index with its int32 copy.
+        # 4.5 bytes per state: `oracle --make star:11 --cap 11` peaked at 160 MB
+        # RSS (ru_maxrss), 4.2 per state; path:11 at 91 MB.  The uint8 table
+        # plus two adjacent levels as int32 frontiers (the star's two widest
+        # hold 30% and 27% of all states at n = 10).
         warnings.warn(
             f"oracle BFS at n={n} touches {factorial(n)} states "
-            f"(~{factorial(n) * 13 // 2 ** 21} MB); expect a long run",
+            f"(~{factorial(n) * 9 // 2 ** 21} MB); expect a long run",
             ResourceWarning,
             stacklevel=3,
         )

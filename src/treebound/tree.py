@@ -9,7 +9,7 @@ between workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class TreeError(Exception):
@@ -45,8 +45,7 @@ class NonCliqueComponentError(TreeError):
     """
 
 
-@dataclass(frozen=True)
-class Tree:
+class Tree(NamedTuple):
     """Immutable labeled tree: adjacency lists over internal indices 0..n-1."""
 
     n: int
@@ -160,8 +159,7 @@ def diameter(t: Tree) -> int:
     return max(eccentricities(t))
 
 
-@dataclass(frozen=True)
-class CenterInfo:
+class CenterInfo(NamedTuple):
     kind: str  # "centered" | "bicentered"
     centers: tuple[int, ...]  # internal indices; one vertex or two adjacent
     radius: int
@@ -187,15 +185,14 @@ def peripheral_set(t: Tree) -> list[int]:
     return [v for v in range(t.n) if ecc[v] == diam]
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(NamedTuple):
     """Maximal peripheral subset whose members are pairwise closer than diam."""
 
     members: frozenset[int]
     size: int
     dist_sum: int
-    canon_key: bytes = field(compare=False)
-    min_label: int = field(compare=False)
+    canon_key: bytes
+    min_label: int
 
     def sort_key(self):
         return (-self.size, self.dist_sum, self.canon_key, self.min_label)

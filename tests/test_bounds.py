@@ -1,5 +1,6 @@
 """Bound engine: peel algorithm, baselines, traces, closed forms, gaps."""
 
+import pickle
 import random
 
 import pytest
@@ -28,6 +29,31 @@ def test_half_moves():
     assert (a + b).units == 13 and (b - a).units == 1
     with pytest.raises(ValueError):
         _ = b.moves
+
+
+def test_half_moves_is_an_ordered_immutable_value():
+    a, b = bd.HalfMoves(3), bd.HalfMoves(4)
+    assert a < b and b > a and a <= bd.HalfMoves(3) and max(a, b) is b
+    assert a + b == bd.HalfMoves(7) and b - a == bd.HalfMoves(1)
+    assert a == bd.HalfMoves(3) and a != b
+    assert hash(a) == hash(bd.HalfMoves(3)) and len({a, b, bd.HalfMoves(3)}) == 2
+    assert repr(a) == "HalfMoves(units=3)"
+    with pytest.raises(ValueError):
+        bd.HalfMoves(-1)
+    with pytest.raises(ValueError):
+        _ = a - b
+    with pytest.raises(AttributeError):
+        a.units = 5
+
+
+def test_bound_trace_total_must_match_records():
+    _, trace = bd.delta_star(tr.make_spider(3, 2))
+    assert bd.BoundTrace(records=trace.records, total=trace.total) == trace
+    assert pickle.loads(pickle.dumps(trace)) == trace
+    with pytest.raises(ValueError):
+        bd.BoundTrace(trace.records, trace.total + bd.HalfMoves(1))
+    with pytest.raises(AttributeError):
+        trace.total = bd.HalfMoves(0)
 
 
 def test_star_bound_values():

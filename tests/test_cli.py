@@ -409,3 +409,41 @@ def test_oracle_loads_numpy_on_first_use():
     )
     done = _run_python(code)
     assert done.returncode == 0, done.stderr
+
+
+_TEXT_RUNS = (
+    "assert cli.main(['table1', '--n-min', '6', '--n-max', '7']) == 0\n"
+    "assert cli.main(['table2', '--d-max', '3']) == 2\n"
+    "assert cli.main(['bound', '--make', 'spider:3,2', '--trace']) == 0\n"
+    "assert cli.main(['enumerate', '--n', '7']) == 0\n"
+)
+_ORACLE_RUNS = (
+    "assert cli.main(['verify', '--n-max', '4']) == 0\n"
+    "assert cli.main(['oracle', '--make', 'star:4']) == 0\n"
+)
+
+
+def test_text_output_runs_without_dataclasses_or_json():
+    # numpy imports inspect itself, so only the numpy-free subcommands can
+    # also run with inspect blocked
+    blocked = "import sys\nsys.modules['dataclasses'] = sys.modules['json'] = None\n"
+    done = _run_python(blocked + "import treebound.cli as cli\n" + _TEXT_RUNS + _ORACLE_RUNS)
+    assert done.returncode == 0, done.stderr
+    blocked += "sys.modules['inspect'] = sys.modules['numpy'] = None\n"
+    done = _run_python(blocked + "import treebound.cli as cli\n" + _TEXT_RUNS)
+    assert done.returncode == 0, done.stderr
+
+
+def test_json_output_loads_json_on_demand():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import treebound.cli as cli\n"
+        "assert not {'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before)\n"
+        "assert cli.main(['table1', '--n-min', '6', '--n-max', '6']) == 0\n"
+        "assert 'json' not in sys.modules\n"
+        "assert cli.main(['table1', '--n-min', '6', '--n-max', '6', '--output', 'json']) == 0\n"
+        "assert 'json' in sys.modules\n"
+    )
+    done = _run_python(code)
+    assert done.returncode == 0, done.stderr

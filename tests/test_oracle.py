@@ -205,18 +205,31 @@ def test_big_n_warns():
         orc._check_cap(11, 11)
 
 
-def test_depth_profile_memory():
-    # the profile comes from the BFS's own level sizes: building a table
-    # and its profile must not need several more copies of the n!-byte table
+def _profile_peak(t) -> int:
+    """tracemalloc peak of building t's depth table and profile, cold."""
     orc._depth_table_cached.cache_clear()  # numpy is imported at module top
     tracemalloc.start()
     try:
-        orc.depth_profile(tr.make_path(10))
-        _, peak = tracemalloc.get_traced_memory()
+        orc.depth_profile(t)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         orc._depth_table_cached.cache_clear()
+
+
+def test_depth_profile_memory():
+    # the profile comes from the BFS's own level sizes: building a table
+    # and its profile must not need several more copies of the n!-byte table
+    peak = _profile_peak(tr.make_path(10))
     assert peak < 6 * math.factorial(10), peak
+
+
+def test_depth_profile_memory_star():
+    # the star's widest level holds 30% of the states at n = 10, so the
+    # frontier rebuild must hold neither a whole-table mask nor an int64
+    # index of that level (5.8 bytes per state when it did, about 4.1 now)
+    peak = _profile_peak(tr.make_star(10))
+    assert peak < 5 * math.factorial(10), peak
 
 
 def test_non_generating_edges_detected():

@@ -23,6 +23,15 @@ def test_build_tree_single_vertex():
     assert t.n == 1 and t.leaves() == [0] and t.edges() == []
 
 
+def test_tree_is_immutable():
+    t = tr.make_path(3)
+    with pytest.raises(AttributeError):
+        t.n = 4
+    with pytest.raises(AttributeError):
+        t.labels = (3, 2, 1)
+    assert t == tr.Tree(n=3, adj=((1,), (0, 2), (1,)), labels=(1, 2, 3))
+
+
 def test_build_tree_rejects_wrong_edge_count():
     with pytest.raises(tr.NotATreeError):
         tr.build_tree(4, [(1, 2), (2, 3)])
@@ -132,6 +141,19 @@ def test_clusters_path():
     cs = tr.clusters(t, tr.peripheral_set(t))
     assert [c.size for c in cs] == [1, 1]
     assert {frozenset(c.members) for c in cs} == {frozenset({0}), frozenset({6})}
+
+
+def test_cluster_fields():
+    t = tr.make_spider(3, 2)
+    c = tr.clusters(t, tr.peripheral_set(t))[0]
+    assert c == tr.Cluster(members=c.members, size=c.size, dist_sum=c.dist_sum,
+                           canon_key=c.canon_key, min_label=c.min_label)
+    # deleting the other two leg tips leaves one leg of 2 edges and two of 1
+    left = tr.build_tree(5, [(1, 2), (2, 3), (1, 4), (1, 5)])
+    assert (c.members, c.size, c.dist_sum, c.canon_key, c.min_label) == (
+        frozenset({2}), 1, 17, tr.canonical_code(left), 3)
+    with pytest.raises(AttributeError):
+        c.size = 2
 
 
 def test_clusters_star_leaves_are_singletons():
