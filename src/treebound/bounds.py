@@ -47,6 +47,12 @@ class HalfMoves(_HalfMovesFields):
     def __sub__(self, other: "HalfMoves") -> "HalfMoves":
         return HalfMoves(self.units - other.units)
 
+    def __mul__(self, other):
+        # a TypeError, as for any product of HalfMoves, not tuple repetition
+        return NotImplemented
+
+    __rmul__ = __mul__
+
     @property
     def is_whole(self) -> bool:
         return self.units % 2 == 0

@@ -29,9 +29,7 @@ def test_half_moves():
     assert (a + b).units == 13 and (b - a).units == 1
     with pytest.raises(ValueError):
         _ = b.moves
-
-
-def test_half_moves_is_an_ordered_immutable_value():
+    # an immutable, hashable value ordered by its units
     a, b = bd.HalfMoves(3), bd.HalfMoves(4)
     assert a < b and b > a and a <= bd.HalfMoves(3) and max(a, b) is b
     assert a + b == bd.HalfMoves(7) and b - a == bd.HalfMoves(1)
@@ -44,6 +42,8 @@ def test_half_moves_is_an_ordered_immutable_value():
         _ = a - b
     with pytest.raises(AttributeError):
         a.units = 5
+    with pytest.raises(TypeError):
+        _ = 2 * a
 
 
 def test_bound_trace_total_must_match_records():
