@@ -2,12 +2,27 @@
 
 A chunked, vectorized numpy kernel fills a dense uint8 depth table indexed
 by Lehmer rank (identity = rank 0, unvisited = 255), one level at a time.
-It decodes each frontier chunk to Lehmer digits and symbols once, then gets
-every neighbour's rank from the few digits a swap changes (the digit-delta
-rule below), with no re-ranking and no per-edge sort.  Each level's frontier
-is exactly the set of states at that depth, so its size is that level's
-count in the depth profile; the kernel returns these sizes with the table.
-tests/test_oracle.py checks both against a plain-Python BFS.
+Each level's frontier is exactly the set of states at that depth, so its
+size is that level's count in the depth profile; the kernel returns these
+sizes with the table.  tests/test_oracle.py checks both against a
+plain-Python BFS.
+
+Neighbours come from one table lookup per edge, not from decoding states.
+Swapping positions i < j changes only the Lehmer digits i..j, and the
+change depends only on those digits: among the states that agree on
+digits j+1..n-1, digits i..j are in bijection with the ordered choice of
+relative values that p_i..p_j take within the suffix p_i..p_{n-1}.  That
+choice fixes both the relative order of p_i..p_j and how many later
+symbols lie below each of them, and so every new digit.  Hence
+rank(p∘(i j)) - rank(p) is a function of the mixed-radix segment value
+    seg = r // w[j] - (r // w[i-1]) * M,   M = prod_{k=i..j} (n - k),
+where w[k] = (n-1-k)! is the weight of digit k.  Each BFS tabulates that
+function once per edge (M int32 entries, from the digit-delta rule below
+run over the M ranks seg * w[j]), and then a frontier chunk costs a few
+floor divisions, shared between edges, plus one take and one add per
+edge.  M grows with the span j - i and towards position 0, so the caller
+picks a labeling of the positions that keeps the tables small
+(oracle._frame); the kernel itself works in whatever frame it is given.
 
 This is the only module that imports numpy.  oracle.py imports it on its
 first depth-table build, so subcommands that never run the oracle (table1,
@@ -23,19 +38,9 @@ import numpy as np
 UNSEEN = 255
 # perfbench records this; it goes with the benchmark-upkeep change (ROADMAP item 6)
 HAS_NUMBA = False
-CHUNK = 1 << 15  # frontier states decoded at once
+CHUNK = 1 << 15  # frontier states expanded at once
 SCAN = 1 << 18  # depth-table entries scanned at once for the next frontier
 
-
-# ---------------------------------------------------------------------------
-# A frontier chunk held as (n, rows) Lehmer digits and symbols.
-#
-# Swapping positions i < j with symbols a = p[i], b = p[j] changes only the
-# Lehmer digits i..j:
-#   d_i' = d_j + #{i<l<j: p_l<b} + [a<b]
-#   d_j' = d_i - [b<a] - #{i<l<j: p_l<a}
-#   d_k' = d_k + [a<p_k] - [b<p_k] = d_k + [p_k<b] - [p_k<a]   (i < k < j)
-# so the neighbour's rank is the state's rank plus O(j - i) weighted terms.
 
 def bfs_numpy(n: int, edges: list[tuple[int, int]]) -> tuple[np.ndarray, list[int]]:
     """BFS from the identity over 0-based position pairs.
@@ -46,6 +51,9 @@ def bfs_numpy(n: int, edges: list[tuple[int, int]]) -> tuple[np.ndarray, list[in
     # int32 ranks: n! < 2**31 for every n up to 12, past the oracle's cap
     w = np.array([factorial(n - 1 - k) for k in range(n)], np.int32)  # weight of digit k
     pairs = [(min(e), max(e)) for e in edges]
+    tables = [_segment_table(n, w, i, j) for i, j in pairs]
+    # seg = r // w[j] - (r // w[i-1]) * M; edges share most of these divisors
+    divisors = {j for _, j in pairs} | {i - 1 for i, _ in pairs if i}
     depth = np.full(factorial(n), UNSEEN, np.uint8)
     depth[0] = 0
     frontier = np.zeros(1, np.int32)
@@ -56,27 +64,57 @@ def bfs_numpy(n: int, edges: list[tuple[int, int]]) -> tuple[np.ndarray, list[in
         found = 0  # states first reached at level + 1
         for lo in range(0, frontier.size, CHUNK):
             ranks = frontier[lo:lo + CHUNK]
-            digits = np.stack([ranks // w[k] % (n - k) for k in range(n)])
-            # right to left: symbol k is digit k among the symbols after it
-            perms = digits.astype(np.int8)
-            for k in range(n - 2, -1, -1):
-                perms[k + 1:] += perms[k + 1:] >= perms[k]
-            for i, j in pairs:
-                a, b = perms[i], perms[j]
-                nbr = ranks + (digits[j] - digits[i]) * (w[i] - w[j])
-                nbr += (a < b) * (w[i] + w[j]) - w[j]
-                for k in range(i + 1, j):
-                    nbr += (perms[k] < b) * (w[i] + w[k])
-                    nbr -= (perms[k] < a) * (w[j] + w[k])
+            quot = {k: ranks // w[k] for k in divisors}
+            for (i, j), table in zip(pairs, tables):
+                seg = quot[j] - quot[i - 1] * table.size if i else quot[j]
+                nbr = ranks + table.take(seg)
                 # found counts each new state once: a swap is a bijection, so
                 # nbr has no repeats, and states an earlier swap marked fail
                 # this filter
-                nbr = nbr[depth[nbr] == UNSEEN]
-                depth[nbr] = level + 1
+                nbr = nbr.compress(depth.take(nbr) == UNSEEN)
+                # numpy scatters through intp indices faster than through
+                # int32 ones, even counting the cast
+                depth[nbr.astype(np.intp)] = level + 1
                 found += nbr.size
         level += 1
         frontier = _level_ranks(depth, level, found)
     return depth, sizes
+
+
+def table_size(n: int, i: int, j: int) -> int:
+    """Entries in the table of a swap of positions i and j: the number of
+    values digits min(i, j)..max(i, j) take together."""
+    return factorial(n - min(i, j)) // factorial(n - 1 - max(i, j))
+
+
+# ---------------------------------------------------------------------------
+# The digit-delta rule.  Swapping positions i < j with symbols a = p[i],
+# b = p[j] changes only the Lehmer digits i..j:
+#   d_i' = d_j + #{i<l<j: p_l<b} + [a<b]
+#   d_j' = d_i - [b<a] - #{i<l<j: p_l<a}
+#   d_k' = d_k + [a<p_k] - [b<p_k] = d_k + [p_k<b] - [p_k<a]   (i < k < j)
+# so the rank changes by O(j - i) weighted terms.
+
+def _segment_table(n: int, w: np.ndarray, i: int, j: int) -> np.ndarray:
+    """delta[seg] = rank(p∘(i j)) - rank(p) for the states whose digits i..j
+    have mixed-radix value seg, built CHUNK representatives at a time."""
+    size = table_size(n, i, j)
+    delta = np.empty(size, np.int32)
+    for lo in range(0, size, CHUNK):
+        ranks = np.arange(lo, min(lo + CHUNK, size), dtype=np.int32) * w[j]
+        digits = np.stack([ranks // w[k] % (n - k) for k in range(n)])
+        # right to left: symbol k is digit k among the symbols after it
+        perms = digits.astype(np.int8)
+        for k in range(n - 2, -1, -1):
+            perms[k + 1:] += perms[k + 1:] >= perms[k]
+        a, b = perms[i], perms[j]
+        d = (digits[j] - digits[i]) * (w[i] - w[j])
+        d += (a < b) * (w[i] + w[j]) - w[j]
+        for k in range(i + 1, j):
+            d += (perms[k] < b) * (w[i] + w[k])
+            d -= (perms[k] < a) * (w[j] + w[k])
+        delta[lo:lo + ranks.size] = d
+    return delta
 
 
 def _level_ranks(depth: np.ndarray, level: int, count: int) -> np.ndarray:

@@ -15,7 +15,7 @@ importing this module, or the CLI, does not load numpy.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
@@ -102,8 +102,8 @@ def _check_cap(n: int, cap: int | None) -> None:
             f"pass a cap up to {MAX_CAP} to override"
         )
     if n > DEFAULT_CAP:
-        # 4.5 bytes per state: `oracle --make star:11 --cap 11` peaked at 160 MB
-        # RSS (ru_maxrss), 4.2 per state; path:11 at 91 MB.  The uint8 table
+        # 4.5 bytes per state: `oracle --make star:11 --cap 11` peaked at 158 MB
+        # RSS (ru_maxrss), 4.1 per state; path:11 at 88 MB.  The uint8 table
         # plus two adjacent levels as int32 frontiers (the star's two widest
         # hold 30% and 27% of all states at n = 10).
         warnings.warn(
@@ -115,23 +115,64 @@ def _check_cap(n: int, cap: int | None) -> None:
 
 
 class _Table(NamedTuple):
-    """One tree's BFS from the identity."""
+    """One tree's BFS from the identity, run in a relabeled frame."""
 
-    depth: Sequence[int]  # depth per Lehmer rank (a uint8 numpy array)
-    profile: tuple[int, ...]  # count of states at each depth
+    depth: Sequence[int]  # depth per Lehmer rank in the relabeled frame (uint8 numpy)
+    profile: tuple[int, ...]  # count of states at each depth, the same in any frame
+    # frame[v - 1] is label v's 0-based position in that frame; sort_distance
+    # looks p up as the state with frame[p[i] - 1] + 1 at position frame[i]
+    frame: tuple[int, ...]
 
 
 @lru_cache(maxsize=1)
 def _depth_table_cached(n: int, edges: tuple[tuple[int, int], ...]) -> _Table:
     from . import _bfs_kernels as kernels  # numpy loads with the first table
 
-    depth, sizes = kernels.bfs_numpy(n, [(i - 1, j - 1) for i, j in edges])
+    frame = _frame(n, edges, kernels.table_size)
+    depth, sizes = kernels.bfs_numpy(n, [(frame[i - 1], frame[j - 1]) for i, j in edges])
     if sum(sizes) != factorial(n):
         raise NotGeneratingError(
             f"BFS visited {sum(sizes)} of {factorial(n)} states; "
             "the edge set does not generate the symmetric group"
         )
-    return _Table(depth, tuple(sizes))
+    return _Table(depth, tuple(sizes), frame)
+
+
+def _frame(n: int, edges: Sequence[tuple[int, int]],
+           table_size: Callable[[int, int, int], int]) -> tuple[int, ...]:
+    """A relabeling of the positions that keeps the kernel's swap tables small.
+
+    The kernel tabulates an edge across 0-based positions i < j with
+    table_size(n, i, j) = (n - i)! / (n - 1 - j)! entries, so short edges at
+    high positions are cheap and an edge across (0, n - 1) costs all n!
+    states.  Relabeling the positions conjugates every state and so keeps
+    every depth; the frame is picked by steepest descent over swaps of two
+    labels' positions, from the identity, until no swap lowers the total
+    entry count.
+    """
+    size = [[table_size(n, i, j) for j in range(n)] for i in range(n)]
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for i, j in edges:
+        nbrs[i - 1].append(j - 1)
+        nbrs[j - 1].append(i - 1)
+    frame = list(range(n))
+
+    def entries(u: int, at: int, v: int) -> int:
+        """Entries of u's edges, but the one to v, with u at position at."""
+        return sum(size[at][frame[x]] for x in nbrs[u] if x != v)
+
+    while True:
+        best, move = 0, None
+        for u in range(n):
+            for v in range(u + 1, n):
+                gain = (entries(u, frame[u], v) + entries(v, frame[v], u)
+                        - entries(u, frame[v], v) - entries(v, frame[u], u))
+                if gain > best:
+                    best, move = gain, (u, v)
+        if move is None:
+            return tuple(frame)
+        u, v = move
+        frame[u], frame[v] = frame[v], frame[u]
 
 
 def _depth_table(t: tr.Tree, cap: int | None) -> _Table:
@@ -144,7 +185,11 @@ def sort_distance(t: tr.Tree, p: Permutation, *, cap: int | None = None) -> int:
     """Exact minimum number of moves sorting p to the identity."""
     if _validate(p) != t.n:
         raise ValueError(f"permutation size {len(p)} != tree size {t.n}")
-    return int(_depth_table(t, cap).depth[rank(p)])
+    table = _depth_table(t, cap)
+    q = [0] * t.n
+    for i, s in enumerate(p):
+        q[table.frame[i]] = table.frame[s - 1] + 1
+    return int(table.depth[rank(tuple(q))])
 
 
 def depth_profile(t: tr.Tree, *, cap: int | None = None) -> list[int]:

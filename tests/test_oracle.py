@@ -1,5 +1,6 @@
 """Exact Cayley-graph facts: permutation plumbing, BFS tables, diameters."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -277,3 +278,28 @@ def test_numpy_kernel_matches_reference_bfs(all_trees):
             assert depth.dtype == np.uint8
             assert np.array_equal(depth, expected), (t.n, edges)
             assert sizes == expected_sizes, (t.n, edges)
+        # the oracle runs the kernel in a relabeled frame and conjugates
+        # each query into it
+        if t.n <= 5:
+            perms = itertools.permutations(range(1, t.n + 1))
+        else:
+            rng = random.Random(t.n)
+            perms = [tuple(rng.sample(range(1, t.n + 1), t.n)) for _ in range(200)]
+        for p in perms:
+            assert orc.sort_distance(t, p) == expected[orc.rank(p)], (t.n, p)
+
+
+def test_frame_keeps_swap_tables_small(all_trees):
+    # the kernel's table for an edge across frame positions i < j has
+    # (n - i)! / (n - 1 - j)! entries; the oracle's frame must keep their sum
+    # small for every tree it accepts, n = 11 included
+    for n in range(1, orc.MAX_CAP + 1):
+        for t in all_trees(n):
+            edges = tuple(sorted((min(e), max(e)) for e in t.label_edges()))
+            frame = orc._frame(n, edges, kern.table_size)
+            assert sorted(frame) == list(range(n))
+            spans = [sorted((frame[a - 1], frame[b - 1])) for a, b in edges]
+            entries = sum(
+                math.factorial(n - i) // math.factorial(n - 1 - j) for i, j in spans
+            )
+            assert entries <= 1 << 18, (n, edges, entries)
