@@ -10,6 +10,7 @@ no floating point enters any bound.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from math import isqrt
 from typing import NamedTuple
 
@@ -152,58 +153,38 @@ def star_bound(n: int) -> HalfMoves:
     return HalfMoves.from_moves(3 * (n - 1) // 2)
 
 
-class _Survey(NamedTuple):
-    """What one eccentricity pass gives a peel step about its tree."""
-
-    tree: tr.Tree
-    ecc: list[int]
-    rows: dict[int, list[int]]  # BFS rows of the diametral pair, both in S
-    code: bytes  # canonical code
-
-
-def _survey(t: tr.Tree) -> _Survey:
-    ecc, rows = tr._eccentricity_pass(t)
-    return _Survey(t, ecc, rows, tr._canonical_code(t, ecc))
-
-
-def _pick_largest_cluster(t, s, rows, groups, dist_sum_mode, rng):
-    """C* among the clusters of S (member lists from tr._cluster_groups).
+def _pick_largest_cluster(walk: tr.Walk, dist_sum_mode, rng) -> list[int]:
+    """C* among the clusters of S (walk.groups), as a member list.
 
     The deterministic order is tr.clusters' (size desc, distSum asc,
     canonical code of the tree C* would leave behind, least label), and C*
     is its first cluster; with a tie-randomizing rng, C* is a random one
     among the leaders tied on the whole invariant key (size, distSum,
-    canonical code).  Returns C*'s members and, when a tie made it build
-    the leftover tree S - C* leaves, the _Survey of that tree (else None).
-
-    Keys are lazy: the canonical code is built only for the clusters tied
-    with the leader on (size, distSum), since no other cluster can reach
-    the front.  rng consumption is unchanged by that: rng.choice is called
-    exactly once per call, on the candidates tied on the whole key in the
-    deterministic order, even when only one candidate is left.
+    canonical code).  Keys are lazy: distSum is summed only for the clusters
+    tied with the leader on size, and the leftover's code (walk.left_code)
+    read only for those tied on (size, distSum), since no other cluster can
+    reach the front.  rng.choice is still called exactly once per call, on
+    the candidates tied on the whole key, even when only one is left.
 
     The granularity matters: clusters tied through the canonical code leave
     isomorphic trees behind, so any choice among them must not change the
     bound.  Ties on (size, distSum) alone do change it from n = 10 up, which
     is exactly why the deterministic order includes the canonical code.
     """
-    keyed = sorted(
-        ((-len(m), tr._dist_sum(rows, m, dist_sum_mode), m) for m in groups),
-        key=lambda k: k[:2],
-    )
-    lead = [m for size, ds, m in keyed if (size, ds) == keyed[0][:2]]
+    big = max(map(len, walk.groups))
+    lead = [m for m in walk.groups if len(m) == big]
+    if len(lead) > 1:
+        sums = [walk.dist_sum(m, dist_sum_mode) for m in lead]
+        lead = [m for m, ds in zip(lead, sums) if ds == min(sums)]
     if len(lead) == 1:
         if rng is not None:
             rng.choice(lead)
-        return lead[0], None
-    ranked = []
-    for m in lead:
-        left = _survey(tr.delete_vertices(t, [v for v in s if v not in m]))
-        ranked.append((left.code, min(t.labels[v] for v in m), m, left))
-    ranked.sort(key=lambda r: r[:2])
+        return lead[0]
+    labels = walk.tree.labels
+    ranked = sorted((walk.left_code(m), min(labels[v] for v in m), m) for m in lead)
     if rng is not None:
         ranked = [rng.choice([r for r in ranked if r[0] == ranked[0][0]])]
-    return ranked[0][2], ranked[0][3]
+    return ranked[0][2]
 
 
 def delta_star(
@@ -266,29 +247,24 @@ def delta_prime(
 class _Step:
     """The part of one non-star peel step that every bound shares.
 
-    From the survey of the tree entering the step come its diameter, the
-    peripheral set S, the clusters of S and C* (see _pick_largest_cluster).
-    The bounds differ only in the charge: which vertices go and what they
-    cost (charge, deleted), and so in the tree the step leaves (left).
+    Everything comes from the walk of the tree entering the step: its
+    diameter, the peripheral set S, the clusters of S and C* (see
+    _pick_largest_cluster).  The bounds differ only in the charge: which
+    vertices go and what they cost (charge, deleted), and so in the tree
+    the step leaves, whose canonical code left_code reads off the same walk.
     """
 
-    def __init__(self, survey: _Survey, dist_sum_mode: str, rng):
-        t, ecc = survey.tree, survey.ecc
-        self.survey = survey
-        self.diam = diam = max(ecc)
-        self.s = s = [v for v in range(t.n) if ecc[v] == diam]
-        rows = {v: survey.rows[v] if v in survey.rows else tr.bfs_distances(t, v) for v in s}
-        self.groups = tr._cluster_groups(t, s, rows, diam)
-        self.c_star, rest = _pick_largest_cluster(t, s, rows, self.groups, dist_sum_mode, rng)
-        self.c_rest = [v for v in s if v not in self.c_star]
-        # leftover survey per deleted set (True: all of S), each built once
-        self._left = {False: rest}
+    def __init__(self, walk: tr.Walk, dist_sum_mode: str, rng):
+        self.walk = walk
+        self.c_star = _pick_largest_cluster(walk, dist_sum_mode, rng)
+        self.c_rest = [v for v in walk.s if v not in self.c_star]
+        self._codes: dict[bool, bytes] = {}  # leftover code per deleted set (True: all of S)
 
     def charge(self, variant: str | None, strict_pseudocode: bool) -> tuple[str, int]:
         """(case, cost in half-move units) of this step under one bound:
         variant None for delta-star, "v1" or "v2" for the baselines, which
         ignore strict_pseudocode."""
-        s, diam = self.s, self.diam
+        s, diam = self.walk.s, self.walk.diam
         x = len(self.c_rest)
         if variant is not None:
             if _full_s_fires(variant, len(s), x):
@@ -298,56 +274,49 @@ class _Step:
         c = len(self.c_star)
         if c * 2 >= len(s):
             return CASE1, 2 * x * diam
-        pair_diam = max(self.left(CASE2).ecc) if strict_pseudocode else diam
+        # Deleting S - C* leaves depth h in C*'s branch (side) alone: diameter - 1.
+        pair_diam = diam - 1 if strict_pseudocode else diam
         return CASE2, 2 * c * diam + (x - c) * (2 * pair_diam - 1) - ((x - c) % 2)
 
     def deleted(self, case: str) -> list[int]:
-        return self.s if case == FULL_S else self.c_rest
+        return self.walk.s if case == FULL_S else self.c_rest
 
-    def left(self, case: str) -> _Survey:
-        """Survey of the tree this step leaves when it deletes per `case`."""
+    def left_code(self, case: str) -> bytes:
+        """Canonical code of the tree this step leaves when it deletes per `case`."""
         full = case == FULL_S
-        if self._left.get(full) is None:
-            self._left[full] = _survey(tr.delete_vertices(self.survey.tree, self.deleted(case)))
-        return self._left[full]
+        if full not in self._codes:
+            self._codes[full] = self.walk.left_code(() if full else self.c_star)
+        return self._codes[full]
+
+    def left(self, case: str) -> tr.Walk:
+        """Build and walk the tree this step leaves when it deletes per `case`."""
+        return tr.Walk(tr.delete_vertices(self.walk.tree, self.deleted(case)))
 
 
 def _peel(t, *, variant, dist_sum_mode, strict_pseudocode, rng):
     """Peel t down to a star, one step per iteration record.
 
-    Each step runs one eccentricity pass over its tree (or takes the pass
-    a tie or the strict pairing diameter already ran on it) and derives the
-    rest from that: the diameter, whether the tree is a star (diameter
-    <= 2), the peripheral set S, the tree code, and the BFS rows of S that
-    feed the cluster relation and distSum.  Canonical tie keys are lazy
-    (see _pick_largest_cluster) and the rng stream is the one a full key
-    per cluster would draw.
+    Each step walks its tree from the center once (tr.Walk) and derives the
+    rest from that walk: the diameter, whether the tree is a star (diameter
+    <= 2), the peripheral set S, its clusters, their distSums and the tree
+    code.  Canonical tie keys are lazy (see _pick_largest_cluster) and the
+    rng stream is the one a full key per cluster would draw.
     """
     # checked up front: a star input never reaches a distSum
     if dist_sum_mode not in tr.DIST_SUM_MODES:
         raise ValueError(f"unknown dist_sum mode {dist_sum_mode!r}")
     records = []
     total = 0  # half-move units
-    survey = _survey(t)
-    guard = max(survey.ecc) + 2
+    walk = tr.Walk(t)
+    guard = walk.diam + 2
 
     while True:
-        t = survey.tree
-        diam = max(survey.ecc)
-        if diam <= 2:  # n <= 2 or K_{1,n-1}
+        t = walk.tree
+        if walk.diam <= 2:  # n <= 2 or K_{1,n-1}
             cost = star_bound(t.n)
-            records.append(
-                IterationRecord(
-                    tree_code=survey.code,
-                    n=t.n,
-                    diameter=diam,
-                    s_size=0,
-                    cluster_sizes=(),
-                    case=STAR,
-                    deleted_labels=(),
-                    cost=cost,
-                )
-            )
+            records.append(IterationRecord(tree_code=walk.code, n=t.n, diameter=walk.diam,
+                                           s_size=0, cluster_sizes=(), case=STAR,
+                                           deleted_labels=(), cost=cost))
             total += cost.units
             break
 
@@ -355,30 +324,24 @@ def _peel(t, *, variant, dist_sum_mode, strict_pseudocode, rng):
         if guard < 0:
             raise AssertionError("peeling failed to terminate")
 
-        step = _Step(survey, dist_sum_mode, rng)
+        step = _Step(walk, dist_sum_mode, rng)
         case, units = step.charge(variant, strict_pseudocode)
-        records.append(
-            IterationRecord(
-                tree_code=survey.code,
-                n=t.n,
-                diameter=diam,
-                s_size=len(step.s),
-                cluster_sizes=tuple(sorted(map(len, step.groups), reverse=True)),
-                case=case,
-                deleted_labels=tuple(sorted(t.labels[v] for v in step.deleted(case))),
-                cost=HalfMoves(units),
-            )
-        )
+        records.append(IterationRecord(
+            tree_code=walk.code, n=t.n, diameter=walk.diam, s_size=len(walk.s),
+            cluster_sizes=tuple(sorted(map(len, walk.groups), reverse=True)), case=case,
+            deleted_labels=tuple(sorted(t.labels[v] for v in step.deleted(case))),
+            cost=HalfMoves(units)))
         total += units
-        survey = step.left(case)
+        walk = step.left(case)
 
     return HalfMoves(total), BoundTrace(records=tuple(records), total=HalfMoves(total))
 
 
 def peel_sweep(
     trees, *, dist_sum_mode: str = "global", strict_pseudocode: bool = False
-) -> list[tuple[HalfMoves, HalfMoves, HalfMoves]]:
-    """(delta_star, v1, v2) of every tree, as delta_star(t, dist_sum_mode=...,
+) -> Iterator[tuple[HalfMoves, HalfMoves, HalfMoves]]:
+    """(delta_star, v1, v2) of each tree of the iterable trees, yielded in
+    order as it is valued, as delta_star(t, dist_sum_mode=...,
     strict_pseudocode=...) and delta_prime(t, "v1" / "v2", dist_sum_mode=...)
     would return them, without traces.
 
@@ -386,34 +349,35 @@ def peel_sweep(
     only on the isomorphism class of its tree: what a step charges (the
     diameter, |S|, |C*|, the leftover's diameter) is invariant, and C* is
     chosen by an invariant key whose full ties leave isomorphic trees.  So
-    value(T) = cost of T's first step + value(leftover), and the leftover's
-    value is remembered under its canonical code.  Per tree that is one
-    step shared by the three bounds, three charges and one survey per
-    distinct deleted set.  A leftover not valued yet is valued the same way
-    on demand; given every tree of each size in ascending order, that
-    happens only below the smallest size.  For the same reason a
-    tie-randomizing rng cannot change a value, and none is taken.
+    value(T) = cost of T's first step + value(leftover), remembered under
+    the canonical code.  Per tree that is one walk from the center, one step
+    shared by the three bounds, and per distinct deleted set the leftover's
+    code, read off the same walk (Walk.left_code).  Only a leftover not
+    valued yet is built, walked and valued; given every tree of each size
+    in ascending order, that happens only below the smallest size.  For the
+    same reason a tie-randomizing rng cannot change a value; none is taken.
     """
     if dist_sum_mode not in tr.DIST_SUM_MODES:
         raise ValueError(f"unknown dist_sum mode {dist_sum_mode!r}")
     memo: dict[bytes, tuple[int, int, int]] = {}
 
-    def units(survey: _Survey) -> tuple[int, int, int]:
-        got = memo.get(survey.code)
+    def units(walk: tr.Walk) -> tuple[int, int, int]:
+        got = memo.get(walk.code)
         if got is None:
-            if max(survey.ecc) <= 2:  # n <= 2 or K_{1,n-1}
-                got = (star_bound(survey.tree.n).units,) * 3
+            if walk.diam <= 2:  # n <= 2 or K_{1,n-1}
+                got = (star_bound(walk.tree.n).units,) * 3
             else:
-                step = _Step(survey, dist_sum_mode, None)
+                step = _Step(walk, dist_sum_mode, None)
                 got = []
                 for i, variant in enumerate((None, "v1", "v2")):
                     case, cost = step.charge(variant, strict_pseudocode)
-                    got.append(cost + units(step.left(case))[i])
+                    left = memo.get(step.left_code(case)) or units(step.left(case))
+                    got.append(cost + left[i])
                 got = tuple(got)
-            memo[survey.code] = got
+            memo[walk.code] = got
         return got
 
-    return [tuple(map(HalfMoves, units(_survey(t)))) for t in trees]
+    return (tuple(map(HalfMoves, units(tr.Walk(t)))) for t in trees)
 
 
 def _full_s_fires(variant: str, s_size: int, rest_size: int) -> bool:

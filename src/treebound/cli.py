@@ -21,6 +21,7 @@ import os
 import random
 import sys
 import time
+from itertools import tee
 from typing import NamedTuple
 
 from . import bounds as bd
@@ -310,11 +311,12 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 # table1
 
-def _table1_sweep(sizes, *, distsum="global", strict=False) -> dict:
-    """n -> [(tree, (delta-star, v1, v2 moves))] over every free tree of
-    each size, in generation order (not enumerate_free_trees' sorted order:
-    table1 only sums per size, so the sort key's eccentricity pass and
-    canonical code per tree would be wasted).
+def _table1_sweep(sizes, *, distsum="global", strict=False):
+    """(tree, (delta-star, v1, v2 moves)) for every free tree of each size,
+    sizes ascending, each size in generation order (not
+    enumerate_free_trees' sorted order: table1 only sums per size, so the
+    sort key's walk per tree would be wasted).  A generator: it holds one
+    size's trees at a time and yields each tree's values as they are found.
 
     One bounds.peel_sweep pass over all sizes in ascending order, in this
     process: each tree costs one peel step plus a lookup of the value of
@@ -322,11 +324,10 @@ def _table1_sweep(sizes, *, distsum="global", strict=False) -> dict:
     --seed is passed: full ties leave isomorphic trees, so no tie choice
     can change a value.
     """
-    trees = {n: en._free_trees(n) for n in sizes}
-    values = iter(bd.peel_sweep([t for n in sizes for t in trees[n]],
-                                dist_sum_mode=distsum, strict_pseudocode=strict))
-    return {n: [(t, tuple(v.moves for v in next(values))) for t in trees[n]]
-            for n in sizes}
+    trees, fed = tee(t for n in sizes for t in en._free_trees(n))
+    values = bd.peel_sweep(fed, dist_sum_mode=distsum, strict_pseudocode=strict)
+    for t, v in zip(trees, values):
+        yield t, tuple(x.moves for x in v)
 
 
 def cmd_table1(args) -> int:
@@ -348,10 +349,15 @@ def cmd_table1(args) -> int:
     )
     t0 = time.time()
     ordering_ok = True
-    sweep = _table1_sweep(sizes, distsum=args.distsum, strict=args.strict_pseudocode)
-    for n, rows in sweep.items():
-        sums = {k: sum(x[i] for _, x in rows) for i, k in enumerate(BOUND_NAMES)}
-        row = {"n": n, "trees": len(rows), **{k: sums[k] for k in names}}
+    totals = {n: [0] * (1 + len(BOUND_NAMES)) for n in sizes}  # trees, then each bound
+    for t, values in _table1_sweep(sizes, distsum=args.distsum, strict=args.strict_pseudocode):
+        acc = totals[t.n]
+        acc[0] += 1
+        for i, x in enumerate(values, 1):
+            acc[i] += x
+    for n, (count, *values) in totals.items():
+        sums = dict(zip(BOUND_NAMES, values))
+        row = {"n": n, "trees": count, **{k: sums[k] for k in names}}
         report.rows.append(row)
         if not sums["delta-star"] <= sums["delta-prime-v2"] <= sums["delta-prime-v1"]:
             ordering_ok = False

@@ -14,6 +14,8 @@ results do not depend on order and which need not pay for the sort key.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from . import tree as tr
 
 
@@ -87,14 +89,14 @@ def _from_level_sequence(seq: list[int]) -> tr.Tree:
     return tr.Tree(n=n, adj=tuple(map(tuple, adj)), labels=tuple(range(1, n + 1)))
 
 
-def _free_trees(n: int) -> list[tr.Tree]:
+def _free_trees(n: int) -> Iterator[tr.Tree]:
     """All free trees on n vertices, each isomorphism class exactly once,
-    in generation order."""
+    in generation order, built one at a time."""
     if not 1 <= n <= 16:
         raise TreeSizeError(f"supported range is 1 <= n <= 16, got {n}")
     if n == 1:
-        return [tr.build_tree(1, [])]
-    return [_from_level_sequence(seq) for seq in _free_level_sequences(n)]
+        return iter([tr.build_tree(1, [])])
+    return map(_from_level_sequence, _free_level_sequences(n))
 
 
 def enumerate_free_trees(n: int) -> list[tr.Tree]:

@@ -128,35 +128,140 @@ def bfs_distances(t: Tree, v: int) -> DistanceTable:
     return dist
 
 
-def _farthest(t: Tree, v: int) -> tuple[int, list[int]]:
-    # least index among the vertices farthest from v
-    dist = bfs_distances(t, v)
-    return dist.index(max(dist)), dist
+class Walk:
+    """One walk over a tree from its center, and what a peel step reads off it.
+
+    Leaves are stripped layer by layer down to the center, one vertex or the
+    two ends of the central edge; a stripped vertex's parent is its one
+    neighbour left.  Walked down from the center that gives each depth (to
+    the nearer center); with h the greatest, ecc(v) = depth(v) + radius, the
+    diameter is 2h or 2h + 1 and S is the vertices at depth h.  Two of them
+    are closer than the diameter iff they hang off the same branch of the
+    center (side of the central edge): those are the clusters of S, groups,
+    ordered by least member.  Walked up it gives each AHU code, and code.
+    """
+
+    __slots__ = ("tree", "centers", "depth", "parent", "order", "top", "diam", "s",
+                 "groups", "ahu", "code")
+
+    def __init__(self, t: Tree):
+        n, adj = t.n, t.adj
+        deg = [len(a) for a in adj]
+        parent = [-1] * n
+        layer = [v for v in range(n) if deg[v] <= 1]
+        leaves, stripped = len(layer), []
+        while n - len(stripped) > 2:
+            nxt = []
+            for v in layer:
+                deg[v] = 0
+                for w in adj[v]:
+                    if deg[w]:  # the one neighbour not stripped yet
+                        parent[v] = w
+                        deg[w] -= 1
+                        if deg[w] == 1:
+                            nxt.append(w)
+            stripped += layer
+            layer = nxt
+        self.centers = centers = sorted(layer)
+        top = [-1] * n  # branch (child of the one center) or side (a center) per vertex
+        if len(centers) == 2:  # rooted at the first center, across the central edge
+            parent[centers[1]] = centers[0]
+            top[centers[0]], top[centers[1]] = centers
+        self.order = order = centers + stripped[::-1]  # each vertex after its parent
+        depth = [0] * n
+        for v in order[len(centers):]:
+            p = parent[v]
+            depth[v] = depth[p] + 1
+            tp = top[p]
+            top[v] = v if tp < 0 else tp
+        ahu = [b"()"] * n  # every leaf's code
+        for u in stripped[leaves:] + centers:  # the rest, each after its children
+            d = depth[u]
+            ahu[u] = _ahu([ahu[w] for w in adj[u] if depth[w] > d])
+        h = max(depth)
+        self.tree, self.depth, self.parent, self.top, self.ahu = t, depth, parent, top, ahu
+        self.diam = 2 * h + len(centers) - 1
+        self.s = s = [v for v in range(n) if depth[v] == h]
+        groups: dict[int, list[int]] = {}
+        for v in s:
+            groups.setdefault(top[v], []).append(v)
+        self.groups = list(groups.values())
+        # h is reached in two branches of one center, and on both sides of two
+        assert n == 1 or len(self.groups) >= 2, "the center is not central"
+        self.code = ahu[centers[0]] if len(centers) == 1 else _pair(*(ahu[c] for c in centers))
+
+    def dist_sum(self, members, mode: str = "global") -> int:
+        """distSum of the vertex set members (see dist_sum), one pass up the
+        walk: the edge above a vertex with s vertices and k of the m members
+        below it lies on k(n - s) + (m - k)s member-to-vertex paths and on
+        k(m - k) member-to-member ones."""
+        if mode not in DIST_SUM_MODES:
+            raise ValueError(f"unknown dist_sum mode {mode!r}")
+        pairwise = mode == "pairwise"
+        n, m, parent = len(self.depth), len(members), self.parent
+        below, size, total = [0] * n, [1] * n, 0
+        for v in members:
+            below[v] = 1
+        for v in reversed(self.order[1:]):
+            k, sv, p = below[v], size[v], parent[v]
+            total += k * (m - k) if pairwise else k * (n - sv) + (m - k) * sv
+            below[p] += k
+            size[p] += sv
+        return total
+
+    def left_code(self, kept=()) -> bytes:
+        """Canonical code of the tree left by deleting S - kept, without
+        building it; kept is one group of S, or empty for all of S.  Only
+        the ancestors of deleted vertices are recoded.  Deleting all of S
+        keeps the center(s).  Keeping group g keeps h in g's branch or side
+        alone, so one center c becomes the central edge from c into g's
+        branch, and of two centers g's one becomes the center.
+        """
+        if len(kept) == len(self.s):
+            return self.code
+        depth, ahu, adj, parent = self.depth, self.ahu, self.tree.adj, self.parent
+        keep = set(kept)
+        new = {v: b"" for v in self.s if v not in keep}  # a deleted vertex codes as nothing
+        up = set()
+        for v in list(new):
+            v = parent[v]
+            while v >= 0 and v not in up:
+                up.add(v)
+                v = parent[v]
+
+        def recode(u, skip=-1, extra=b""):
+            d = depth[u]
+            return _ahu([new.get(w, ahu[w]) for w in adj[u] if depth[w] > d and w != skip]
+                        + [extra])
+
+        for u in sorted(up, key=depth.__getitem__, reverse=True):
+            new[u] = recode(u)
+        centers = self.centers
+        if not kept:
+            return new[centers[0]] if len(centers) == 1 else _pair(*(new[c] for c in centers))
+        g = self.top[kept[0]]
+        if len(centers) == 1:
+            return _pair(ahu[g], recode(centers[0], skip=g))
+        return recode(g, extra=new[centers[0] + centers[1] - g])
+
+
+def _ahu(codes: list[bytes]) -> bytes:
+    return b"(" + b"".join(sorted(codes)) + b")"
+
+
+def _pair(a: bytes, b: bytes) -> bytes:
+    # code of a bicentered tree from its two sides' codes
+    return a + b if a <= b else b + a
 
 
 def eccentricities(t: Tree) -> list[int]:
-    """Per-vertex eccentricity via the diametral-endpoint identity.
-
-    In a tree, ecc(u) = max(d(u,a), d(u,b)) where (a, b) is any diametral
-    pair, found here by double BFS.
-    """
-    return _eccentricity_pass(t)[0]
-
-
-def _eccentricity_pass(t: Tree) -> tuple[list[int], dict[int, DistanceTable]]:
-    """Eccentricities plus the BFS rows of the diametral pair (a, b) they
-    came from; both a and b are peripheral, so callers that need peripheral
-    rows get these two for free."""
-    if t.n == 1:
-        return [0], {}
-    a, _ = _farthest(t, 0)
-    b, dist_a = _farthest(t, a)
-    dist_b = bfs_distances(t, b)
-    return [max(da, db) for da, db in zip(dist_a, dist_b)], {a: dist_a, b: dist_b}
+    """Per-vertex eccentricity: depth below the center plus the radius (see Walk)."""
+    w = Walk(t)
+    return [d + (w.diam + 1) // 2 for d in w.depth]
 
 
 def diameter(t: Tree) -> int:
-    return max(eccentricities(t))
+    return Walk(t).diam
 
 
 class CenterInfo(NamedTuple):
@@ -167,22 +272,16 @@ class CenterInfo(NamedTuple):
 
 def center(t: Tree) -> CenterInfo:
     """Center vertex (even diameter) or central edge (odd diameter)."""
-    ecc = eccentricities(t)
-    radius = min(ecc)
-    centers = tuple(v for v in range(t.n) if ecc[v] == radius)
-    diam = max(ecc)
-    kind = "centered" if diam % 2 == 0 else "bicentered"
-    assert len(centers) == (1 if kind == "centered" else 2)
-    return CenterInfo(kind=kind, centers=centers, radius=radius)
+    w = Walk(t)
+    kind = "centered" if len(w.centers) == 1 else "bicentered"
+    return CenterInfo(kind=kind, centers=tuple(w.centers), radius=(w.diam + 1) // 2)
 
 
 def peripheral_set(t: Tree) -> list[int]:
     """Vertices of maximum eccentricity, ascending by internal index."""
     if t.n < 2:
         raise TreeError("peripheral set needs at least 2 vertices")
-    ecc = eccentricities(t)
-    diam = max(ecc)
-    return [v for v in range(t.n) if ecc[v] == diam]
+    return Walk(t).s
 
 
 class Cluster(NamedTuple):
@@ -207,80 +306,50 @@ def dist_sum(t: Tree, members, mode: str = "global") -> int:
     "global": total distance from the members to every tree vertex.
     "pairwise": total distance over unordered member pairs only.
     """
-    members = sorted(members)
-    return _dist_sum({v: bfs_distances(t, v) for v in members}, members, mode)
-
-
-def _dist_sum(rows, members, mode: str) -> int:
-    # rows: BFS distance row of every member; members ascending
-    if mode == "global":
-        return sum(sum(rows[v]) for v in members)
-    if mode == "pairwise":
-        return sum(
-            rows[u][v] for i, u in enumerate(members) for v in members[i + 1 :]
-        )
-    raise ValueError(f"unknown dist_sum mode {mode!r}")
+    return Walk(t).dist_sum(members, mode)
 
 
 def clusters(t: Tree, s, dist_sum_mode: str = "global") -> list[Cluster]:
-    """Partition the peripheral set by the "closer than diameter" relation.
+    """Partition the peripheral set s by the "closer than diameter" relation.
 
-    Components of the relation graph are extracted and each is asserted to
-    be a clique under the relation (NonCliqueComponentError otherwise).
-    Every cluster carries its full key, the canonical code of the tree it
-    would leave behind included (the peel engine builds that code only for
-    clusters tied on size and distSum; see bounds._pick_largest_cluster).
+    Components of the relation graph are extracted from BFS rows and each
+    is asserted to be a clique under the relation (NonCliqueComponentError
+    otherwise).  Every cluster carries its full key, the canonical code of
+    the tree it would leave behind included, read off the walk from the
+    center (Walk.left_code; the peel engine builds that code only for
+    clusters tied on size and distSum, see bounds._pick_largest_cluster).
     Returned sorted by (size desc, distSum asc, canonical key, min label).
     """
     s = sorted(s)
     if not s:
         return []
+    w = Walk(t)
+    if s != w.s:
+        raise TreeError("clusters partition the peripheral set, not another vertex set")
+    return sorted((Cluster(members=frozenset(m), size=len(m),
+                           dist_sum=w.dist_sum(m, dist_sum_mode), canon_key=w.left_code(m),
+                           min_label=min(t.labels[v] for v in m))
+                   for m in _cluster_groups(t, s, w.diam)), key=Cluster.sort_key)
+
+
+def _cluster_groups(t: Tree, s: list[int], diam: int) -> list[list[int]]:
+    """Member lists of the components of the "closer than diam" relation on
+    s (ascending), from one BFS row per member: ordered by least member,
+    members ascending, each checked to be a clique under the relation.
+    Walk.groups must equal this on the peripheral set; the tests hold it to
+    that."""
     rows = {v: bfs_distances(t, v) for v in s}
-    out = []
-    for members in _cluster_groups(t, s, rows, diameter(t)):
-        kept = frozenset(members)
-        deleted = [v for v in s if v not in kept]
-        # Canonical key of the tree this choice of C* would leave behind, so
-        # ties are broken isomorphism-invariantly.
-        key = canonical_code(delete_vertices(t, deleted)) if deleted else canonical_code(t)
-        out.append(
-            Cluster(
-                members=kept,
-                size=len(members),
-                dist_sum=_dist_sum(rows, members, dist_sum_mode),
-                canon_key=key,
-                min_label=min(t.labels[v] for v in members),
-            )
-        )
-    out.sort(key=Cluster.sort_key)
-    return out
-
-
-def _cluster_groups(t: Tree, s: list[int], rows, diam: int) -> list[list[int]]:
-    """Member lists of the clusters of s (ascending), without their keys.
-
-    rows holds the BFS row of every vertex of s.  Components of the "closer
-    than diam" relation come out ordered by least member, members
-    ascending; each is checked to be a clique under the relation.
-    """
-    parent = {v: v for v in s}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, u in enumerate(s):
-        for v in s[i + 1 :]:
-            if rows[u][v] < diam:
-                parent[find(u)] = find(v)
-
-    groups: dict[int, list[int]] = {}
+    groups, seen = [], set()
     for v in s:
-        groups.setdefault(find(v), []).append(v)
-
-    for members in groups.values():
+        if v not in seen:
+            seen.add(v)
+            group = [v]
+            for u in group:  # grows while it is walked
+                near = [w for w in s if w not in seen and rows[u][w] < diam]
+                seen.update(near)
+                group += near
+            groups.append(sorted(group))
+    for members in groups:
         for i, u in enumerate(members):
             for v in members[i + 1 :]:
                 if rows[u][v] >= diam:
@@ -288,7 +357,7 @@ def _cluster_groups(t: Tree, s: list[int], rows, diam: int) -> list[list[int]]:
                         f"peripheral vertices {t.labels[u]} and {t.labels[v]} share a "
                         f"component but are {rows[u][v]} >= diam {diam} apart"
                     )
-    return list(groups.values())
+    return groups
 
 
 def delete_vertices(t: Tree, xs) -> Tree:
@@ -323,42 +392,7 @@ def is_star(t: Tree) -> bool:
 
 def canonical_code(t: Tree) -> bytes:
     """AHU canonical form rooted at the center; equal codes <=> isomorphic."""
-    return _canonical_code(t, eccentricities(t))
-
-
-def _canonical_code(t: Tree, ecc: list[int]) -> bytes:
-    """canonical_code(t), given the eccentricities of t."""
-    if t.n == 1:
-        return b"()"
-    radius = min(ecc)
-    centers = [v for v in range(t.n) if ecc[v] == radius]
-    if len(centers) == 1:
-        return _rooted_code(t, centers[0], avoid=-1)
-    u, v = centers
-    a = _rooted_code(t, u, avoid=v)
-    b = _rooted_code(t, v, avoid=u)
-    return min(a, b) + max(a, b)
-
-
-def _rooted_code(t: Tree, root: int, avoid: int) -> bytes:
-    # Iterative AHU: children sorted by code, assembled leaves-up in
-    # reverse BFS order; the walk never crosses into avoid.
-    adj = t.adj
-    parent = [-1] * t.n
-    parent[root] = avoid
-    order = [root]
-    for u in order:
-        p = parent[u]
-        for w in adj[u]:
-            if w != p:
-                parent[w] = u
-                order.append(w)
-    code = [b"()"] * t.n  # every leaf's code
-    for u in reversed(order):
-        if len(adj[u]) > 1 or u == root:
-            p = parent[u]
-            code[u] = b"(" + b"".join(sorted([code[w] for w in adj[u] if w != p])) + b")"
-    return code[root]
+    return Walk(t).code
 
 
 def relabel(t: Tree, new_labels) -> Tree:

@@ -36,8 +36,10 @@ def _verdict(tag: str, ok: bool, detail: str = "") -> None:
 def sweep():
     """Per-tree (graph6, delta-star, v1, v2) moves for every tree, n = 6..15,
     in generation order."""
-    sweep = cli._table1_sweep(range(6, 16))
-    return {n: [(en.encode_graph6(t), *v) for t, v in rows] for n, rows in sweep.items()}
+    sweep = {n: [] for n in range(6, 16)}
+    for t, v in cli._table1_sweep(range(6, 16)):
+        sweep[t.n].append((en.encode_graph6(t), *v))
+    return sweep
 
 
 # ---------------------------------------------------------------------------

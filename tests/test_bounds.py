@@ -206,25 +206,42 @@ def test_peel_derives_each_step_from_one_pass(monkeypatch, all_trees):
     trees.append(en.parse_graph6("IhCS?C@?G"))  # no (size, distSum) tie at any step
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the peel loop recomputes eccentricities")
+        raise AssertionError("the peel loop recomputes what the walk gave it")
 
     for name in ("diameter", "peripheral_set", "center", "clusters", "is_star",
-                 "canonical_code", "eccentricities"):
+                 "canonical_code", "eccentricities", "dist_sum", "_cluster_groups"):
         monkeypatch.setattr(tr, name, forbidden)
-    passes, rows = [], []
-    real_pass, real_bfs = tr._eccentricity_pass, tr.bfs_distances
-    monkeypatch.setattr(tr, "_eccentricity_pass", lambda t: passes.append(t.n) or real_pass(t))
+    walks, rows, builds = [], [], []
+    real_walk, real_bfs, real_delete = tr.Walk, tr.bfs_distances, tr.delete_vertices
+    monkeypatch.setattr(tr, "Walk", lambda t: walks.append(t.n) or real_walk(t))
     monkeypatch.setattr(tr, "bfs_distances", lambda t, v: rows.append(v) or real_bfs(t, v))
+    monkeypatch.setattr(tr, "delete_vertices",
+                        lambda t, xs: builds.append(t.n) or real_delete(t, xs))
 
     for run in PEEL_RUNS:
         for t in trees:
-            run(t)
-        passes.clear()
-        rows.clear()
-        _, trace = run(trees[-1])
-        # one pass (three BFS rows) per step, plus a row per other member of S
-        assert len(passes) == len(trace.records) == 7
-        assert len(rows) == sum(3 + max(r.s_size - 2, 0) for r in trace.records)
+            walks.clear()
+            builds.clear()
+            _, trace = run(t)
+            # one walk per step, ties included; each step but the last builds
+            # the tree it leaves, and no step makes a BFS row
+            assert len(walks) == len(trace.records), en.encode_graph6(t)
+            assert len(builds) == len(trace.records) - 1
+        assert len(trace.records) == 7 and rows == []
+
+    # table1's sweep: one walk per tree; given every smaller tree first, no
+    # leftover is built, since its code is read off the walk and found
+    walks.clear()
+    builds.clear()
+    assert len(list(bd.peel_sweep(trees[:-1]))) == len(trees) - 1
+    assert len(walks) == len(trees) - 1 and builds == [] and rows == []
+    # alone, the n = 9 trees value their leftovers on demand: each walk
+    # beyond one per tree is of a leftover built after a memo miss
+    nine = all_trees(9)
+    walks.clear()
+    for strict in (False, True):
+        assert len(list(bd.peel_sweep(nine, strict_pseudocode=strict))) == len(nine)
+    assert builds and len(walks) == 2 * len(nine) + len(builds) and rows == []
 
 
 def test_peel_sweep_matches_engine(all_trees):

@@ -149,13 +149,14 @@ def test_table1_sweep_skips_the_sort_key(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(tr, "canonical_code", no_sort_key)
-        sweep = cli._table1_sweep(range(6, 12))
-    for n, rows in sweep.items():
-        got = {en.encode_graph6(t): v for t, v in rows}
+        sweep = list(cli._table1_sweep(range(6, 12)))
+    assert [t.n for t, _ in sweep] == sorted(t.n for t, _ in sweep)
+    for n in range(6, 12):
+        got = {en.encode_graph6(t): v for t, v in sweep if t.n == n}
         trees = en.enumerate_free_trees(n)
         want = {en.encode_graph6(t): tuple(x.moves for x in v)
                 for t, v in zip(trees, bd.peel_sweep(trees))}
-        assert len(rows) == len(trees)
+        assert len(got) == len(trees)
         assert got == want, n
 
 

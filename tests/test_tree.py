@@ -4,8 +4,11 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treebound import tree as tr
+from conftest import prufer_tree
 
 
 def _nx_graph(t: tr.Tree) -> nx.Graph:
@@ -115,6 +118,42 @@ def test_peripheral_set_examples():
 
 
 # ---------------------------------------------------------------------------
+# the walk from the center, against references that do not use it
+
+def _check_walk(t: tr.Tree) -> None:
+    w = tr.Walk(t)  # asserts that h is reached in two branches or on both sides
+    rows = [tr.bfs_distances(t, v) for v in range(t.n)]
+    ecc = [max(row) for row in rows]
+    assert tr.eccentricities(t) == ecc and w.diam == max(ecc)
+    s = [v for v in range(t.n) if ecc[v] == w.diam]
+    assert w.s == s
+    if t.n < 2:
+        return
+    assert w.groups == tr._cluster_groups(t, s, w.diam)
+    for members in w.groups:
+        assert w.dist_sum(members) == sum(sum(rows[v]) for v in members)
+        assert w.dist_sum(members, "pairwise") == sum(
+            rows[u][v] for u in members for v in members if u < v)
+    # the tree left by keeping one cluster, or by deleting all of S
+    for kept in w.groups + ([[]] if t.n > 2 else []):
+        left = tr.delete_vertices(t, [v for v in s if v not in kept])
+        assert w.left_code(kept) == tr.canonical_code(left), (t, kept)
+        assert tr.diameter(left) == w.diam - (1 if kept else 2)
+
+
+def test_walk_matches_references(all_trees):
+    for n in range(1, 13):
+        for t in all_trees(n):
+            _check_walk(t)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 40), st.integers(0, 2**32))
+def test_walk_matches_references_on_random_labellings(n, seed):
+    _check_walk(prufer_tree(n, random.Random(seed)))
+
+
+# ---------------------------------------------------------------------------
 # dist_sum and clusters
 
 def test_dist_sum_modes():
@@ -141,6 +180,8 @@ def test_clusters_path():
     cs = tr.clusters(t, tr.peripheral_set(t))
     assert [c.size for c in cs] == [1, 1]
     assert {frozenset(c.members) for c in cs} == {frozenset({0}), frozenset({6})}
+    with pytest.raises(tr.TreeError):  # keys are read off the walk, which knows only S
+        tr.clusters(t, [0])
 
 
 def test_cluster_fields():
