@@ -153,7 +153,7 @@ def star_bound(n: int) -> HalfMoves:
     return HalfMoves.from_moves(3 * (n - 1) // 2)
 
 
-def _pick_largest_cluster(walk: tr.Walk, dist_sum_mode, rng) -> list[int]:
+def _pick_largest_cluster(walk: tr.Walk, dist_sum_mode, rng) -> tuple[list[int], bytes | None]:
     """C* among the clusters of S (walk.groups), as a member list.
 
     The deterministic order is tr.clusters' (size desc, distSum asc,
@@ -165,6 +165,8 @@ def _pick_largest_cluster(walk: tr.Walk, dist_sum_mode, rng) -> list[int]:
     read only for those tied on (size, distSum), since no other cluster can
     reach the front.  rng.choice is still called exactly once per call, on
     the candidates tied on the whole key, even when only one is left.
+    Returns C*'s members and, when a tie made it code the leftovers, the
+    code of the tree S - C* leaves (else None).
 
     The granularity matters: clusters tied through the canonical code leave
     isomorphic trees behind, so any choice among them must not change the
@@ -179,12 +181,12 @@ def _pick_largest_cluster(walk: tr.Walk, dist_sum_mode, rng) -> list[int]:
     if len(lead) == 1:
         if rng is not None:
             rng.choice(lead)
-        return lead[0]
+        return lead[0], None
     labels = walk.tree.labels
     ranked = sorted((walk.left_code(m), min(labels[v] for v in m), m) for m in lead)
     if rng is not None:
         ranked = [rng.choice([r for r in ranked if r[0] == ranked[0][0]])]
-    return ranked[0][2]
+    return ranked[0][2], ranked[0][0]
 
 
 def delta_star(
@@ -256,9 +258,10 @@ class _Step:
 
     def __init__(self, walk: tr.Walk, dist_sum_mode: str, rng):
         self.walk = walk
-        self.c_star = _pick_largest_cluster(walk, dist_sum_mode, rng)
+        self.c_star, code = _pick_largest_cluster(walk, dist_sum_mode, rng)
         self.c_rest = [v for v in walk.s if v not in self.c_star]
-        self._codes: dict[bool, bytes] = {}  # leftover code per deleted set (True: all of S)
+        # leftover code per deleted set (True: all of S), each read once
+        self._codes = {} if code is None else {False: code}
 
     def charge(self, variant: str | None, strict_pseudocode: bool) -> tuple[str, int]:
         """(case, cost in half-move units) of this step under one bound:
@@ -314,9 +317,18 @@ def _peel(t, *, variant, dist_sum_mode, strict_pseudocode, rng):
         t = walk.tree
         if walk.diam <= 2:  # n <= 2 or K_{1,n-1}
             cost = star_bound(t.n)
-            records.append(IterationRecord(tree_code=walk.code, n=t.n, diameter=walk.diam,
-                                           s_size=0, cluster_sizes=(), case=STAR,
-                                           deleted_labels=(), cost=cost))
+            records.append(
+                IterationRecord(
+                    tree_code=walk.code,
+                    n=t.n,
+                    diameter=walk.diam,
+                    s_size=0,
+                    cluster_sizes=(),
+                    case=STAR,
+                    deleted_labels=(),
+                    cost=cost,
+                )
+            )
             total += cost.units
             break
 
@@ -326,11 +338,18 @@ def _peel(t, *, variant, dist_sum_mode, strict_pseudocode, rng):
 
         step = _Step(walk, dist_sum_mode, rng)
         case, units = step.charge(variant, strict_pseudocode)
-        records.append(IterationRecord(
-            tree_code=walk.code, n=t.n, diameter=walk.diam, s_size=len(walk.s),
-            cluster_sizes=tuple(sorted(map(len, walk.groups), reverse=True)), case=case,
-            deleted_labels=tuple(sorted(t.labels[v] for v in step.deleted(case))),
-            cost=HalfMoves(units)))
+        records.append(
+            IterationRecord(
+                tree_code=walk.code,
+                n=t.n,
+                diameter=walk.diam,
+                s_size=len(walk.s),
+                cluster_sizes=tuple(sorted(map(len, walk.groups), reverse=True)),
+                case=case,
+                deleted_labels=tuple(sorted(t.labels[v] for v in step.deleted(case))),
+                cost=HalfMoves(units),
+            )
+        )
         total += units
         walk = step.left(case)
 

@@ -326,30 +326,48 @@ def clusters(t: Tree, s, dist_sum_mode: str = "global") -> list[Cluster]:
     w = Walk(t)
     if s != w.s:
         raise TreeError("clusters partition the peripheral set, not another vertex set")
-    return sorted((Cluster(members=frozenset(m), size=len(m),
-                           dist_sum=w.dist_sum(m, dist_sum_mode), canon_key=w.left_code(m),
-                           min_label=min(t.labels[v] for v in m))
-                   for m in _cluster_groups(t, s, w.diam)), key=Cluster.sort_key)
+    out = []
+    for members in _cluster_groups(t, s, w.diam):
+        out.append(
+            Cluster(
+                members=frozenset(members),
+                size=len(members),
+                dist_sum=w.dist_sum(members, dist_sum_mode),
+                canon_key=w.left_code(members),
+                min_label=min(t.labels[v] for v in members),
+            )
+        )
+    out.sort(key=Cluster.sort_key)
+    return out
 
 
 def _cluster_groups(t: Tree, s: list[int], diam: int) -> list[list[int]]:
-    """Member lists of the components of the "closer than diam" relation on
-    s (ascending), from one BFS row per member: ordered by least member,
-    members ascending, each checked to be a clique under the relation.
-    Walk.groups must equal this on the peripheral set; the tests hold it to
-    that."""
+    """Member lists of the clusters of s (ascending), without their keys.
+
+    Built from one BFS row per vertex of s.  Components of the "closer than
+    diam" relation come out ordered by least member, members ascending;
+    each is checked to be a clique under the relation.  Walk.groups must
+    equal this on the peripheral set; the tests hold it to that.
+    """
     rows = {v: bfs_distances(t, v) for v in s}
-    groups, seen = [], set()
+    parent = {v: v for v in s}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, u in enumerate(s):
+        for v in s[i + 1 :]:
+            if rows[u][v] < diam:
+                parent[find(u)] = find(v)
+
+    groups: dict[int, list[int]] = {}
     for v in s:
-        if v not in seen:
-            seen.add(v)
-            group = [v]
-            for u in group:  # grows while it is walked
-                near = [w for w in s if w not in seen and rows[u][w] < diam]
-                seen.update(near)
-                group += near
-            groups.append(sorted(group))
-    for members in groups:
+        groups.setdefault(find(v), []).append(v)
+
+    for members in groups.values():
         for i, u in enumerate(members):
             for v in members[i + 1 :]:
                 if rows[u][v] >= diam:
@@ -357,7 +375,7 @@ def _cluster_groups(t: Tree, s: list[int], diam: int) -> list[list[int]]:
                         f"peripheral vertices {t.labels[u]} and {t.labels[v]} share a "
                         f"component but are {rows[u][v]} >= diam {diam} apart"
                     )
-    return groups
+    return list(groups.values())
 
 
 def delete_vertices(t: Tree, xs) -> Tree:

@@ -151,12 +151,13 @@ def test_table1_sweep_skips_the_sort_key(monkeypatch):
         m.setattr(tr, "canonical_code", no_sort_key)
         sweep = list(cli._table1_sweep(range(6, 12)))
     assert [t.n for t, _ in sweep] == sorted(t.n for t, _ in sweep)
+    assert {t.n for t, _ in sweep} == set(range(6, 12))
     for n in range(6, 12):
         got = {en.encode_graph6(t): v for t, v in sweep if t.n == n}
         trees = en.enumerate_free_trees(n)
         want = {en.encode_graph6(t): tuple(x.moves for x in v)
                 for t, v in zip(trees, bd.peel_sweep(trees))}
-        assert len(got) == len(trees)
+        assert sum(t.n == n for t, _ in sweep) == len(trees)
         assert got == want, n
 
 
