@@ -358,11 +358,13 @@ def _peel(t, *, variant, dist_sum_mode, strict_pseudocode, rng):
 
 def peel_sweep(
     trees, *, dist_sum_mode: str = "global", strict_pseudocode: bool = False
-) -> Iterator[tuple[HalfMoves, HalfMoves, HalfMoves]]:
-    """(delta_star, v1, v2) of each tree of the iterable trees, yielded in
-    order as it is valued, as delta_star(t, dist_sum_mode=...,
-    strict_pseudocode=...) and delta_prime(t, "v1" / "v2", dist_sum_mode=...)
-    would return them, without traces.
+) -> Iterator[tuple[tr.Tree, tuple[HalfMoves, HalfMoves, HalfMoves]]]:
+    """(tree, (delta_star, v1, v2)) for each tree of the iterable trees,
+    yielded in order as it is valued, with the values delta_star(t,
+    dist_sum_mode=..., strict_pseudocode=...) and delta_prime(t, "v1" /
+    "v2", dist_sum_mode=...) would return, without traces.  This is the
+    batch valuation path: table1, table2 and verify take their values from
+    it, and the per-tree engine (_peel) runs only where a trace is wanted.
 
     Dynamic programming over isomorphism classes.  A bound's value depends
     only on the isomorphism class of its tree: what a step charges (the
@@ -396,7 +398,7 @@ def peel_sweep(
             memo[walk.code] = got
         return got
 
-    return (tuple(map(HalfMoves, units(tr.Walk(t)))) for t in trees)
+    return ((t, tuple(map(HalfMoves, units(tr.Walk(t))))) for t in trees)
 
 
 def _full_s_fires(variant: str, s_size: int, rest_size: int) -> bool:

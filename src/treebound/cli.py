@@ -5,7 +5,8 @@ Subcommands: bound, table1, table2, verify, enumerate, oracle.
 Every flag can also be set through an environment variable with the
 TREEBOUND_ prefix (TREEBOUND_JOBS, TREEBOUND_SEED, TREEBOUND_CAP,
 TREEBOUND_OUTPUT, TREEBOUND_DISTSUM, TREEBOUND_STRICT_PSEUDOCODE,
-TREEBOUND_FORMAT, TREEBOUND_BOUND); explicit flags win.  Stdout is
+TREEBOUND_FORMAT, TREEBOUND_BOUND); explicit flags win.  Only `bound`
+has --seed, so TREEBOUND_SEED is read by `bound` alone.  Stdout is
 byte-stable given identical flags: wall time goes to stderr only.
 
 Exit codes: 0 when every comparison against the embedded reference tables
@@ -21,7 +22,7 @@ import os
 import random
 import sys
 import time
-from itertools import tee
+from itertools import chain
 from typing import NamedTuple
 
 from . import bounds as bd
@@ -256,34 +257,24 @@ def _selected(bound: str) -> tuple[str, ...]:
     return (bound,)
 
 
-def _bounds(t, names, *, distsum, strict, seed=None, key="") -> dict:
-    """Bound name -> (value, trace) for each named bound, in order.
-
-    Each bound breaks full ties with its own fresh rng seeded by (seed, key).
-    """
-    out = {}
-    for name in names:
-        rng = None if seed is None else random.Random(f"{seed}:{key}")
-        if name == "delta-star":
-            out[name] = bd.delta_star(
-                t, dist_sum_mode=distsum, strict_pseudocode=strict, rng=rng
-            )
-        else:
-            variant = name.rsplit("-", 1)[1]
-            out[name] = bd.delta_prime(t, variant, dist_sum_mode=distsum, rng=rng)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # bound
 
 def cmd_bound(args) -> int:
     names = _selected(args.bound)
-    results = [
-        (ident, t, _bounds(t, names, distsum=args.distsum,
-                           strict=args.strict_pseudocode, seed=args.seed, key=ident))
-        for ident, t in _load_trees(args)
-    ]
+    results = []  # (identifier, tree, {bound name: (value, trace)})
+    for ident, t in _load_trees(args):
+        res = {}
+        for name in names:
+            # each bound breaks full ties with its own fresh rng seeded by (seed, tree)
+            rng = None if args.seed is None else random.Random(f"{args.seed}:{ident}")
+            if name == "delta-star":
+                res[name] = bd.delta_star(t, dist_sum_mode=args.distsum,
+                                          strict_pseudocode=args.strict_pseudocode, rng=rng)
+            else:
+                res[name] = bd.delta_prime(t, name.rsplit("-", 1)[1],
+                                           dist_sum_mode=args.distsum, rng=rng)
+        results.append((ident, t, res))
 
     if args.output == "json":
         doc = []
@@ -311,23 +302,13 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 # table1
 
-def _table1_sweep(sizes, *, distsum="global", strict=False):
-    """(tree, (delta-star, v1, v2 moves)) for every free tree of each size,
-    sizes ascending, each size in generation order (not
-    enumerate_free_trees' sorted order: table1 only sums per size, so the
-    sort key's walk per tree would be wasted).  A generator: it holds one
-    size's trees at a time and yields each tree's values as they are found.
-
-    One bounds.peel_sweep pass over all sizes in ascending order, in this
-    process: each tree costs one peel step plus a lookup of the value of
-    the smaller tree it leaves (see peel_sweep for why that is exact).  No
-    --seed is passed: full ties leave isomorphic trees, so no tie choice
-    can change a value.
-    """
-    trees, fed = tee(t for n in sizes for t in en._free_trees(n))
-    values = bd.peel_sweep(fed, dist_sum_mode=distsum, strict_pseudocode=strict)
-    for t, v in zip(trees, values):
-        yield t, tuple(x.moves for x in v)
+def _free_trees(sizes):
+    """Every free tree of each size, sizes ascending, each size in generation
+    order, built one at a time.  table1 and verify only sum or count per
+    size, so enumerate_free_trees' sort key, a walk per tree, would be
+    wasted.  Each size's generator is made here, so a size out of range
+    fails before any tree is valued."""
+    return chain.from_iterable([en._free_trees(n) for n in sizes])
 
 
 def cmd_table1(args) -> int:
@@ -342,7 +323,6 @@ def cmd_table1(args) -> int:
             "bounds": list(names),
             "distsum": args.distsum,
             "case2_diameter": case2,
-            "seed": args.seed,
         },
         header=f"experiment table1 bounds={args.bound} distsum={args.distsum} case2={case2}",
         columns=[("n", "n"), ("trees", "trees")] + [(k, k) for k in names],
@@ -350,11 +330,13 @@ def cmd_table1(args) -> int:
     t0 = time.time()
     ordering_ok = True
     totals = {n: [0] * (1 + len(BOUND_NAMES)) for n in sizes}  # trees, then each bound
-    for t, values in _table1_sweep(sizes, distsum=args.distsum, strict=args.strict_pseudocode):
+    swept = bd.peel_sweep(_free_trees(sizes), dist_sum_mode=args.distsum,
+                          strict_pseudocode=args.strict_pseudocode)
+    for t, values in swept:
         acc = totals[t.n]
         acc[0] += 1
         for i, x in enumerate(values, 1):
-            acc[i] += x
+            acc[i] += x.moves
     for n, (count, *values) in totals.items():
         sums = dict(zip(BOUND_NAMES, values))
         row = {"n": n, "trees": count, **{k: sums[k] for k in names}}
@@ -389,11 +371,11 @@ def cmd_table2(args) -> int:
         + [(k, GOLDEN_COLUMN[k]) for k in names],
     )
     t0 = time.time()
-    for d in depths:
-        t = tr.make_full_binary(d)
-        res = _bounds(t, names, distsum=args.distsum, strict=args.strict_pseudocode)
+    swept = bd.peel_sweep((tr.make_full_binary(d) for d in depths),
+                          dist_sum_mode=args.distsum, strict_pseudocode=args.strict_pseudocode)
+    for d, (t, values) in zip(depths, swept):
         row = {"d": d, "n": t.n, "leaves": (t.n + 1) // 2,
-               **{k: v.moves for k, (v, _) in res.items()}}
+               **{k: v.moves for k, v in zip(BOUND_NAMES, values)}}
         report.rows.append(row)
         gold = golden.BINARY.get(d)
         report.compare(row, gold)
@@ -430,18 +412,19 @@ def cmd_verify(args) -> int:
         columns=[("n", "n"), ("trees", "trees")],
     )
     t0 = time.time()
+    swept = bd.peel_sweep(_free_trees(sizes), dist_sum_mode=args.distsum)
+    orc._check_cap(args.n_max, args.cap)  # before the first BFS, not at the first tree past it
+    counts = dict.fromkeys(sizes, 0)
     histogram: dict[int, int] = {}
     violations = []
-    for n in sizes:
-        trees = en.enumerate_free_trees(n)
-        for t in trees:
-            exact = orc.cayley_diameter(t, cap=args.cap)
-            bound = bd.delta_star(t, dist_sum_mode=args.distsum)[0].moves
-            slack = bound - exact
-            histogram[slack] = histogram.get(slack, 0) + 1
-            if slack < 0:
-                violations.append((en.encode_graph6(t), bound, exact))
-        report.rows.append({"n": n, "trees": len(trees)})
+    for t, (bound, _, _) in swept:
+        exact = orc.cayley_diameter(t, cap=args.cap)
+        slack = bound.moves - exact
+        histogram[slack] = histogram.get(slack, 0) + 1
+        if slack < 0:
+            violations.append((en.encode_graph6(t), bound.moves, exact))
+        counts[t.n] += 1
+    report.rows = [{"n": n, "trees": count} for n, count in counts.items()]
     slacks = sorted(histogram.items())
     report.footer = (
         ["slack,count"]
@@ -517,11 +500,12 @@ def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
 
 
 def _add_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", help="tree file (graph6 lines or an edge list)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--input", help="tree file (graph6 lines or an edge list)")
     p.add_argument("--format", choices=("g6", "edges"), default=_env("FORMAT", "g6"))
-    p.add_argument("--make",
-                   help="construct a named tree: star:N path:N full-binary:D "
-                        "spider:M,K matchstick:K")
+    source.add_argument("--make",
+                        help="construct a named tree: star:N path:N full-binary:D "
+                             "spider:M,K matchstick:K")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -546,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=_EnvInt("JOBS", 0),
                    help="ignored: table1 runs in one process; the flag is kept "
                         "for compatibility")
-    _add_common(p, "strict-pseudocode", "seed")
+    _add_common(p, "strict-pseudocode")
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("table2", help="bounds on full binary trees")

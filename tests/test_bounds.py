@@ -251,7 +251,8 @@ def test_peel_sweep_matches_engine(all_trees):
     for mode in ("global", "pairwise"):
         for strict in (False, True):
             swept = bd.peel_sweep(trees, dist_sum_mode=mode, strict_pseudocode=strict)
-            for t, (ds, v1, v2) in zip(trees, swept, strict=True):
+            for want, (t, (ds, v1, v2)) in zip(trees, swept, strict=True):
+                assert t is want
                 g6 = en.encode_graph6(t)
                 assert ds == bd.delta_star(t, dist_sum_mode=mode,
                                            strict_pseudocode=strict)[0], (g6, mode, strict)
@@ -260,6 +261,21 @@ def test_peel_sweep_matches_engine(all_trees):
                 if (mode, strict) == ("global", False):
                     assert ds == bd.delta_star(t, rng=random.Random(f"7:{g6}"))[0], g6
                     assert v2 == bd.delta_prime(t, "v2", rng=random.Random(f"7:{g6}"))[0], g6
+
+
+def test_peel_sweep_matches_engine_on_full_binary_trees():
+    # table2's trees, up to n = 255: far past the sizes enumerated above
+    trees = [tr.make_full_binary(d) for d in range(1, 8)]
+    for mode in ("global", "pairwise"):
+        for strict in (False, True):
+            swept = bd.peel_sweep(trees, dist_sum_mode=mode, strict_pseudocode=strict)
+            for want, (t, values) in zip(trees, swept, strict=True):
+                assert t is want
+                assert values == (
+                    bd.delta_star(t, dist_sum_mode=mode, strict_pseudocode=strict)[0],
+                    bd.delta_prime(t, "v1", dist_sum_mode=mode)[0],
+                    bd.delta_prime(t, "v2", dist_sum_mode=mode)[0],
+                ), (t.n, mode, strict)
 
 
 def test_distsum_modes_diverge():

@@ -11,6 +11,7 @@ import pytest
 from treebound import bounds as bd
 from treebound import cli
 from treebound import enumeration as en
+from treebound import oracle as orc
 from treebound import tree as tr
 
 
@@ -111,14 +112,6 @@ def test_table1_stdout_is_byte_stable(capsys):
     assert out1 == out2
 
 
-def test_table1_seed_does_not_change_totals(capsys):
-    _, out1, _ = run(capsys, "table1", "--n-min", "9", "--n-max", "9",
-                     "--jobs", "1", "--seed", "1")
-    _, out2, _ = run(capsys, "table1", "--n-min", "9", "--n-max", "9",
-                     "--jobs", "1", "--seed", "2")
-    assert out1 == out2
-
-
 def test_table1_json_report(capsys):
     code, out, _ = run(capsys, "table1", "--n-max", "7", "--jobs", "1",
                        "--output", "json")
@@ -142,21 +135,20 @@ def test_table1_csv(capsys):
 
 
 def test_table1_sweep_skips_the_sort_key(monkeypatch):
-    # table1 only sums per size, so it takes each size's trees unsorted and
-    # never computes enumerate_free_trees' sort key
+    # table1 and verify only sum or count per size, so they take each
+    # size's trees unsorted and never compute enumerate_free_trees' sort key
     def no_sort_key(t):
-        raise AssertionError("table1 computed the enumeration sort key")
+        raise AssertionError("the sweep computed the enumeration sort key")
 
     with monkeypatch.context() as m:
         m.setattr(tr, "canonical_code", no_sort_key)
-        sweep = list(cli._table1_sweep(range(6, 12)))
+        sweep = list(bd.peel_sweep(cli._free_trees(range(6, 12))))
     assert [t.n for t, _ in sweep] == sorted(t.n for t, _ in sweep)
     assert {t.n for t, _ in sweep} == set(range(6, 12))
     for n in range(6, 12):
         got = {en.encode_graph6(t): v for t, v in sweep if t.n == n}
         trees = en.enumerate_free_trees(n)
-        want = {en.encode_graph6(t): tuple(x.moves for x in v)
-                for t, v in zip(trees, bd.peel_sweep(trees))}
+        want = {en.encode_graph6(t): v for t, v in bd.peel_sweep(trees)}
         assert sum(t.n == n for t, _ in sweep) == len(trees)
         assert got == want, n
 
@@ -341,9 +333,31 @@ def test_unknown_bound(capsys):
      "error: treebound: unrecognized arguments: --cap 5"),
     (("oracle", "--make", "star:3", "--strict-pseudocode"),
      "error: treebound: unrecognized arguments: --strict-pseudocode"),
+    # full ties leave isomorphic trees, so a seed cannot change a table1 value
+    (("table1", "--seed", "1"), "error: treebound: unrecognized arguments: --seed 1"),
+    # one tree source at a time
+    (("bound", "--make", "star:4", "--input", "/no/such/file.g6"),
+     "error: treebound bound: argument --input: not allowed with argument --make"),
+    (("oracle", "--input", "/no/such/file.g6", "--make", "star:3"),
+     "error: treebound oracle: argument --make: not allowed with argument --input"),
 ], ids=["bad-int", "bad-choice", "unknown-flag", "no-command",
-        "verify-seed", "bound-cap", "oracle-strict-pseudocode"])
+        "verify-seed", "bound-cap", "oracle-strict-pseudocode", "table1-seed",
+        "bound-make-input", "oracle-input-make"])
 def test_argparse_errors_exit_1(capsys, argv, prefix):
+    assert_error(capsys, prefix, *argv)
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (("table1", "--n-min", "6", "--n-max", "17"),
+     "error: supported range is 1 <= n <= 16, got 17"),
+    (("verify", "--n-min", "10", "--n-max", "11"), "error: n=11 exceeds the oracle cap 10"),
+], ids=["table1-size", "verify-cap"])
+def test_bad_range_fails_before_any_tree_is_valued(capsys, monkeypatch, argv, prefix):
+    def valued(*args, **kwargs):
+        raise AssertionError("a tree was valued before the range was checked")
+
+    monkeypatch.setattr(tr, "Walk", valued)
+    monkeypatch.setattr(orc, "cayley_diameter", valued)
     assert_error(capsys, prefix, *argv)
 
 

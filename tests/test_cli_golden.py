@@ -19,6 +19,7 @@ import sys
 
 import pytest
 
+from treebound import bounds as bd
 from treebound import cli
 
 GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
@@ -39,8 +40,7 @@ CASES = {
                         "--distsum", "pairwise"],
     "table1-pairwise-csv": ["table1", "--n-min", "10", "--n-max", "10", "--jobs", "1",
                             "--distsum", "pairwise", "--output", "csv"],
-    "table1-jobs2": ["table1", "--n-min", "10", "--n-max", "10", "--jobs", "2",
-                     "--seed", "3"],
+    "table1-jobs2": ["table1", "--n-min", "10", "--n-max", "10", "--jobs", "2"],
     "table1-one-bound": ["table1", "--n-max", "7", "--jobs", "1",
                          "--bound", "delta-prime-v1"],
     "table2-text": ["table2"],
@@ -109,8 +109,19 @@ def test_golden_covers_every_case(golden):
     assert all(golden[name]["argv"] == argv for name, argv in CASES.items())
 
 
+# the batch reports take every value from bounds.peel_sweep; the per-tree
+# engine runs only where a trace can be printed
+BATCH = ("table1", "table2", "verify")
+
+
+def _per_tree_engine(*args, **kwargs):
+    raise AssertionError("a batch report ran the per-tree engine")
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_full_stdout(name, golden, scratch_dir):
+def test_full_stdout(name, golden, scratch_dir, monkeypatch):
+    if CASES[name][0] in BATCH:
+        monkeypatch.setattr(bd, "_peel", _per_tree_engine)
     want = golden[name]
     got = run_case(CASES[name])
     assert got["exit"] == want["exit"]
