@@ -16,9 +16,10 @@ choice fixes both the relative order of p_i..p_j and how many later
 symbols lie below each of them, and so every new digit.  Hence
 rank(p∘(i j)) - rank(p) is a function of the mixed-radix segment value
     seg = r // w[j] - (r // w[i-1]) * M,   M = prod_{k=i..j} (n - k),
-where w[k] = (n-1-k)! is the weight of digit k.  Each BFS tabulates that
-function once per edge (M int32 entries, from the digit-delta rule below
-run over the M ranks seg * w[j]), and then a frontier chunk costs a few
+where w[k] = (n-1-k)! is the weight of digit k.  That function is
+tabulated once per (n, i, j) in a process (M int32 entries, from the
+digit-delta rule below run over the M ranks seg * w[j]), and shared by
+every BFS whose tree has that edge; then a frontier chunk costs a few
 floor divisions, shared between edges, plus one take and one add per
 edge.  M grows with the span j - i and towards position 0, so the caller
 picks a labeling of the positions that keeps the tables small
@@ -31,6 +32,7 @@ table2, bound, enumerate) do not load numpy at all.
 
 from __future__ import annotations
 
+from functools import cache
 from math import factorial
 
 import numpy as np
@@ -48,10 +50,9 @@ def bfs_numpy(n: int, edges: list[tuple[int, int]]) -> tuple[np.ndarray, list[in
     Returns the depth table and the level sizes: sizes[d] is the size of
     the level-d frontier, which is exactly the set of states at depth d.
     """
-    # int32 ranks: n! < 2**31 for every n up to 12, past the oracle's cap
-    w = np.array([factorial(n - 1 - k) for k in range(n)], np.int32)  # weight of digit k
+    w = _weights(n)
     pairs = [(min(e), max(e)) for e in edges]
-    tables = [_segment_table(n, w, i, j) for i, j in pairs]
+    tables = [_segment_table(n, i, j) for i, j in pairs]
     # seg = r // w[j] - (r // w[i-1]) * M; edges share most of these divisors
     divisors = {j for _, j in pairs} | {i - 1 for i, _ in pairs if i}
     depth = np.full(factorial(n), UNSEEN, np.uint8)
@@ -81,6 +82,12 @@ def bfs_numpy(n: int, edges: list[tuple[int, int]]) -> tuple[np.ndarray, list[in
     return depth, sizes
 
 
+def _weights(n: int) -> np.ndarray:
+    """w[k] = (n-1-k)!, the weight of Lehmer digit k.  int32 ranks: n! < 2**31
+    for every n up to 12, past the oracle's cap."""
+    return np.array([factorial(n - 1 - k) for k in range(n)], np.int32)
+
+
 def table_size(n: int, i: int, j: int) -> int:
     """Entries in the table of a swap of positions i and j: the number of
     values digits min(i, j)..max(i, j) take together."""
@@ -95,9 +102,17 @@ def table_size(n: int, i: int, j: int) -> int:
 #   d_k' = d_k + [a<p_k] - [b<p_k] = d_k + [p_k<b] - [p_k<a]   (i < k < j)
 # so the rank changes by O(j - i) weighted terms.
 
-def _segment_table(n: int, w: np.ndarray, i: int, j: int) -> np.ndarray:
+@cache
+def _segment_table(n: int, i: int, j: int) -> np.ndarray:
     """delta[seg] = rank(p∘(i j)) - rank(p) for the states whose digits i..j
-    have mixed-radix value seg, built CHUNK representatives at a time."""
+    have mixed-radix value seg, built CHUNK representatives at a time.
+
+    Kept for the life of the process, read-only: a table depends on
+    (n, i, j) alone, and trees share most of their edges' tables (23 trees
+    on 3..7 vertices ask for 116 tables, 37 of them distinct).  The frame
+    keeps the cache small: all 235 trees on 11 vertices leave 36 tables
+    with 118,898 entries in all (0.5 MB)."""
+    w = _weights(n)
     size = table_size(n, i, j)
     delta = np.empty(size, np.int32)
     for lo in range(0, size, CHUNK):
@@ -114,9 +129,12 @@ def _segment_table(n: int, w: np.ndarray, i: int, j: int) -> np.ndarray:
             d += (perms[k] < b) * (w[i] + w[k])
             d -= (perms[k] < a) * (w[j] + w[k])
         delta[lo:lo + ranks.size] = d
+    delta.flags.writeable = False
     return delta
 
 
+# Gathering the frontier from the level's own finds instead: ~20% faster at n = 9, but star:11
+# peak RSS 158 -> 203 MB and time 3.3 -> 7.6 s unsorted (4.35 -> 4.45 s sorted); not adopted.
 def _level_ranks(depth: np.ndarray, level: int, count: int) -> np.ndarray:
     """Ascending int32 ranks of the count states at depth level, found by a
     block-wise scan that stops once all are found: no whole-table mask and

@@ -18,6 +18,7 @@ hard failures: soundness violations, invariant breaches, unusable input.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import random
 import sys
@@ -59,7 +60,9 @@ class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as a UsageError (exit 1), not argparse's
     usage block and exit 2, which would read as a reference mismatch.
     Subparsers inherit the class; --help still exits 0.  Each parser
-    resolves its own _EnvInt defaults after parsing."""
+    resolves its own _EnvInt defaults after parsing, and checks its
+    environment defaults against the flag's choices, which argparse
+    checks only for values given on the command line."""
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
@@ -69,6 +72,11 @@ class _Parser(argparse.ArgumentParser):
         for key, value in list(vars(namespace).items()):
             if isinstance(value, _EnvInt):
                 setattr(namespace, key, _env_int(value.name, value.fallback))
+        for action in self._actions:
+            value = getattr(namespace, action.dest, None)
+            if action.choices and isinstance(value, str) and value not in action.choices:
+                raise UsageError(f"TREEBOUND_{action.dest.upper()} must be one of "
+                                 f"{', '.join(action.choices)}, got {value!r}")
         return namespace, extras
 
 
@@ -437,8 +445,7 @@ def cmd_verify(args) -> int:
         "violations": [{"tree": g6, "bound": b, "exact": e} for g6, b, e in violations],
     }
 
-    # verify has no csv form of its own: --output csv prints the text report
-    _emit(report.render("json" if args.output == "json" else "text"))
+    _emit(report.render(args.output))
     _note(f"wall-time: {time.time() - t0:.2f}s")
     return EXIT_HARD if violations else EXIT_OK
 
@@ -483,11 +490,11 @@ def cmd_oracle(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
-    """--output and --distsum, plus those of --strict-pseudocode, --seed and
-    --cap that `flags` names."""
-    p.add_argument("--output", choices=("text", "csv", "json"),
-                   default=_env("OUTPUT", "text"))
+def _add_common(p: argparse.ArgumentParser, *flags: str,
+                outputs: tuple[str, ...] = ("text", "csv", "json")) -> None:
+    """--output (one of `outputs`) and --distsum, plus those of
+    --strict-pseudocode, --seed and --cap that `flags` names."""
+    p.add_argument("--output", choices=outputs, default=_env("OUTPUT", "text"))
     p.add_argument("--distsum", choices=tr.DIST_SUM_MODES,
                    default=_env("DISTSUM", "global"))
     if "strict-pseudocode" in flags:
@@ -542,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="bound vs exact BFS diameter")
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=8)
-    _add_common(p, "cap")
+    _add_common(p, "cap", outputs=("text", "json"))  # verify has no csv form
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("enumerate", help="dump all free trees on n vertices")
@@ -570,5 +577,19 @@ def main(argv=None) -> int:
         return EXIT_HARD
 
 
+def run() -> None:
+    """Entry point of the `treebound` script and of `python -m treebound.cli`:
+    main(), then exit without the interpreter's shutdown collection.
+
+    gc.freeze() moves every object the collector tracks into its permanent
+    generation, which the collections at shutdown skip; the OS reclaims
+    that memory when the process ends.  stdout and stderr are still flushed
+    and atexit handlers still run.  main() itself does not freeze, so
+    in-process callers keep a collectable heap."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

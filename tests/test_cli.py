@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, byte stability, env overrides."""
 
+import gc
 import json
 import os
 import pathlib
@@ -8,6 +9,7 @@ import sys
 
 import pytest
 
+from treebound import _bfs_kernels as kern
 from treebound import bounds as bd
 from treebound import cli
 from treebound import enumeration as en
@@ -202,6 +204,17 @@ def test_verify_json(capsys):
     assert sum(doc["slack_histogram"].values()) == 1 + 2 + 3
 
 
+def test_verify_builds_each_swap_table_once(capsys):
+    # the 23 trees on 3..7 vertices have 116 edges between them, but their
+    # swap tables span only 37 distinct (n, i, j)
+    orc._depth_table_cached.cache_clear()
+    kern._segment_table.cache_clear()
+    code, _, _ = run(capsys, "verify", "--n-max", "7")
+    info = kern._segment_table.cache_info()
+    assert code == 0
+    assert (info.hits + info.misses, info.misses) == (116, 37)
+
+
 # ---------------------------------------------------------------------------
 # enumerate / oracle
 
@@ -316,6 +329,17 @@ def test_env_non_integer_ignored_where_unread(capsys, monkeypatch, name, argv):
     assert code == 0 and out and "error" not in err, err
 
 
+@pytest.mark.parametrize("name, value, argv", [
+    ("OUTPUT", "csv", ("verify", "--n-max", "4")),
+    ("DISTSUM", "bogus", ("table1", "--n-max", "6")),
+    ("FORMAT", "xml", ("oracle", "--make", "star:3")),
+], ids=["verify-csv", "distsum", "format"])
+def test_env_default_outside_choices(capsys, monkeypatch, name, value, argv):
+    # argparse checks choices only for values given on the command line
+    monkeypatch.setenv("TREEBOUND_" + name, value)
+    assert_error(capsys, f"error: TREEBOUND_{name} must be one of ", *argv)
+
+
 def test_unknown_bound(capsys):
     assert_error(capsys, "error: unknown bound 'nope'",
                  "bound", "--make", "star:4", "--bound", "nope")
@@ -340,9 +364,12 @@ def test_unknown_bound(capsys):
      "error: treebound bound: argument --input: not allowed with argument --make"),
     (("oracle", "--input", "/no/such/file.g6", "--make", "star:3"),
      "error: treebound oracle: argument --make: not allowed with argument --input"),
+    # verify's report has no csv form
+    (("verify", "--output", "csv"),
+     "error: treebound verify: argument --output: invalid choice: 'csv'"),
 ], ids=["bad-int", "bad-choice", "unknown-flag", "no-command",
         "verify-seed", "bound-cap", "oracle-strict-pseudocode", "table1-seed",
-        "bound-make-input", "oracle-input-make"])
+        "bound-make-input", "oracle-input-make", "verify-csv"])
 def test_argparse_errors_exit_1(capsys, argv, prefix):
     assert_error(capsys, prefix, *argv)
 
@@ -463,3 +490,40 @@ def test_json_output_loads_json_on_demand():
     )
     done = _run_python(code)
     assert done.returncode == 0, done.stderr
+
+
+# ---------------------------------------------------------------------------
+# exit path: `python -m treebound.cli` and the `treebound` script go through
+# cli.run(), which freezes the heap so the interpreter skips its shutdown
+# collection
+
+@pytest.mark.parametrize("argv, code", [
+    (("table1", "--n-max", "8"), 0),
+    (("table1", "--n-min", "12", "--n-max", "12"), 2),  # a recorded row mismatches
+    (("bound", "--make", "pentagon:5"), 1),
+], ids=["ok", "mismatch", "hard"])
+def test_module_run_matches_main(capsys, argv, code):
+    frozen = gc.get_freeze_count()
+    want = run(capsys, *argv)
+    assert gc.get_freeze_count() == frozen  # main() leaves its caller's heap collectable
+    env = {k: v for k, v in os.environ.items() if not k.startswith("TREEBOUND_")}
+    env["PYTHONPATH"] = str(pathlib.Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-m", "treebound.cli", *argv], env=env,
+                          capture_output=True, timeout=120)
+    assert (want[0], done.returncode) == (code, code)
+    assert done.stdout == want[1].encode()
+    if code == 1:
+        assert done.stderr == want[2].encode()
+
+
+def test_run_freezes_the_heap_and_still_runs_atexit():
+    code = (
+        "import atexit, gc, sys\n"
+        "import treebound.cli as cli\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "sys.argv = ['treebound', 'enumerate', '--n', '4']\n"
+        "cli.run()\n"
+    )
+    done = _run_python(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "Cs\nCk\nfrozen True\n"

@@ -294,12 +294,28 @@ def test_frame_keeps_swap_tables_small(all_trees):
     # (n - i)! / (n - 1 - j)! entries; the oracle's frame must keep their sum
     # small for every tree it accepts, n = 11 included
     for n in range(1, orc.MAX_CAP + 1):
+        used = set()  # spans of all trees of this size
         for t in all_trees(n):
             edges = tuple(sorted((min(e), max(e)) for e in t.label_edges()))
             frame = orc._frame(n, edges, kern.table_size)
             assert sorted(frame) == list(range(n))
-            spans = [sorted((frame[a - 1], frame[b - 1])) for a, b in edges]
+            spans = [tuple(sorted((frame[a - 1], frame[b - 1]))) for a, b in edges]
             entries = sum(
                 math.factorial(n - i) // math.factorial(n - 1 - j) for i, j in spans
             )
             assert entries <= 1 << 18, (n, edges, entries)
+            used.update(spans)
+        # the kernel keeps one table per span for the life of the process, so
+        # a run over every tree of one size holds these (118,898 entries at n = 11)
+        assert sum(kern.table_size(n, i, j) for i, j in used) <= 1 << 17, n
+
+
+def test_segment_tables_are_memoised_and_read_only():
+    # a table depends on (n, i, j) alone, so one build serves every tree
+    # and every BFS; a writeable shared table could be corrupted by one
+    for n in range(2, 9):
+        for i, j in itertools.combinations(range(n), 2):
+            table = kern._segment_table(n, i, j)
+            assert not table.flags.writeable, (n, i, j)
+            assert np.array_equal(table, kern._segment_table.__wrapped__(n, i, j)), (n, i, j)
+            assert kern._segment_table(n, i, j) is table
