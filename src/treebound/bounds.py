@@ -153,7 +153,7 @@ def star_bound(n: int) -> HalfMoves:
     return HalfMoves.from_moves(3 * (n - 1) // 2)
 
 
-def _pick_largest_cluster(walk: tr.Walk, dist_sum_mode, rng) -> tuple[list[int], bytes | None]:
+def _pick_largest_cluster(walk: tr.Walk, dist_sum_mode, rng) -> list[int]:
     """C* among the clusters of S (walk.groups), as a member list.
 
     The deterministic order is tr.clusters' (size desc, distSum asc,
@@ -165,8 +165,6 @@ def _pick_largest_cluster(walk: tr.Walk, dist_sum_mode, rng) -> tuple[list[int],
     read only for those tied on (size, distSum), since no other cluster can
     reach the front.  rng.choice is still called exactly once per call, on
     the candidates tied on the whole key, even when only one is left.
-    Returns C*'s members and, when a tie made it code the leftovers, the
-    code of the tree S - C* leaves (else None).
 
     The granularity matters: clusters tied through the canonical code leave
     isomorphic trees behind, so any choice among them must not change the
@@ -181,12 +179,12 @@ def _pick_largest_cluster(walk: tr.Walk, dist_sum_mode, rng) -> tuple[list[int],
     if len(lead) == 1:
         if rng is not None:
             rng.choice(lead)
-        return lead[0], None
+        return lead[0]
     labels = walk.tree.labels
     ranked = sorted((walk.left_code(m), min(labels[v] for v in m), m) for m in lead)
     if rng is not None:
         ranked = [rng.choice([r for r in ranked if r[0] == ranked[0][0]])]
-    return ranked[0][2], ranked[0][0]
+    return ranked[0][2]
 
 
 def delta_star(
@@ -258,10 +256,10 @@ class _Step:
 
     def __init__(self, walk: tr.Walk, dist_sum_mode: str, rng):
         self.walk = walk
-        self.c_star, code = _pick_largest_cluster(walk, dist_sum_mode, rng)
+        self.c_star = _pick_largest_cluster(walk, dist_sum_mode, rng)
         self.c_rest = [v for v in walk.s if v not in self.c_star]
         # leftover code per deleted set (True: all of S), each read once
-        self._codes = {} if code is None else {False: code}
+        self._codes = {}
 
     def charge(self, variant: str | None, strict_pseudocode: bool) -> tuple[str, int]:
         """(case, cost in half-move units) of this step under one bound:

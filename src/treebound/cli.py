@@ -2,12 +2,13 @@
 
 Subcommands: bound, table1, table2, verify, enumerate, oracle.
 
-Every flag can also be set through an environment variable with the
-TREEBOUND_ prefix (TREEBOUND_JOBS, TREEBOUND_SEED, TREEBOUND_CAP,
-TREEBOUND_OUTPUT, TREEBOUND_DISTSUM, TREEBOUND_STRICT_PSEUDOCODE,
-TREEBOUND_FORMAT, TREEBOUND_BOUND); explicit flags win.  Only `bound`
-has --seed, so TREEBOUND_SEED is read by `bound` alone.  Stdout is
-byte-stable given identical flags: wall time goes to stderr only.
+Every flag but the range bounds, --n, --trace and the tree source takes
+its default from the environment variable TREEBOUND_<FLAG>, the flag's
+name in capitals with dashes written as underscores (--strict-pseudocode:
+TREEBOUND_STRICT_PSEUDOCODE).  A variable is read only by a subcommand
+that has its flag, and an empty one counts as unset; integers and choices
+are checked as on the command line, and a flag given there wins.  Stdout
+is byte-stable given identical flags: wall time goes to stderr only.
 
 Exit codes: 0 when every comparison against the embedded reference tables
 matched; 2 when the run completed but some comparisons mismatched (the
@@ -45,38 +46,46 @@ class UsageError(Exception):
     """Unusable flag value, environment default or tree source."""
 
 
-class _EnvInt(NamedTuple):
-    """Default of an integer flag: TREEBOUND_<name> if set, else `fallback`.
+class _Default(NamedTuple):
+    """Default of a flag that TREEBOUND_<FLAG> may set, else `value`."""
 
-    _Parser reads the variable only when the subcommand that has the flag
-    runs, so a bad value breaks no other subcommand.
-    """
-
-    name: str
-    fallback: int | None = None
+    value: object = None
 
 
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as a UsageError (exit 1), not argparse's
     usage block and exit 2, which would read as a reference mismatch.
     Subparsers inherit the class; --help still exits 0.  Each parser
-    resolves its own _EnvInt defaults after parsing, and checks its
-    environment defaults against the flag's choices, which argparse
-    checks only for values given on the command line."""
+    resolves its own _Default defaults after parsing, so only the
+    subcommand that runs reads the environment."""
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
-        for key, value in list(vars(namespace).items()):
-            if isinstance(value, _EnvInt):
-                setattr(namespace, key, _env_int(value.name, value.fallback))
         for action in self._actions:
-            value = getattr(namespace, action.dest, None)
-            if action.choices and isinstance(value, str) and value not in action.choices:
-                raise UsageError(f"TREEBOUND_{action.dest.upper()} must be one of "
+            default = getattr(namespace, action.dest, None)
+            if not isinstance(default, _Default):
+                continue
+            name = "TREEBOUND_" + action.dest.upper()
+            raw = os.environ.get(name)
+            if not raw:  # unset or empty
+                value = default.value
+            elif action.nargs == 0:  # a store_true switch
+                value = raw.lower() in ("1", "true", "yes", "on")
+            elif action.type is int:
+                try:
+                    value = int(raw)
+                except ValueError:
+                    raise UsageError(f"{name} must be an integer, got {raw!r}") from None
+            else:
+                value = raw
+            # argparse checks choices only for values given on the command line
+            if action.choices and value not in action.choices:
+                raise UsageError(f"{name} must be one of "
                                  f"{', '.join(action.choices)}, got {value!r}")
+            setattr(namespace, action.dest, value)
         return namespace, extras
 
 
@@ -170,25 +179,6 @@ class ExperimentReport:
         return "\n".join(lines + self.footer)
 
 
-def _env(name: str, default=None):
-    v = os.environ.get("TREEBOUND_" + name)
-    return default if v in (None, "") else v
-
-
-def _env_int(name: str, default=None):
-    v = _env(name)
-    if v is None:
-        return default
-    try:
-        return int(v)
-    except ValueError:
-        raise UsageError(f"TREEBOUND_{name} must be an integer, got {v!r}") from None
-
-
-def _env_flag(name: str) -> bool:
-    return str(_env(name, "")).lower() in ("1", "true", "yes", "on")
-
-
 def _emit(text: str) -> None:
     sys.stdout.write(text + "\n")
 
@@ -257,19 +247,11 @@ def _span(lo: int, hi: int, flag: str) -> range:
     return range(lo, hi + 1)
 
 
-def _selected(bound: str) -> tuple[str, ...]:
-    if bound == "all":
-        return BOUND_NAMES
-    if bound not in BOUND_NAMES:
-        raise UsageError(f"unknown bound {bound!r}")
-    return (bound,)
-
-
 # ---------------------------------------------------------------------------
 # bound
 
 def cmd_bound(args) -> int:
-    names = _selected(args.bound)
+    names = BOUND_NAMES if args.bound == "all" else (args.bound,)
     results = []  # (identifier, tree, {bound name: (value, trace)})
     for ident, t in _load_trees(args):
         res = {}
@@ -320,7 +302,7 @@ def _free_trees(sizes):
 
 
 def cmd_table1(args) -> int:
-    names = _selected(args.bound)
+    names = BOUND_NAMES if args.bound == "all" else (args.bound,)
     sizes = _span(args.n_min, args.n_max, "n")
     case2 = "post" if args.strict_pseudocode else "pre"
     report = ExperimentReport(
@@ -415,7 +397,8 @@ def cmd_verify(args) -> int:
     sizes = _span(args.n_min, args.n_max, "n")
     report = ExperimentReport(
         "verify",
-        {"n_min": args.n_min, "n_max": args.n_max, "cap": args.cap},
+        {"n_min": args.n_min, "n_max": args.n_max, "cap": args.cap,
+         "distsum": args.distsum},
         header=f"experiment verify n={args.n_min}..{args.n_max}",
         columns=[("n", "n"), ("trees", "trees")],
     )
@@ -494,22 +477,20 @@ def _add_common(p: argparse.ArgumentParser, *flags: str,
                 outputs: tuple[str, ...] = ("text", "csv", "json")) -> None:
     """--output (one of `outputs`) and --distsum, plus those of
     --strict-pseudocode, --seed and --cap that `flags` names."""
-    p.add_argument("--output", choices=outputs, default=_env("OUTPUT", "text"))
-    p.add_argument("--distsum", choices=tr.DIST_SUM_MODES,
-                   default=_env("DISTSUM", "global"))
+    p.add_argument("--output", choices=outputs, default=_Default("text"))
+    p.add_argument("--distsum", choices=tr.DIST_SUM_MODES, default=_Default("global"))
     if "strict-pseudocode" in flags:
-        p.add_argument("--strict-pseudocode", action="store_true",
-                       default=_env_flag("STRICT_PSEUDOCODE"))
+        p.add_argument("--strict-pseudocode", action="store_true", default=_Default(False))
     if "seed" in flags:
-        p.add_argument("--seed", type=int, default=_EnvInt("SEED"))
+        p.add_argument("--seed", type=int, default=_Default())
     if "cap" in flags:
-        p.add_argument("--cap", type=int, default=_EnvInt("CAP"))
+        p.add_argument("--cap", type=int, default=_Default())
 
 
 def _add_source(p: argparse.ArgumentParser) -> None:
     source = p.add_mutually_exclusive_group()
     source.add_argument("--input", help="tree file (graph6 lines or an edge list)")
-    p.add_argument("--format", choices=("g6", "edges"), default=_env("FORMAT", "g6"))
+    p.add_argument("--format", choices=("g6", "edges"), default=_Default("g6"))
     source.add_argument("--make",
                         help="construct a named tree: star:N path:N full-binary:D "
                              "spider:M,K matchstick:K")
@@ -524,8 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="compute bounds for input trees")
     _add_source(p)
-    p.add_argument("--bound", default=_env("BOUND", "all"),
-                   help="delta-star | delta-prime-v1 | delta-prime-v2 | all")
+    p.add_argument("--bound", choices=("all",) + BOUND_NAMES, default=_Default("all"))
     p.add_argument("--trace", action="store_true")
     _add_common(p, "strict-pseudocode", "seed")
     p.set_defaults(func=cmd_bound)
@@ -533,8 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table1", help="cumulative bounds over all free trees")
     p.add_argument("--n-min", type=int, default=6)
     p.add_argument("--n-max", type=int, default=13)
-    p.add_argument("--bound", default=_env("BOUND", "all"))
-    p.add_argument("--jobs", type=int, default=_EnvInt("JOBS", 0),
+    p.add_argument("--bound", choices=("all",) + BOUND_NAMES, default=_Default("all"))
+    p.add_argument("--jobs", type=int, default=_Default(0),
                    help="ignored: table1 runs in one process; the flag is kept "
                         "for compatibility")
     _add_common(p, "strict-pseudocode")
@@ -554,8 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="dump all free trees on n vertices")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("g6", "edges"),
-                   default=_env("FORMAT", "g6"))
+    p.add_argument("--format", choices=("g6", "edges"), default=_Default("g6"))
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("oracle", help="exact diameters with depth profiles")

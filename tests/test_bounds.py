@@ -191,6 +191,28 @@ def test_randomized_ties_do_not_change_totals(all_trees):
             assert dstar(t, rng=rng) == base
 
 
+def test_c_star_is_the_first_cluster(all_trees):
+    # _pick_largest_cluster's lazy filters and Cluster.sort_key write the
+    # cluster order twice; C* must be the first cluster of tr.clusters
+    rng = random.Random(0)
+    cases = 0
+    for n in range(3, 13):
+        for t in all_trees(n):
+            walk = tr.Walk(t)
+            if walk.diam <= 2:  # a star has no peel step
+                continue
+            for mode in tr.DIST_SUM_MODES:
+                ranked = tr.clusters(t, walk.s, mode)
+                assert frozenset(bd._pick_largest_cluster(walk, mode, None)) == ranked[0].members
+                # a seeded pick is one of the clusters tied with the first on
+                # the whole invariant key (size, distSum, canonical code)
+                lead = ranked[0].sort_key()[:3]
+                tied = [c.members for c in ranked if c.sort_key()[:3] == lead]
+                assert frozenset(bd._pick_largest_cluster(walk, mode, rng)) in tied
+                cases += 1
+    assert cases == 1950
+
+
 PEEL_RUNS = [
     lambda t: bd.delta_star(t),
     lambda t: bd.delta_star(t, strict_pseudocode=True),

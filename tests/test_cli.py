@@ -1,9 +1,11 @@
 """Command line behavior: outputs, exit codes, byte stability, env overrides."""
 
+import argparse
 import gc
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -277,6 +279,57 @@ def test_env_output_json(capsys, monkeypatch):
     assert json.loads(out)[0]["n"] == 3
 
 
+def _env_defaults():
+    """(subcommand, action) for every flag whose default TREEBOUND_<FLAG> may set."""
+    ap = cli.build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return [(cmd, action) for cmd, p in sub.choices.items()
+            for action in p._actions if isinstance(action.default, cli._Default)]
+
+
+ENV_DEFAULTS = _env_defaults()
+ENV_NAMES = {"TREEBOUND_" + action.dest.upper() for _, action in ENV_DEFAULTS}
+
+
+def test_env_defaults_are_the_known_ones():
+    assert ENV_NAMES == {
+        "TREEBOUND_BOUND", "TREEBOUND_CAP", "TREEBOUND_DISTSUM", "TREEBOUND_FORMAT",
+        "TREEBOUND_JOBS", "TREEBOUND_OUTPUT", "TREEBOUND_SEED",
+        "TREEBOUND_STRICT_PSEUDOCODE",
+    }
+
+
+@pytest.mark.parametrize("cmd, action", ENV_DEFAULTS,
+                         ids=[f"{cmd}-{action.dest}" for cmd, action in ENV_DEFAULTS])
+def test_env_default_acts_like_its_flag(monkeypatch, cmd, action):
+    for key in list(os.environ):
+        if key.startswith("TREEBOUND_"):
+            monkeypatch.delenv(key)
+    required = ["--n", "3"] if cmd == "enumerate" else []
+
+    def parse(*argv):
+        return vars(cli.build_parser().parse_args([cmd, *required, *argv]))
+
+    flag = action.option_strings[0]
+    # value: a variable that acts like the flag argv; weaker: one the flag beats
+    if action.nargs == 0:  # a switch
+        value, argv, weaker = "yes", [flag], "no"
+    elif action.type is int:
+        value, argv, weaker = "3", [flag, "3"], "5"
+    else:
+        value, argv, weaker = action.choices[-1], [flag, action.choices[-1]], action.choices[0]
+    fallback, flagged = parse(), parse(*argv)
+    assert fallback[action.dest] == action.default.value and fallback != flagged
+
+    name = "TREEBOUND_" + action.dest.upper()
+    monkeypatch.setenv(name, value)
+    assert parse() == flagged
+    monkeypatch.setenv(name, weaker)
+    assert parse(*argv) == flagged != parse()
+    monkeypatch.setenv(name, "")
+    assert parse() == fallback
+
+
 # ---------------------------------------------------------------------------
 # parallel path
 
@@ -333,7 +386,8 @@ def test_env_non_integer_ignored_where_unread(capsys, monkeypatch, name, argv):
     ("OUTPUT", "csv", ("verify", "--n-max", "4")),
     ("DISTSUM", "bogus", ("table1", "--n-max", "6")),
     ("FORMAT", "xml", ("oracle", "--make", "star:3")),
-], ids=["verify-csv", "distsum", "format"])
+    ("BOUND", "nope", ("table1", "--n-max", "6")),
+], ids=["verify-csv", "distsum", "format", "bound"])
 def test_env_default_outside_choices(capsys, monkeypatch, name, value, argv):
     # argparse checks choices only for values given on the command line
     monkeypatch.setenv("TREEBOUND_" + name, value)
@@ -341,7 +395,7 @@ def test_env_default_outside_choices(capsys, monkeypatch, name, value, argv):
 
 
 def test_unknown_bound(capsys):
-    assert_error(capsys, "error: unknown bound 'nope'",
+    assert_error(capsys, "error: treebound bound: argument --bound: invalid choice: 'nope'",
                  "bound", "--make", "star:4", "--bound", "nope")
 
 
@@ -393,6 +447,14 @@ def test_help_exits_0(capsys):
         cli.main(["enumerate", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: treebound enumerate")
+
+
+def test_docs_name_only_resolved_variables():
+    # a renamed or deleted flag must not leave its variable in the docs
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    for doc in (readme.read_text(encoding="utf-8"), cli.__doc__):
+        named = set(re.findall(r"TREEBOUND_[A-Z_]+", doc))
+        assert named and named <= ENV_NAMES, named - ENV_NAMES
 
 
 @pytest.mark.parametrize("argv, flag", [
