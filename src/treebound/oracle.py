@@ -10,16 +10,23 @@ one depth table answers both diameter and per-permutation queries.
 Everything here but the BFS itself is plain Python.  The numpy kernel
 module (_bfs_kernels) is imported on the first depth-table build, so
 importing this module, or the CLI, does not load numpy.
+
+The exact diameter of every free tree with n <= MAX_CAP is also pinned as
+data, in exact_diameters.txt (tests/test_exact_diameters.py checks it
+against the BFS and re-records it); pinned_diameters reads it without the
+BFS or numpy.  cayley_diameter and depth_profile always run the BFS.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
 from collections.abc import Callable, Sequence
 from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
+from . import enumeration as en
 from . import tree as tr
 
 # One-line external view: p[i] is the symbol at 1-based position i+1.
@@ -206,6 +213,22 @@ def profile_csv(t: tr.Tree, *, cap: int | None = None) -> str:
 def cayley_diameter(t: tr.Tree, *, cap: int | None = None) -> int:
     """Exact diameter of the Cayley graph generated by the tree."""
     return len(depth_profile(t, cap=cap)) - 1
+
+
+def pinned_diameters(sizes) -> dict[bytes, int]:
+    """Pinned exact diameters of every free tree whose size is in `sizes`,
+    keyed by canonical code; sizes past MAX_CAP have none.  Only the lines
+    of the requested sizes are parsed: a graph6 line's first character
+    encodes its tree's size."""
+    heads = {chr(63 + n) for n in sizes}
+    out = {}
+    path = os.path.join(os.path.dirname(__file__), "exact_diameters.txt")
+    with open(path, encoding="ascii") as fh:
+        for line in fh:
+            if line[0] in heads:
+                g6, diameter = line.split()
+                out[tr.canonical_code(en.parse_graph6(g6))] = int(diameter)
+    return out
 
 
 # perfbench records this; it goes with the benchmark-upkeep change (ROADMAP item 6)

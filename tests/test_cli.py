@@ -206,14 +206,31 @@ def test_verify_json(capsys):
     assert sum(doc["slack_histogram"].values()) == 1 + 2 + 3
 
 
-def test_verify_builds_each_swap_table_once(capsys):
+def test_verify_reads_pinned_diameters(capsys):
+    code, out, err = run(capsys, "verify", "--n-max", "6")
+    assert code == 0
+    assert err.splitlines()[0] == "exact diameters: 12 pinned, 0 by BFS"
+
+
+def test_verify_by_bfs_matches_pinned(capsys, monkeypatch):
+    # with nothing pinned every diameter comes from the BFS, and stdout is the same
+    argv = ("verify", "--n-max", "6", "--distsum", "pairwise", "--output", "json")
+    _, pinned, _ = run(capsys, *argv)
+    monkeypatch.setattr(orc, "pinned_diameters", lambda sizes: {})
+    code, searched, err = run(capsys, *argv)
+    assert code == 0 and searched == pinned
+    assert err.splitlines()[0] == "exact diameters: 0 pinned, 12 by BFS"
+
+
+def test_oracle_builds_each_swap_table_once():
     # the 23 trees on 3..7 vertices have 116 edges between them, but their
     # swap tables span only 37 distinct (n, i, j)
     orc._depth_table_cached.cache_clear()
     kern._segment_table.cache_clear()
-    code, _, _ = run(capsys, "verify", "--n-max", "7")
+    for n in range(3, 8):
+        for t in en.enumerate_free_trees(n):
+            orc.cayley_diameter(t)
     info = kern._segment_table.cache_info()
-    assert code == 0
     assert (info.hits + info.misses, info.misses) == (116, 37)
 
 
@@ -394,6 +411,24 @@ def test_env_default_outside_choices(capsys, monkeypatch, name, value, argv):
     assert_error(capsys, f"error: TREEBOUND_{name} must be one of ", *argv)
 
 
+@pytest.mark.parametrize("value, case2", [
+    *[(v, "post") for v in ("1", "true", "yes", "on", "TRUE", "Yes", "oN")],
+    *[(v, "pre") for v in ("0", "false", "no", "off", "FALSE", "No", "oFf", "")],
+])
+def test_env_switch_values(capsys, monkeypatch, value, case2):
+    monkeypatch.setenv("TREEBOUND_STRICT_PSEUDOCODE", value)
+    _, out, err = run(capsys, "table2", "--d-max", "2")
+    assert out.startswith(f"experiment table2 distsum=global case2={case2}\n")
+    assert "error" not in err
+
+
+@pytest.mark.parametrize("value", ["ture", "2", "y", " on"])
+def test_env_switch_refuses_other_values(capsys, monkeypatch, value):
+    monkeypatch.setenv("TREEBOUND_STRICT_PSEUDOCODE", value)
+    assert_error(capsys, "error: TREEBOUND_STRICT_PSEUDOCODE must be one of 1, true, "
+                 f"yes, on, 0, false, no, off, got {value!r}", "table2", "--d-max", "2")
+
+
 def test_unknown_bound(capsys):
     assert_error(capsys, "error: treebound bound: argument --bound: invalid choice: 'nope'",
                  "bound", "--make", "star:4", "--bound", "nope")
@@ -498,6 +533,7 @@ def test_subcommands_without_the_oracle_run_without_numpy():
         "assert cli.main(['table2', '--d-max', '3']) == 2\n"
         "assert cli.main(['bound', '--make', 'spider:3,2']) == 0\n"
         "assert cli.main(['enumerate', '--n', '7']) == 0\n"
+        "assert cli.main(['verify']) == 0\n"  # 3..8: every diameter is pinned
     )
     done = _run_python(code)
     assert done.returncode == 0, done.stderr
