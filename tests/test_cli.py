@@ -192,10 +192,11 @@ def test_table2_csv(capsys):
 # verify
 
 def test_verify_no_violations(capsys):
-    code, out, _ = run(capsys, "verify", "--n-min", "3", "--n-max", "6")
+    code, out, err = run(capsys, "verify", "--n-min", "3", "--n-max", "6")
     assert code == 0
     assert "violations-total=0" in out
     assert "slack,count" in out
+    assert err.splitlines()[0] == "exact diameters: 12 pinned, 0 by BFS"
 
 
 def test_verify_json(capsys):
@@ -204,12 +205,6 @@ def test_verify_json(capsys):
     doc = json.loads(out)
     assert code == 0 and doc["violations"] == []
     assert sum(doc["slack_histogram"].values()) == 1 + 2 + 3
-
-
-def test_verify_reads_pinned_diameters(capsys):
-    code, out, err = run(capsys, "verify", "--n-max", "6")
-    assert code == 0
-    assert err.splitlines()[0] == "exact diameters: 12 pinned, 0 by BFS"
 
 
 def test_verify_by_bfs_matches_pinned(capsys, monkeypatch):
