@@ -196,7 +196,7 @@ def test_verify_no_violations(capsys):
     assert code == 0
     assert "violations-total=0" in out
     assert "slack,count" in out
-    assert err.splitlines()[0] == "exact diameters: 12 pinned, 0 by BFS"
+    assert err.splitlines()[0] == "exact diameters: 12 pinned"
 
 
 def test_verify_json(capsys):
@@ -205,16 +205,6 @@ def test_verify_json(capsys):
     doc = json.loads(out)
     assert code == 0 and doc["violations"] == []
     assert sum(doc["slack_histogram"].values()) == 1 + 2 + 3
-
-
-def test_verify_by_bfs_matches_pinned(capsys, monkeypatch):
-    # with nothing pinned every diameter comes from the BFS, and stdout is the same
-    argv = ("verify", "--n-max", "6", "--distsum", "pairwise", "--output", "json")
-    _, pinned, _ = run(capsys, *argv)
-    monkeypatch.setattr(orc, "pinned_diameters", lambda sizes: {})
-    code, searched, err = run(capsys, *argv)
-    assert code == 0 and searched == pinned
-    assert err.splitlines()[0] == "exact diameters: 0 pinned, 12 by BFS"
 
 
 def test_oracle_builds_each_swap_table_once():
@@ -552,9 +542,9 @@ _TEXT_RUNS = (
     "assert cli.main(['table2', '--d-max', '3']) == 2\n"
     "assert cli.main(['bound', '--make', 'spider:3,2', '--trace']) == 0\n"
     "assert cli.main(['enumerate', '--n', '7']) == 0\n"
+    "assert cli.main(['verify', '--n-max', '4']) == 0\n"
 )
 _ORACLE_RUNS = (
-    "assert cli.main(['verify', '--n-max', '4']) == 0\n"
     "assert cli.main(['oracle', '--make', 'star:4']) == 0\n"
 )
 

@@ -2,7 +2,7 @@
 
 src/treebound/exact_diameters.txt holds one "<graph6> <diameter>" line per
 free tree on 1..11 vertices, in enumerate_free_trees order, each diameter
-computed by the oracle's BFS.  verify reads it instead of running the BFS.
+computed by the oracle's BFS.  verify reads it and runs no BFS.
 These tests check that the file covers exactly those trees, recompute a
 fixed sample with the oracle so the data cannot drift from the kernel,
 and check every bound against the pinned diameters.
