@@ -9,7 +9,6 @@ no floating point enters any bound.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Iterator
 from math import isqrt
 from typing import NamedTuple
@@ -153,23 +152,19 @@ def star_bound(n: int) -> HalfMoves:
     return HalfMoves.from_moves(3 * (n - 1) // 2)
 
 
-def _pick_largest_cluster(walk: tr.Walk, dist_sum_mode, rng) -> list[int]:
-    """C* among the clusters of S (walk.groups), as a member list.
-
-    The deterministic order is tr.clusters' (size desc, distSum asc,
-    canonical code of the tree C* would leave behind, least label), and C*
-    is its first cluster; with a tie-randomizing rng, C* is a random one
-    among the leaders tied on the whole invariant key (size, distSum,
-    canonical code).  Keys are lazy: distSum is summed only for the clusters
-    tied with the leader on size, and the leftover's code (walk.left_code)
-    read only for those tied on (size, distSum), since no other cluster can
-    reach the front.  rng.choice is still called exactly once per call, on
-    the candidates tied on the whole key, even when only one is left.
+def _pick_largest_cluster(walk: tr.Walk, dist_sum_mode) -> list[int]:
+    """C* among the clusters of S (walk.groups), as a member list: the first
+    cluster in tr.clusters' order (size desc, distSum asc, canonical code of
+    the tree C* would leave behind, least label).  Keys are lazy: distSum is
+    summed only for the clusters tied with the leader on size, and the
+    leftover's code (walk.left_code) read only for those tied on (size,
+    distSum), since no other cluster can reach the front.
 
     The granularity matters: clusters tied through the canonical code leave
-    isomorphic trees behind, so any choice among them must not change the
-    bound.  Ties on (size, distSum) alone do change it from n = 10 up, which
-    is exactly why the deterministic order includes the canonical code.
+    isomorphic trees behind, so the least label, which picks among them,
+    changes no value and no step's shape.  Ties on (size, distSum) alone do
+    change the bound from n = 10 up, which is exactly why the order includes
+    the canonical code.
     """
     big = max(map(len, walk.groups))
     lead = [m for m in walk.groups if len(m) == big]
@@ -177,14 +172,9 @@ def _pick_largest_cluster(walk: tr.Walk, dist_sum_mode, rng) -> list[int]:
         sums = [walk.dist_sum(m, dist_sum_mode) for m in lead]
         lead = [m for m, ds in zip(lead, sums) if ds == min(sums)]
     if len(lead) == 1:
-        if rng is not None:
-            rng.choice(lead)
         return lead[0]
     labels = walk.tree.labels
-    ranked = sorted((walk.left_code(m), min(labels[v] for v in m), m) for m in lead)
-    if rng is not None:
-        ranked = [rng.choice([r for r in ranked if r[0] == ranked[0][0]])]
-    return ranked[0][2]
+    return min(lead, key=lambda m: (walk.left_code(m), min(labels[v] for v in m)))
 
 
 def delta_star(
@@ -192,7 +182,6 @@ def delta_star(
     *,
     dist_sum_mode: str = "global",
     strict_pseudocode: bool = False,
-    rng: random.Random | None = None,
 ) -> tuple[HalfMoves, BoundTrace]:
     """Cluster-peeling upper bound with room-aware homing costs.
 
@@ -214,7 +203,6 @@ def delta_star(
         variant=None,
         dist_sum_mode=dist_sum_mode,
         strict_pseudocode=strict_pseudocode,
-        rng=rng,
     )
 
 
@@ -223,7 +211,6 @@ def delta_prime(
     variant: str,
     *,
     dist_sum_mode: str = "global",
-    rng: random.Random | None = None,
 ) -> tuple[HalfMoves, BoundTrace]:
     """Baseline bound that sometimes deletes the whole peripheral set.
 
@@ -240,7 +227,6 @@ def delta_prime(
         variant=variant,
         dist_sum_mode=dist_sum_mode,
         strict_pseudocode=False,
-        rng=rng,
     )
 
 
@@ -254,9 +240,9 @@ class _Step:
     the step leaves, whose canonical code left_code reads off the same walk.
     """
 
-    def __init__(self, walk: tr.Walk, dist_sum_mode: str, rng):
+    def __init__(self, walk: tr.Walk, dist_sum_mode: str):
         self.walk = walk
-        self.c_star = _pick_largest_cluster(walk, dist_sum_mode, rng)
+        self.c_star = _pick_largest_cluster(walk, dist_sum_mode)
         self.c_rest = [v for v in walk.s if v not in self.c_star]
         # leftover code per deleted set (True: all of S), each read once
         self._codes = {}
@@ -294,14 +280,13 @@ class _Step:
         return tr.Walk(tr.delete_vertices(self.walk.tree, self.deleted(case)))
 
 
-def _peel(t, *, variant, dist_sum_mode, strict_pseudocode, rng):
+def _peel(t, *, variant, dist_sum_mode, strict_pseudocode):
     """Peel t down to a star, one step per iteration record.
 
     Each step walks its tree from the center once (tr.Walk) and derives the
     rest from that walk: the diameter, whether the tree is a star (diameter
     <= 2), the peripheral set S, its clusters, their distSums and the tree
-    code.  Canonical tie keys are lazy (see _pick_largest_cluster) and the
-    rng stream is the one a full key per cluster would draw.
+    code.  Canonical tie keys are lazy (see _pick_largest_cluster).
     """
     # checked up front: a star input never reaches a distSum
     if dist_sum_mode not in tr.DIST_SUM_MODES:
@@ -334,7 +319,7 @@ def _peel(t, *, variant, dist_sum_mode, strict_pseudocode, rng):
         if guard < 0:
             raise AssertionError("peeling failed to terminate")
 
-        step = _Step(walk, dist_sum_mode, rng)
+        step = _Step(walk, dist_sum_mode)
         case, units = step.charge(variant, strict_pseudocode)
         records.append(
             IterationRecord(
@@ -373,8 +358,7 @@ def peel_sweep(
     shared by the three bounds, and per distinct deleted set the leftover's
     code, read off the same walk (Walk.left_code).  Only a leftover not
     valued yet is built, walked and valued; given every tree of each size
-    in ascending order, that happens only below the smallest size.  For the
-    same reason a tie-randomizing rng cannot change a value; none is taken.
+    in ascending order, that happens only below the smallest size.
     """
     if dist_sum_mode not in tr.DIST_SUM_MODES:
         raise ValueError(f"unknown dist_sum mode {dist_sum_mode!r}")
@@ -386,7 +370,7 @@ def peel_sweep(
             if walk.diam <= 2:  # n <= 2 or K_{1,n-1}
                 got = (star_bound(walk.tree.n).units,) * 3
             else:
-                step = _Step(walk, dist_sum_mode, None)
+                step = _Step(walk, dist_sum_mode)
                 got = []
                 for i, variant in enumerate((None, "v1", "v2")):
                     case, cost = step.charge(variant, strict_pseudocode)

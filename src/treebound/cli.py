@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import gc
 import os
-import random
 import sys
 import time
 from itertools import chain
@@ -235,8 +234,11 @@ def _load_trees(args) -> list[tuple[str, tr.Tree]]:
         return [(name, spec.build())]
     if not args.input:
         raise UsageError("no tree source: pass --make or --input")
-    with open(args.input, encoding="ascii") as fh:
-        text = fh.read()
+    try:
+        with open(args.input, encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise UsageError(f"{args.input} is not an ASCII text file") from None
     if args.format == "edges":
         return [(args.input, tr.parse_edge_list(text))]
     out = []
@@ -260,19 +262,19 @@ def _span(lo: int, hi: int, flag: str) -> range:
 # bound
 
 def cmd_bound(args) -> int:
+    if args.trace and args.output == "csv":
+        raise UsageError("--trace has no csv form: use --output text or json")
     names = BOUND_NAMES if args.bound == "all" else (args.bound,)
     results = []  # (identifier, tree, {bound name: (value, trace)})
     for ident, t in _load_trees(args):
         res = {}
         for name in names:
-            # each bound breaks full ties with its own fresh rng seeded by (seed, tree)
-            rng = None if args.seed is None else random.Random(f"{args.seed}:{ident}")
             if name == "delta-star":
                 res[name] = bd.delta_star(t, dist_sum_mode=args.distsum,
-                                          strict_pseudocode=args.strict_pseudocode, rng=rng)
+                                          strict_pseudocode=args.strict_pseudocode)
             else:
                 res[name] = bd.delta_prime(t, name.rsplit("-", 1)[1],
-                                           dist_sum_mode=args.distsum, rng=rng)
+                                           dist_sum_mode=args.distsum)
         results.append((ident, t, res))
 
     if args.output == "json":
@@ -489,13 +491,11 @@ def cmd_oracle(args) -> int:
 def _add_common(p: argparse.ArgumentParser, *flags: str,
                 outputs: tuple[str, ...] = ("text", "csv", "json")) -> None:
     """--output (one of `outputs`) and --distsum, plus those of
-    --strict-pseudocode, --seed and --cap that `flags` names."""
+    --strict-pseudocode and --cap that `flags` names."""
     p.add_argument("--output", choices=outputs, default=_Default("text"))
     p.add_argument("--distsum", choices=tr.DIST_SUM_MODES, default=_Default("global"))
     if "strict-pseudocode" in flags:
         p.add_argument("--strict-pseudocode", action="store_true", default=_Default(False))
-    if "seed" in flags:
-        p.add_argument("--seed", type=int, default=_Default())
     if "cap" in flags:
         p.add_argument("--cap", type=int, default=_Default())
 
@@ -520,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source(p)
     p.add_argument("--bound", choices=("all",) + BOUND_NAMES, default=_Default("all"))
     p.add_argument("--trace", action="store_true")
-    _add_common(p, "strict-pseudocode", "seed")
+    _add_common(p, "strict-pseudocode")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("table1", help="cumulative bounds over all free trees")

@@ -296,8 +296,7 @@ ENV_NAMES = {"TREEBOUND_" + action.dest.upper() for _, action in ENV_DEFAULTS}
 def test_env_defaults_are_the_known_ones():
     assert ENV_NAMES == {
         "TREEBOUND_BOUND", "TREEBOUND_CAP", "TREEBOUND_DISTSUM", "TREEBOUND_FORMAT",
-        "TREEBOUND_JOBS", "TREEBOUND_OUTPUT", "TREEBOUND_SEED",
-        "TREEBOUND_STRICT_PSEUDOCODE",
+        "TREEBOUND_JOBS", "TREEBOUND_OUTPUT", "TREEBOUND_STRICT_PSEUDOCODE",
     }
 
 
@@ -353,6 +352,15 @@ def test_edge_list_non_integer_token(capsys, tmp_path):
                  "bound", "--input", str(path), "--format", "edges")
 
 
+@pytest.mark.parametrize("cmd", ["bound", "oracle"])
+@pytest.mark.parametrize("fmt", ["g6", "edges"])
+def test_tree_file_not_ascii(capsys, tmp_path, cmd, fmt):
+    path = tmp_path / "trees.txt"
+    path.write_bytes(b"2\n1 \xc3\n")
+    assert_error(capsys, f"error: {path} is not an ASCII text file",
+                 cmd, "--input", str(path), "--format", fmt)
+
+
 @pytest.mark.parametrize("argv", [
     ("enumerate", "--n", "20"),
     ("enumerate", "--n", "0"),
@@ -364,9 +372,8 @@ def test_tree_size_out_of_range(capsys, argv):
 
 @pytest.mark.parametrize("name, argv", [
     ("JOBS", ("table1", "--n-max", "6")),
-    ("SEED", ("bound", "--make", "star:4")),
     ("CAP", ("oracle", "--make", "star:3")),
-], ids=["JOBS", "SEED", "CAP"])
+], ids=["JOBS", "CAP"])
 def test_env_non_integer(capsys, monkeypatch, name, argv):
     monkeypatch.setenv("TREEBOUND_" + name, "many")
     assert_error(capsys, f"error: TREEBOUND_{name} must be an integer", *argv)
@@ -374,14 +381,16 @@ def test_env_non_integer(capsys, monkeypatch, name, argv):
 
 @pytest.mark.parametrize("name, argv", [
     ("JOBS", ("bound", "--make", "star:4")),
-    ("SEED", ("enumerate", "--n", "3")),
     ("CAP", ("bound", "--make", "star:4")),
-], ids=["JOBS", "SEED", "CAP"])
+    ("SEED", ("bound", "--make", "matchstick:4", "--trace")),
+], ids=["JOBS", "CAP", "SEED"])
 def test_env_non_integer_ignored_where_unread(capsys, monkeypatch, name, argv):
-    # each variable is read only by the subcommands that have its flag
+    # each variable is read only by the subcommands that have its flag, and
+    # no subcommand has a --seed
+    _, want, _ = run(capsys, *argv)
     monkeypatch.setenv("TREEBOUND_" + name, "many")
     code, out, err = run(capsys, *argv)
-    assert code == 0 and out and "error" not in err, err
+    assert code == 0 and out == want and "error" not in err, err
 
 
 @pytest.mark.parametrize("name, value, argv", [
@@ -431,8 +440,10 @@ def test_unknown_bound(capsys):
      "error: treebound: unrecognized arguments: --cap 5"),
     (("oracle", "--make", "star:3", "--strict-pseudocode"),
      "error: treebound: unrecognized arguments: --strict-pseudocode"),
-    # full ties leave isomorphic trees, so a seed cannot change a table1 value
+    # full ties leave isomorphic trees, so a seed could change no value
     (("table1", "--seed", "1"), "error: treebound: unrecognized arguments: --seed 1"),
+    (("bound", "--make", "star:4", "--seed", "7"),
+     "error: treebound: unrecognized arguments: --seed 7"),
     # one tree source at a time
     (("bound", "--make", "star:4", "--input", "/no/such/file.g6"),
      "error: treebound bound: argument --input: not allowed with argument --make"),
@@ -441,9 +452,12 @@ def test_unknown_bound(capsys):
     # verify's report has no csv form
     (("verify", "--output", "csv"),
      "error: treebound verify: argument --output: invalid choice: 'csv'"),
+    # a trace has no csv form
+    (("bound", "--make", "star:4", "--trace", "--output", "csv"),
+     "error: --trace has no csv form"),
 ], ids=["bad-int", "bad-choice", "unknown-flag", "no-command",
-        "verify-seed", "bound-cap", "oracle-strict-pseudocode", "table1-seed",
-        "bound-make-input", "oracle-input-make", "verify-csv"])
+        "verify-seed", "bound-cap", "oracle-strict-pseudocode", "table1-seed", "bound-seed",
+        "bound-make-input", "oracle-input-make", "verify-csv", "bound-trace-csv"])
 def test_argparse_errors_exit_1(capsys, argv, prefix):
     assert_error(capsys, prefix, *argv)
 
@@ -552,7 +566,9 @@ _ORACLE_RUNS = (
 def test_text_output_runs_without_dataclasses_or_json():
     # numpy imports inspect itself, so only the numpy-free subcommands can
     # also run with inspect blocked
-    blocked = "import sys\nsys.modules['dataclasses'] = sys.modules['json'] = None\n"
+    # random is blocked too, so no import path brings back a random tie-break
+    blocked = ("import sys\n"
+               "sys.modules['dataclasses'] = sys.modules['json'] = sys.modules['random'] = None\n")
     done = _run_python(blocked + "import treebound.cli as cli\n" + _TEXT_RUNS + _ORACLE_RUNS)
     assert done.returncode == 0, done.stderr
     blocked += "sys.modules['inspect'] = sys.modules['numpy'] = None\n"

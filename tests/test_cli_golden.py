@@ -54,7 +54,6 @@ CASES = {
     "bound-make-trace": ["bound", "--make", "full-binary:2", "--trace"],
     "bound-make-trace-json": ["bound", "--make", "spider:3,2", "--trace",
                               "--output", "json"],
-    "bound-make-seed": ["bound", "--make", "matchstick:4", "--seed", "7"],
     "bound-make-strict": ["bound", "--make", "full-binary:3", "--strict-pseudocode",
                           "--bound", "delta-star"],
     "bound-g6-csv": ["bound", "--input", "trees.g6", "--output", "csv"],

@@ -16,7 +16,6 @@ import functools
 import hashlib
 import json
 import pathlib
-import random
 import sys
 
 import pytest
@@ -32,11 +31,11 @@ DEPTHS = range(1, 8)
 
 
 def _star(mode, strict):
-    return lambda t, key: bd.delta_star(t, dist_sum_mode=mode, strict_pseudocode=strict)
+    return lambda t: bd.delta_star(t, dist_sum_mode=mode, strict_pseudocode=strict)
 
 
 def _prime(variant, mode):
-    return lambda t, key: bd.delta_prime(t, variant, dist_sum_mode=mode)
+    return lambda t: bd.delta_prime(t, variant, dist_sum_mode=mode)
 
 
 CONFIGS = {
@@ -48,25 +47,22 @@ CONFIGS = {
     "delta_prime_v1-pairwise": _prime("v1", "pairwise"),
     "delta_prime_v2-global": _prime("v2", "global"),
     "delta_prime_v2-pairwise": _prime("v2", "pairwise"),
-    "delta_star-global-rng7": lambda t, key: bd.delta_star(t, rng=random.Random(f"7:{key}")),
 }
 
 
 @functools.cache
-def trees() -> list[tuple[str, tr.Tree]]:
-    """(id, tree) pairs in digest order; the id seeds the rng configuration."""
-    out = [(en.encode_graph6(t), t) for n in range(1, N_MAX + 1)
-           for t in en.enumerate_free_trees(n)]
-    # graph6 short form stops at 62 vertices; these ids only seed the rng
-    out += [(f"full-binary:{d}", tr.make_full_binary(d)) for d in DEPTHS]
+def trees() -> list[tr.Tree]:
+    """The trees in digest order."""
+    out = [t for n in range(1, N_MAX + 1) for t in en.enumerate_free_trees(n)]
+    out += [tr.make_full_binary(d) for d in DEPTHS]
     return out
 
 
 def digest(name: str) -> str:
     h = hashlib.sha256()
     run = CONFIGS[name]
-    for key, t in trees():
-        _, trace = run(t, key)
+    for t in trees():
+        _, trace = run(t)
         h.update(json.dumps(trace.to_json(), sort_keys=True).encode("ascii") + b"\n")
     return h.hexdigest()
 
