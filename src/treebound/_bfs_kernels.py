@@ -27,7 +27,7 @@ picks a labeling of the positions that keeps the tables small
 
 This is the only module that imports numpy.  oracle.py imports it on its
 first depth-table build, so subcommands that never run the oracle (table1,
-table2, bound, enumerate) do not load numpy at all.
+table2, bound, enumerate, verify) do not load numpy at all.
 """
 
 from __future__ import annotations

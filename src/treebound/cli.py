@@ -2,14 +2,7 @@
 
 Subcommands: bound, table1, table2, verify, enumerate, oracle.
 
-Every flag but the range bounds, --n, --trace and the tree source takes
-its default from the environment variable TREEBOUND_<FLAG>, the flag's
-name in capitals with dashes written as underscores (--strict-pseudocode:
-TREEBOUND_STRICT_PSEUDOCODE).  A variable is read only by a subcommand
-that has its flag, and an empty one counts as unset; integers and choices
-are checked as on the command line, a switch takes 1/true/yes/on or
-0/false/no/off in any case, and a flag given there wins.  Stdout is
-byte-stable given identical flags: wall time goes to stderr only.
+Stdout is byte-stable given identical flags: wall time goes to stderr only.
 
 Exit codes: 0 when every comparison against the embedded reference tables
 matched; 2 when the run completed but some comparisons mismatched (the
@@ -21,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import os
 import sys
 import time
 from itertools import chain
@@ -43,58 +35,16 @@ GOLDEN_COLUMN = {"delta-star": "dstar", "delta-prime-v1": "v1", "delta-prime-v2"
 
 
 class UsageError(Exception):
-    """Unusable flag value, environment default or tree source."""
-
-
-# the values a TREEBOUND_<FLAG> variable of a switch may take, in any case
-_SWITCH = {"1": True, "true": True, "yes": True, "on": True,
-           "0": False, "false": False, "no": False, "off": False}
-
-
-class _Default(NamedTuple):
-    """Default of a flag that TREEBOUND_<FLAG> may set, else `value`."""
-
-    value: object = None
+    """Unusable flag value or tree source."""
 
 
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as a UsageError (exit 1), not argparse's
     usage block and exit 2, which would read as a reference mismatch.
-    Subparsers inherit the class; --help still exits 0.  Each parser
-    resolves its own _Default defaults after parsing, so only the
-    subcommand that runs reads the environment."""
+    Subparsers inherit the class; --help still exits 0."""
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
-
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
-        for action in self._actions:
-            default = getattr(namespace, action.dest, None)
-            if not isinstance(default, _Default):
-                continue
-            name = "TREEBOUND_" + action.dest.upper()
-            raw = os.environ.get(name)
-            if not raw:  # unset or empty
-                value = default.value
-            elif action.nargs == 0:  # a store_true switch
-                value = _SWITCH.get(raw.lower())
-                if value is None:
-                    raise UsageError(f"{name} must be one of {', '.join(_SWITCH)}, "
-                                     f"got {raw!r}")
-            elif action.type is int:
-                try:
-                    value = int(raw)
-                except ValueError:
-                    raise UsageError(f"{name} must be an integer, got {raw!r}") from None
-            else:
-                value = raw
-            # argparse checks choices only for values given on the command line
-            if action.choices and value not in action.choices:
-                raise UsageError(f"{name} must be one of "
-                                 f"{', '.join(action.choices)}, got {value!r}")
-            setattr(namespace, action.dest, value)
-        return namespace, extras
 
 
 class Comparison(NamedTuple):
@@ -492,18 +442,18 @@ def _add_common(p: argparse.ArgumentParser, *flags: str,
                 outputs: tuple[str, ...] = ("text", "csv", "json")) -> None:
     """--output (one of `outputs`) and --distsum, plus those of
     --strict-pseudocode and --cap that `flags` names."""
-    p.add_argument("--output", choices=outputs, default=_Default("text"))
-    p.add_argument("--distsum", choices=tr.DIST_SUM_MODES, default=_Default("global"))
+    p.add_argument("--output", choices=outputs, default="text")
+    p.add_argument("--distsum", choices=tr.DIST_SUM_MODES, default="global")
     if "strict-pseudocode" in flags:
-        p.add_argument("--strict-pseudocode", action="store_true", default=_Default(False))
+        p.add_argument("--strict-pseudocode", action="store_true")
     if "cap" in flags:
-        p.add_argument("--cap", type=int, default=_Default())
+        p.add_argument("--cap", type=int)
 
 
 def _add_source(p: argparse.ArgumentParser) -> None:
     source = p.add_mutually_exclusive_group()
     source.add_argument("--input", help="tree file (graph6 lines or an edge list)")
-    p.add_argument("--format", choices=("g6", "edges"), default=_Default("g6"))
+    p.add_argument("--format", choices=("g6", "edges"), default="g6")
     source.add_argument("--make",
                         help="construct a named tree: star:N path:N full-binary:D "
                              "spider:M,K matchstick:K")
@@ -518,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="compute bounds for input trees")
     _add_source(p)
-    p.add_argument("--bound", choices=("all",) + BOUND_NAMES, default=_Default("all"))
+    p.add_argument("--bound", choices=("all",) + BOUND_NAMES, default="all")
     p.add_argument("--trace", action="store_true")
     _add_common(p, "strict-pseudocode")
     p.set_defaults(func=cmd_bound)
@@ -526,8 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table1", help="cumulative bounds over all free trees")
     p.add_argument("--n-min", type=int, default=6)
     p.add_argument("--n-max", type=int, default=13)
-    p.add_argument("--bound", choices=("all",) + BOUND_NAMES, default=_Default("all"))
-    p.add_argument("--jobs", type=int, default=_Default(0),
+    p.add_argument("--bound", choices=("all",) + BOUND_NAMES, default="all")
+    p.add_argument("--jobs", type=int, default=0,
                    help="ignored: table1 runs in one process; the flag is kept "
                         "for compatibility")
     _add_common(p, "strict-pseudocode")
@@ -547,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="dump all free trees on n vertices")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("g6", "edges"), default=_Default("g6"))
+    p.add_argument("--format", choices=("g6", "edges"), default="g6")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("oracle", help="exact diameters with depth profiles")

@@ -108,17 +108,6 @@ def _check_cap(n: int, cap: int | None) -> None:
             f"n={n} exceeds the oracle cap {effective}; "
             f"pass a cap up to {MAX_CAP} to override"
         )
-    if n > DEFAULT_CAP:
-        # 4.5 bytes per state: `oracle --make star:11 --cap 11` peaked at 158 MB
-        # RSS (ru_maxrss), 4.1 per state; path:11 at 88 MB.  The uint8 table
-        # plus two adjacent levels as int32 frontiers (the star's two widest
-        # hold 30% and 27% of all states at n = 10).
-        warnings.warn(
-            f"oracle BFS at n={n} touches {factorial(n)} states "
-            f"(~{factorial(n) * 9 // 2 ** 21} MB); expect a long run",
-            ResourceWarning,
-            stacklevel=3,
-        )
 
 
 class _Table(NamedTuple):
@@ -183,9 +172,23 @@ def _frame(n: int, edges: Sequence[tuple[int, int]],
 
 
 def _depth_table(t: tr.Tree, cap: int | None) -> _Table:
-    _check_cap(t.n, cap)
+    """The tree's depth table.  Every public function here calls this
+    directly, so stacklevel=3 points the warning at that function's caller."""
+    n = t.n
+    _check_cap(n, cap)
+    if n > DEFAULT_CAP:
+        # 4.5 bytes per state: `oracle --make star:11 --cap 11` peaked at 158 MB
+        # RSS (ru_maxrss), 4.1 per state; path:11 at 88 MB.  The uint8 table
+        # plus two adjacent levels as int32 frontiers (the star's two widest
+        # hold 30% and 27% of all states at n = 10).
+        warnings.warn(
+            f"oracle BFS at n={n} touches {factorial(n)} states "
+            f"(~{factorial(n) * 9 // 2 ** 21} MB); expect a long run",
+            ResourceWarning,
+            stacklevel=3,
+        )
     key = tuple(sorted((min(e), max(e)) for e in t.label_edges()))
-    return _depth_table_cached(t.n, key)
+    return _depth_table_cached(n, key)
 
 
 def sort_distance(t: tr.Tree, p: Permutation, *, cap: int | None = None) -> int:
@@ -206,13 +209,13 @@ def depth_profile(t: tr.Tree, *, cap: int | None = None) -> list[int]:
 
 def profile_csv(t: tr.Tree, *, cap: int | None = None) -> str:
     lines = ["depth,count"]
-    lines += [f"{d},{c}" for d, c in enumerate(depth_profile(t, cap=cap))]
+    lines += [f"{d},{c}" for d, c in enumerate(_depth_table(t, cap).profile)]
     return "\n".join(lines)
 
 
 def cayley_diameter(t: tr.Tree, *, cap: int | None = None) -> int:
     """Exact diameter of the Cayley graph generated by the tree."""
-    return len(depth_profile(t, cap=cap)) - 1
+    return len(_depth_table(t, cap).profile) - 1
 
 
 def pinned_diameters(sizes) -> dict[bytes, int]:

@@ -1,13 +1,12 @@
-"""Command line behavior: outputs, exit codes, byte stability, env overrides."""
+"""Command line behavior: outputs, exit codes, byte stability."""
 
-import argparse
 import gc
 import json
 import os
 import pathlib
-import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -207,6 +206,15 @@ def test_verify_json(capsys):
     assert sum(doc["slack_histogram"].values()) == 1 + 2 + 3
 
 
+def test_verify_at_n_11_does_not_warn_of_a_bfs(capsys):
+    # every diameter verify needs is pinned, so no BFS runs and none is announced
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, "verify", "--n-min", "11", "--n-max", "11", "--cap", "11")
+    assert code == 0 and err.startswith("exact diameters: 235 pinned\n")
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 def test_oracle_builds_each_swap_table_once():
     # the 23 trees on 3..7 vertices have 116 edges between them, but their
     # swap tables span only 37 distinct (n, i, j)
@@ -259,82 +267,32 @@ def test_oracle_cap_exceeded(capsys):
 
 
 # ---------------------------------------------------------------------------
-# environment overrides
+# environment: the CLI reads no TREEBOUND_<FLAG> variable, so stdout and the
+# exit code depend only on the flags
 
-def test_env_sets_default_bound(capsys, monkeypatch):
-    monkeypatch.setenv("TREEBOUND_BOUND", "delta-star")
-    code, out, _ = run(capsys, "bound", "--make", "star:5")
-    assert code == 0
-    assert out == "tree star:5 n=5 delta-star=6\n"
+OLD_ENV_NAMES = ("BOUND", "CAP", "DISTSUM", "FORMAT", "JOBS", "OUTPUT", "STRICT_PSEUDOCODE")
 
 
-def test_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("TREEBOUND_BOUND", "delta-star")
-    code, out, _ = run(capsys, "bound", "--make", "star:5",
-                       "--bound", "delta-prime-v1")
-    assert out == "tree star:5 n=5 delta-prime-v1=6\n"
-
-
-def test_env_output_json(capsys, monkeypatch):
-    monkeypatch.setenv("TREEBOUND_OUTPUT", "json")
-    _, out, _ = run(capsys, "bound", "--make", "path:3")
-    assert json.loads(out)[0]["n"] == 3
-
-
-def _env_defaults():
-    """(subcommand, action) for every flag whose default TREEBOUND_<FLAG> may set."""
-    ap = cli.build_parser()
-    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
-    return [(cmd, action) for cmd, p in sub.choices.items()
-            for action in p._actions if isinstance(action.default, cli._Default)]
-
-
-ENV_DEFAULTS = _env_defaults()
-ENV_NAMES = {"TREEBOUND_" + action.dest.upper() for _, action in ENV_DEFAULTS}
-
-
-def test_env_defaults_are_the_known_ones():
-    assert ENV_NAMES == {
-        "TREEBOUND_BOUND", "TREEBOUND_CAP", "TREEBOUND_DISTSUM", "TREEBOUND_FORMAT",
-        "TREEBOUND_JOBS", "TREEBOUND_OUTPUT", "TREEBOUND_STRICT_PSEUDOCODE",
-    }
-
-
-@pytest.mark.parametrize("cmd, action", ENV_DEFAULTS,
-                         ids=[f"{cmd}-{action.dest}" for cmd, action in ENV_DEFAULTS])
-def test_env_default_acts_like_its_flag(monkeypatch, cmd, action):
-    for key in list(os.environ):
-        if key.startswith("TREEBOUND_"):
-            monkeypatch.delenv(key)
-    required = ["--n", "3"] if cmd == "enumerate" else []
-
-    def parse(*argv):
-        return vars(cli.build_parser().parse_args([cmd, *required, *argv]))
-
-    flag = action.option_strings[0]
-    # value: a variable that acts like the flag argv; weaker: one the flag beats
-    if action.nargs == 0:  # a switch
-        value, argv, weaker = "yes", [flag], "no"
-    elif action.type is int:
-        value, argv, weaker = "3", [flag, "3"], "5"
-    else:
-        value, argv, weaker = action.choices[-1], [flag, action.choices[-1]], action.choices[0]
-    fallback, flagged = parse(), parse(*argv)
-    assert fallback[action.dest] == action.default.value and fallback != flagged
-
-    name = "TREEBOUND_" + action.dest.upper()
-    monkeypatch.setenv(name, value)
-    assert parse() == flagged
-    monkeypatch.setenv(name, weaker)
-    assert parse(*argv) == flagged != parse()
-    monkeypatch.setenv(name, "")
-    assert parse() == fallback
+@pytest.mark.parametrize("argv", [
+    ("bound", "--make", "matchstick:4", "--trace"),
+    ("table2", "--d-max", "3"),
+    ("verify", "--n-max", "5"),
+    ("oracle", "--make", "star:4"),
+], ids=["bound", "table2", "verify", "oracle"])
+def test_environment_changes_nothing(capsys, monkeypatch, argv):
+    for name in OLD_ENV_NAMES:
+        monkeypatch.delenv("TREEBOUND_" + name, raising=False)
+    want = run(capsys, *argv)[:2]
+    for name in OLD_ENV_NAMES:
+        monkeypatch.setenv("TREEBOUND_" + name, "many")
+    assert run(capsys, *argv)[:2] == want
 
 
 # ---------------------------------------------------------------------------
-# parallel path
+# --jobs is accepted and ignored: table1 runs in one process, and the
+# benchmark still passes the flag
 
-def test_table1_parallel_matches_serial(capsys):
+def test_table1_ignores_jobs(capsys):
     _, serial, _ = run(capsys, "table1", "--n-min", "10", "--n-max", "10",
                        "--jobs", "1")
     _, parallel, _ = run(capsys, "table1", "--n-min", "10", "--n-max", "10",
@@ -368,59 +326,6 @@ def test_tree_file_not_ascii(capsys, tmp_path, cmd, fmt):
 ], ids=["enumerate-20", "enumerate-0", "verify-n-min-0"])
 def test_tree_size_out_of_range(capsys, argv):
     assert_error(capsys, "error: supported range is 1 <= n <= 16", *argv)
-
-
-@pytest.mark.parametrize("name, argv", [
-    ("JOBS", ("table1", "--n-max", "6")),
-    ("CAP", ("oracle", "--make", "star:3")),
-], ids=["JOBS", "CAP"])
-def test_env_non_integer(capsys, monkeypatch, name, argv):
-    monkeypatch.setenv("TREEBOUND_" + name, "many")
-    assert_error(capsys, f"error: TREEBOUND_{name} must be an integer", *argv)
-
-
-@pytest.mark.parametrize("name, argv", [
-    ("JOBS", ("bound", "--make", "star:4")),
-    ("CAP", ("bound", "--make", "star:4")),
-    ("SEED", ("bound", "--make", "matchstick:4", "--trace")),
-], ids=["JOBS", "CAP", "SEED"])
-def test_env_non_integer_ignored_where_unread(capsys, monkeypatch, name, argv):
-    # each variable is read only by the subcommands that have its flag, and
-    # no subcommand has a --seed
-    _, want, _ = run(capsys, *argv)
-    monkeypatch.setenv("TREEBOUND_" + name, "many")
-    code, out, err = run(capsys, *argv)
-    assert code == 0 and out == want and "error" not in err, err
-
-
-@pytest.mark.parametrize("name, value, argv", [
-    ("OUTPUT", "csv", ("verify", "--n-max", "4")),
-    ("DISTSUM", "bogus", ("table1", "--n-max", "6")),
-    ("FORMAT", "xml", ("oracle", "--make", "star:3")),
-    ("BOUND", "nope", ("table1", "--n-max", "6")),
-], ids=["verify-csv", "distsum", "format", "bound"])
-def test_env_default_outside_choices(capsys, monkeypatch, name, value, argv):
-    # argparse checks choices only for values given on the command line
-    monkeypatch.setenv("TREEBOUND_" + name, value)
-    assert_error(capsys, f"error: TREEBOUND_{name} must be one of ", *argv)
-
-
-@pytest.mark.parametrize("value, case2", [
-    *[(v, "post") for v in ("1", "true", "yes", "on", "TRUE", "Yes", "oN")],
-    *[(v, "pre") for v in ("0", "false", "no", "off", "FALSE", "No", "oFf", "")],
-])
-def test_env_switch_values(capsys, monkeypatch, value, case2):
-    monkeypatch.setenv("TREEBOUND_STRICT_PSEUDOCODE", value)
-    _, out, err = run(capsys, "table2", "--d-max", "2")
-    assert out.startswith(f"experiment table2 distsum=global case2={case2}\n")
-    assert "error" not in err
-
-
-@pytest.mark.parametrize("value", ["ture", "2", "y", " on"])
-def test_env_switch_refuses_other_values(capsys, monkeypatch, value):
-    monkeypatch.setenv("TREEBOUND_STRICT_PSEUDOCODE", value)
-    assert_error(capsys, "error: TREEBOUND_STRICT_PSEUDOCODE must be one of 1, true, "
-                 f"yes, on, 0, false, no, off, got {value!r}", "table2", "--d-max", "2")
 
 
 def test_unknown_bound(capsys):
@@ -481,14 +386,6 @@ def test_help_exits_0(capsys):
         cli.main(["enumerate", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: treebound enumerate")
-
-
-def test_docs_name_only_resolved_variables():
-    # a renamed or deleted flag must not leave its variable in the docs
-    readme = pathlib.Path(__file__).parents[1] / "README.md"
-    for doc in (readme.read_text(encoding="utf-8"), cli.__doc__):
-        named = set(re.findall(r"TREEBOUND_[A-Z_]+", doc))
-        assert named and named <= ENV_NAMES, named - ENV_NAMES
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -605,8 +502,7 @@ def test_module_run_matches_main(capsys, argv, code):
     frozen = gc.get_freeze_count()
     want = run(capsys, *argv)
     assert gc.get_freeze_count() == frozen  # main() leaves its caller's heap collectable
-    env = {k: v for k, v in os.environ.items() if not k.startswith("TREEBOUND_")}
-    env["PYTHONPATH"] = str(pathlib.Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-m", "treebound.cli", *argv], env=env,
                           capture_output=True, timeout=120)
     assert (want[0], done.returncode) == (code, code)

@@ -90,9 +90,6 @@ def _write_files(directory: pathlib.Path) -> None:
 
 @pytest.fixture
 def scratch_dir(tmp_path, monkeypatch):
-    for key in list(os.environ):
-        if key.startswith("TREEBOUND_"):
-            monkeypatch.delenv(key)
     _write_files(tmp_path)
     monkeypatch.chdir(tmp_path)
     return tmp_path
@@ -130,9 +127,6 @@ def test_full_stdout(name, golden, scratch_dir, monkeypatch):
 def _record() -> None:
     import tempfile
 
-    for key in list(os.environ):
-        if key.startswith("TREEBOUND_"):
-            del os.environ[key]
     here = os.getcwd()
     doc = {}
     with tempfile.TemporaryDirectory() as tmp:

@@ -201,9 +201,17 @@ def test_too_large():
         orc.cayley_diameter(tr.make_path(11))  # default cap is 10
 
 
-def test_big_n_warns():
-    with pytest.warns(ResourceWarning):
-        orc._check_cap(11, 11)
+def test_big_n_warns(monkeypatch):
+    # the warning comes with the BFS, not with the cap check, and points at
+    # the caller of the public function; the stub stands in for the 4 s BFS
+    monkeypatch.setattr(orc, "_depth_table_cached",
+                        lambda n, edges: orc._Table([0], (1,), tuple(range(n))))
+    t = tr.make_path(11)
+    for call in (orc.cayley_diameter, orc.depth_profile, orc.profile_csv,
+                 lambda t, cap: orc.sort_distance(t, orc.identity(11), cap=cap)):
+        with pytest.warns(ResourceWarning, match="n=11 touches 39916800 states") as caught:
+            call(t, cap=11)
+        assert caught[0].filename == __file__
 
 
 def _profile_peak(t) -> int:
