@@ -1,9 +1,11 @@
 """Command line behavior: outputs, exit codes, byte stability."""
 
+import argparse
 import gc
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -286,6 +288,100 @@ def test_environment_changes_nothing(capsys, monkeypatch, argv):
     for name in OLD_ENV_NAMES:
         monkeypatch.setenv("TREEBOUND_" + name, "many")
     assert run(capsys, *argv)[:2] == want
+
+
+def assert_env_ignored(capsys, monkeypatch, name, value, *argv):
+    """TREEBOUND_<name>=value leaves stdout and the exit code as without it."""
+    monkeypatch.delenv("TREEBOUND_" + name, raising=False)
+    want = run(capsys, *argv)[:2]
+    monkeypatch.setenv("TREEBOUND_" + name, value)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == want and "error" not in err, err
+
+
+def test_env_output_json(capsys, monkeypatch):
+    monkeypatch.setenv("TREEBOUND_OUTPUT", "json")
+    _, out, _ = run(capsys, "bound", "--make", "path:3")
+    assert out == "tree path:3 n=3 delta-star=3 delta-prime-v1=3 delta-prime-v2=3\n"
+
+
+def test_flag_beats_env(capsys, monkeypatch):
+    monkeypatch.setenv("TREEBOUND_BOUND", "delta-star")
+    code, out, _ = run(capsys, "bound", "--make", "star:5",
+                       "--bound", "delta-prime-v1")
+    assert out == "tree star:5 n=5 delta-prime-v1=6\n"
+
+
+def _env_defaults():
+    """(subcommand, action) for every flag that has one of the OLD_ENV_NAMES."""
+    ap = cli.build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return [(cmd, action) for cmd, p in sub.choices.items()
+            for action in p._actions if action.dest.upper() in OLD_ENV_NAMES]
+
+
+ENV_DEFAULTS = _env_defaults()
+
+
+@pytest.mark.parametrize("cmd, action", ENV_DEFAULTS,
+                         ids=[f"{cmd}-{action.dest}" for cmd, action in ENV_DEFAULTS])
+def test_env_default_acts_like_its_flag(monkeypatch, cmd, action):
+    # each flag that TREEBOUND_<FLAG> once defaulted keeps its default and its
+    # effect, and setting the variable to the flag's value no longer acts like it
+    for name in OLD_ENV_NAMES:
+        monkeypatch.delenv("TREEBOUND_" + name, raising=False)
+    required = ["--n", "3"] if cmd == "enumerate" else []
+
+    def parse(*argv):
+        return vars(cli.build_parser().parse_args([cmd, *required, *argv]))
+
+    flag = action.option_strings[0]
+    if action.nargs == 0:  # a switch
+        value, argv = "yes", [flag]
+    elif action.type is int:
+        value, argv = "3", [flag, "3"]
+    else:
+        value, argv = action.choices[-1], [flag, action.choices[-1]]
+    fallback, flagged = parse(), parse(*argv)
+    assert fallback[action.dest] == action.default and fallback != flagged
+
+    monkeypatch.setenv("TREEBOUND_" + action.dest.upper(), value)
+    assert parse() == fallback and parse(*argv) == flagged
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("JOBS", ("table1", "--n-max", "6")),
+    ("CAP", ("oracle", "--make", "star:3")),
+], ids=["JOBS", "CAP"])
+def test_env_non_integer(capsys, monkeypatch, name, argv):
+    assert_env_ignored(capsys, monkeypatch, name, "many", *argv)
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("JOBS", ("bound", "--make", "star:4")),
+    ("CAP", ("bound", "--make", "star:4")),
+    ("SEED", ("bound", "--make", "matchstick:4", "--trace")),
+], ids=["JOBS", "CAP", "SEED"])
+def test_env_non_integer_ignored_where_unread(capsys, monkeypatch, name, argv):
+    assert_env_ignored(capsys, monkeypatch, name, "many", *argv)
+
+
+@pytest.mark.parametrize("name, value, argv", [
+    ("OUTPUT", "csv", ("verify", "--n-max", "4")),
+    ("DISTSUM", "bogus", ("table1", "--n-max", "6")),
+    ("FORMAT", "xml", ("oracle", "--make", "star:3")),
+    ("BOUND", "nope", ("table1", "--n-max", "6")),
+], ids=["verify-csv", "distsum", "format", "bound"])
+def test_env_default_outside_choices(capsys, monkeypatch, name, value, argv):
+    assert_env_ignored(capsys, monkeypatch, name, value, *argv)
+
+
+def test_docs_name_only_resolved_variables():
+    # the CLI resolves no TREEBOUND_<FLAG> variable, so the docs name none
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    for doc in (readme.read_text(encoding="utf-8"), cli.__doc__):
+        named = set(re.findall(r"TREEBOUND_[A-Z_]+", doc))
+        assert not named, named
 
 
 # ---------------------------------------------------------------------------
