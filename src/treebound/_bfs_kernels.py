@@ -38,7 +38,7 @@ from math import factorial
 import numpy as np
 
 UNSEEN = 255
-# perfbench records this; it goes with the benchmark-upkeep change (ROADMAP item 6)
+# perfbench records this; it goes with the benchmark-upkeep change (ROADMAP item 7)
 HAS_NUMBA = False
 CHUNK = 1 << 15  # frontier states expanded at once
 SCAN = 1 << 18  # depth-table entries scanned at once for the next frontier

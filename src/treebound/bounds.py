@@ -152,13 +152,14 @@ def star_bound(n: int) -> HalfMoves:
     return HalfMoves.from_moves(3 * (n - 1) // 2)
 
 
-def _pick_largest_cluster(walk: tr.Walk, dist_sum_mode) -> list[int]:
+def _pick_largest_cluster(walk: tr.Walk, dist_sum_mode) -> tuple[list[int], bytes | None]:
     """C* among the clusters of S (walk.groups), as a member list: the first
     cluster in tr.clusters' order (size desc, distSum asc, canonical code of
     the tree C* would leave behind, least label).  Keys are lazy: distSum is
     summed only for the clusters tied with the leader on size, and the
     leftover's code (walk.left_code) read only for those tied on (size,
-    distSum), since no other cluster can reach the front.
+    distSum), since no other cluster can reach the front.  Returned with
+    C*'s leftover code when a tie was ranked by it, else None.
 
     The granularity matters: clusters tied through the canonical code leave
     isomorphic trees behind, so the least label, which picks among them,
@@ -172,9 +173,11 @@ def _pick_largest_cluster(walk: tr.Walk, dist_sum_mode) -> list[int]:
         sums = [walk.dist_sum(m, dist_sum_mode) for m in lead]
         lead = [m for m, ds in zip(lead, sums) if ds == min(sums)]
     if len(lead) == 1:
-        return lead[0]
+        return lead[0], None
     labels = walk.tree.labels
-    return min(lead, key=lambda m: (walk.left_code(m), min(labels[v] for v in m)))
+    # clusters are disjoint, so the least labels differ and m is never compared
+    code, _, c_star = min((walk.left_code(m), min(labels[v] for v in m), m) for m in lead)
+    return c_star, code
 
 
 def delta_star(
@@ -242,10 +245,11 @@ class _Step:
 
     def __init__(self, walk: tr.Walk, dist_sum_mode: str):
         self.walk = walk
-        self.c_star = _pick_largest_cluster(walk, dist_sum_mode)
+        self.c_star, code = _pick_largest_cluster(walk, dist_sum_mode)
         self.c_rest = [v for v in walk.s if v not in self.c_star]
-        # leftover code per deleted set (True: all of S), each read once
-        self._codes = {}
+        # leftover code per deleted set (True: all of S), each read once;
+        # ranking a tie already read the one of S - C*
+        self._codes = {} if code is None else {False: code}
 
     def charge(self, variant: str | None, strict_pseudocode: bool) -> tuple[str, int]:
         """(case, cost in half-move units) of this step under one bound:
@@ -393,50 +397,12 @@ def _full_s_fires(variant: str, s_size: int, rest_size: int) -> bool:
 # ---------------------------------------------------------------------------
 # Closed-form Cayley diameters for the named tree classes.
 
-class TreeClassSpec(NamedTuple):
-    """A named tree class with parameters: Star(n), Path(n), FullBinary(d),
-    Spider(m, k), Matchstick(k)."""
-
-    kind: str
-    params: tuple[int, ...]
-
-    @classmethod
-    def star(cls, n: int) -> "TreeClassSpec":
-        return cls("Star", (n,))
-
-    @classmethod
-    def path(cls, n: int) -> "TreeClassSpec":
-        return cls("Path", (n,))
-
-    @classmethod
-    def full_binary(cls, d: int) -> "TreeClassSpec":
-        return cls("FullBinary", (d,))
-
-    @classmethod
-    def spider(cls, m: int, k: int) -> "TreeClassSpec":
-        return cls("Spider", (m, k))
-
-    @classmethod
-    def matchstick(cls, k: int) -> "TreeClassSpec":
-        return cls("Matchstick", (k,))
-
-    def build(self) -> tr.Tree:
-        k = self.kind
-        if k == "Star":
-            return tr.make_star(*self.params)
-        if k == "Path":
-            return tr.make_path(*self.params)
-        if k == "FullBinary":
-            return tr.make_full_binary(*self.params)
-        if k == "Spider":
-            return tr.make_spider(*self.params)
-        if k == "Matchstick":
-            return tr.make_matchstick(*self.params)
-        raise UnsupportedClassError(f"unknown tree class {k!r}")
-
-
-def closed_form_diameter(spec: TreeClassSpec) -> int:
+def closed_form_diameter(kind: str, *params: int) -> int:
     """Exact Cayley-graph diameter where a trustworthy closed form exists.
+
+    kind and params name the tree as --make does, and as the tree.make_*
+    constructors take it: "star" n, "path" n, "full-binary" d, "spider"
+    m, k and "matchstick" k.
 
     Star n: floor(3(n-1)/2).  Path n: n choose 2.  Spiders and matchsticks
     carry recorded formulas, mk(2k+1)/2 and k^2+k-1, but exhaustive search
@@ -453,31 +419,30 @@ def closed_form_diameter(spec: TreeClassSpec) -> int:
     29).  The refuted formula values are not diameters but match this
     package's peel bound on those trees.
     """
-    kind, params = spec.kind, spec.params
-    if kind == "Star":
+    if kind == "star":
         (n,) = params
         if n < 1:
             raise ValueError("star needs n >= 1")
         return 3 * (n - 1) // 2
-    if kind == "Path":
+    if kind == "path":
         (n,) = params
         if n < 1:
             raise ValueError("path needs n >= 1")
         return n * (n - 1) // 2
-    if kind == "Spider":
+    if kind == "spider":
         m, k = params
         if m < 1 or k < 1:
             raise ValueError("spider needs m, k >= 1")
         if m <= 2:
-            return closed_form_diameter(TreeClassSpec.path(m * k + 1))
+            return closed_form_diameter("path", m * k + 1)
         if k == 1:
-            return closed_form_diameter(TreeClassSpec.star(m + 1))
+            return closed_form_diameter("star", m + 1)
         raise UnsupportedClassError(
             f"no verified closed form for a {m}-spoke spider with legs of {k}: "
             "exhaustive search refutes the recorded mk(2k+1)/2 (e.g. 14 vs 15 "
             "at m=3,k=2 and 18 vs 20 at m=4,k=2)"
         )
-    if kind == "Matchstick":
+    if kind == "matchstick":
         (k,) = params
         if k <= 2:
             raise UnsupportedClassError("matchstick closed form needs k > 2")
@@ -488,7 +453,7 @@ def closed_form_diameter(spec: TreeClassSpec) -> int:
             "exhaustive search refutes the recorded k^2+k-1 (18 vs 19 at k=4, "
             "26 vs 29 at k=5)"
         )
-    if kind == "FullBinary":
+    if kind == "full-binary":
         raise UnsupportedClassError("full binary trees have no closed form")
     raise UnsupportedClassError(f"unknown tree class {kind!r}")
 

@@ -155,33 +155,35 @@ def _json(doc) -> str:
 # ---------------------------------------------------------------------------
 # tree sources
 
-def _parse_make(spec: str) -> tuple[str, bd.TreeClassSpec]:
+# --make kind: (constructor, parameter count)
+_MAKE = {
+    "star": (tr.make_star, 1),
+    "path": (tr.make_path, 1),
+    "full-binary": (tr.make_full_binary, 1),
+    "spider": (tr.make_spider, 2),
+    "matchstick": (tr.make_matchstick, 1),
+}
+
+
+def _parse_make(spec: str) -> tr.Tree:
     kind, _, rest = spec.partition(":")
     try:
         params = tuple(int(x) for x in rest.split(",")) if rest else ()
-        table = {
-            "star": (bd.TreeClassSpec.star, 1),
-            "path": (bd.TreeClassSpec.path, 1),
-            "full-binary": (bd.TreeClassSpec.full_binary, 1),
-            "spider": (bd.TreeClassSpec.spider, 2),
-            "matchstick": (bd.TreeClassSpec.matchstick, 1),
-        }
-        ctor, arity = table[kind]
+        make, arity = _MAKE[kind]
         if len(params) != arity:
             raise ValueError
-        return spec, ctor(*params)
     except (KeyError, ValueError):
         raise UsageError(
             f"bad --make spec {spec!r}; expected star:N, path:N, full-binary:D, "
             "spider:M,K or matchstick:K"
         ) from None
+    return make(*params)
 
 
 def _load_trees(args) -> list[tuple[str, tr.Tree]]:
     """(identifier, tree) pairs from --make or --input per --format."""
     if args.make:
-        name, spec = _parse_make(args.make)
-        return [(name, spec.build())]
+        return [(args.make, _parse_make(args.make))]
     if not args.input:
         raise UsageError("no tree source: pass --make or --input")
     try:
@@ -513,8 +515,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (UsageError, tr.TreeError, en.MalformedGraph6Error, en.TreeSizeError,
-            orc.TooLargeError, orc.NotGeneratingError, bd.UnsupportedClassError,
-            OSError) as exc:
+            orc.TooLargeError, orc.NotGeneratingError, OSError) as exc:
         _note(f"error: {exc}")
         return EXIT_HARD
 

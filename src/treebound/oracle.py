@@ -234,6 +234,6 @@ def pinned_diameters(sizes) -> dict[bytes, int]:
     return out
 
 
-# perfbench records this; it goes with the benchmark-upkeep change (ROADMAP item 6)
+# perfbench records this; it goes with the benchmark-upkeep change (ROADMAP item 7)
 def backend_name() -> str:
     return "numpy"

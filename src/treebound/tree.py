@@ -191,10 +191,12 @@ class Walk:
         self.code = ahu[centers[0]] if len(centers) == 1 else _pair(*(ahu[c] for c in centers))
 
     def dist_sum(self, members, mode: str = "global") -> int:
-        """distSum of the vertex set members (see dist_sum), one pass up the
-        walk: the edge above a vertex with s vertices and k of the m members
-        below it lies on k(n - s) + (m - k)s member-to-vertex paths and on
-        k(m - k) member-to-member ones."""
+        """distSum of the vertex set members, the tie-breaking key for
+        clusters.  "global": total distance from the members to every
+        vertex; "pairwise": total distance over unordered member pairs only.
+        One pass up the walk: the edge above a vertex with s vertices and k
+        of the m members below it lies on k(n - s) + (m - k)s
+        member-to-vertex paths and on k(m - k) member-to-member ones."""
         if mode not in DIST_SUM_MODES:
             raise ValueError(f"unknown dist_sum mode {mode!r}")
         pairwise = mode == "pairwise"
@@ -260,23 +262,6 @@ def eccentricities(t: Tree) -> list[int]:
     return [d + (w.diam + 1) // 2 for d in w.depth]
 
 
-def diameter(t: Tree) -> int:
-    return Walk(t).diam
-
-
-class CenterInfo(NamedTuple):
-    kind: str  # "centered" | "bicentered"
-    centers: tuple[int, ...]  # internal indices; one vertex or two adjacent
-    radius: int
-
-
-def center(t: Tree) -> CenterInfo:
-    """Center vertex (even diameter) or central edge (odd diameter)."""
-    w = Walk(t)
-    kind = "centered" if len(w.centers) == 1 else "bicentered"
-    return CenterInfo(kind=kind, centers=tuple(w.centers), radius=(w.diam + 1) // 2)
-
-
 def peripheral_set(t: Tree) -> list[int]:
     """Vertices of maximum eccentricity, ascending by internal index."""
     if t.n < 2:
@@ -297,16 +282,8 @@ class Cluster(NamedTuple):
         return (-self.size, self.dist_sum, self.canon_key, self.min_label)
 
 
+# the cluster tie-break keys Walk.dist_sum takes
 DIST_SUM_MODES = ("global", "pairwise")
-
-
-def dist_sum(t: Tree, members, mode: str = "global") -> int:
-    """Tie-breaking key for clusters.
-
-    "global": total distance from the members to every tree vertex.
-    "pairwise": total distance over unordered member pairs only.
-    """
-    return Walk(t).dist_sum(members, mode)
 
 
 def clusters(t: Tree, s, dist_sum_mode: str = "global") -> list[Cluster]:

@@ -193,9 +193,28 @@ def test_c_star_is_the_first_cluster(all_trees):
                 continue
             for mode in tr.DIST_SUM_MODES:
                 ranked = tr.clusters(t, walk.s, mode)
-                assert frozenset(bd._pick_largest_cluster(walk, mode)) == ranked[0].members
+                c_star, code = bd._pick_largest_cluster(walk, mode)
+                assert frozenset(c_star) == ranked[0].members
+                assert code in (None, ranked[0].canon_key)
                 cases += 1
     assert cases == 1950
+
+
+def test_sweep_codes_each_leftover_once(monkeypatch, all_trees):
+    # ranking a (size, distSum) tie reads each tied cluster's leftover code;
+    # the step then looks the winner's up in the memo without reading it again
+    calls, walks = [], []
+    real = tr.Walk.left_code
+
+    def left_code(walk, kept=()):
+        walks.append(walk)  # kept alive, so no id is reused
+        calls.append((id(walk), tuple(kept)))
+        return real(walk, kept)
+
+    monkeypatch.setattr(tr.Walk, "left_code", left_code)
+    for _ in bd.peel_sweep(t for n in range(6, 13) for t in all_trees(n)):
+        pass
+    assert len(set(calls)) == len(calls) == 1188
 
 
 PEEL_RUNS = [
@@ -214,8 +233,8 @@ def test_peel_derives_each_step_from_one_pass(monkeypatch, all_trees):
     def forbidden(*args, **kwargs):
         raise AssertionError("the peel loop recomputes what the walk gave it")
 
-    for name in ("diameter", "peripheral_set", "center", "clusters", "is_star",
-                 "canonical_code", "eccentricities", "dist_sum", "_cluster_groups"):
+    for name in ("peripheral_set", "clusters", "is_star", "canonical_code",
+                 "eccentricities", "_cluster_groups"):
         monkeypatch.setattr(tr, name, forbidden)
     walks, rows, builds = [], [], []
     real_walk, real_bfs, real_delete = tr.Walk, tr.bfs_distances, tr.delete_vertices
@@ -290,42 +309,35 @@ def test_distsum_modes_diverge():
 
 
 # ---------------------------------------------------------------------------
-# tree class specs and closed forms
-
-def test_spec_build_matches_constructors():
-    assert (
-        tr.canonical_code(bd.TreeClassSpec.spider(3, 2).build())
-        == tr.canonical_code(tr.make_spider(3, 2))
-    )
-    assert bd.TreeClassSpec.full_binary(2).build().n == 7
-
+# closed forms
 
 def test_closed_form_star_and_path():
-    assert bd.closed_form_diameter(bd.TreeClassSpec.star(7)) == 9
-    assert bd.closed_form_diameter(bd.TreeClassSpec.path(6)) == 15
-    assert bd.closed_form_diameter(bd.TreeClassSpec.path(1)) == 0
+    assert bd.closed_form_diameter("star", 7) == 9
+    assert bd.closed_form_diameter("path", 6) == 15
+    assert bd.closed_form_diameter("path", 1) == 0
 
 
 def test_closed_form_degenerate_spiders():
-    assert bd.closed_form_diameter(bd.TreeClassSpec.spider(1, 5)) == 15
-    assert bd.closed_form_diameter(bd.TreeClassSpec.spider(2, 3)) == 21
-    assert bd.closed_form_diameter(bd.TreeClassSpec.spider(5, 1)) == 7
+    assert bd.closed_form_diameter("spider", 1, 5) == 15
+    assert bd.closed_form_diameter("spider", 2, 3) == 21
+    assert bd.closed_form_diameter("spider", 5, 1) == 7
 
 
 def test_closed_form_matchstick_three():
-    assert bd.closed_form_diameter(bd.TreeClassSpec.matchstick(3)) == 11
+    assert bd.closed_form_diameter("matchstick", 3) == 11
 
 
 def test_closed_form_refuses_unverified():
-    for spec in (
-        bd.TreeClassSpec.spider(3, 2),
-        bd.TreeClassSpec.spider(4, 2),
-        bd.TreeClassSpec.matchstick(4),
-        bd.TreeClassSpec.matchstick(2),
-        bd.TreeClassSpec.full_binary(3),
+    for kind, *params in (
+        ("spider", 3, 2),
+        ("spider", 4, 2),
+        ("matchstick", 4),
+        ("matchstick", 2),
+        ("full-binary", 3),
+        ("pentagon", 5),
     ):
         with pytest.raises(bd.UnsupportedClassError):
-            bd.closed_form_diameter(spec)
+            bd.closed_form_diameter(kind, *params)
 
 
 def test_peel_reproduces_recorded_formulas():

@@ -94,6 +94,19 @@ def test_bound_bad_make_spec(capsys):
         assert_error(capsys, "error: bad --make spec", "bound", "--make", spec)
 
 
+@pytest.mark.parametrize("spec, line", [
+    ("star:0", "star needs at least 1 vertex"),
+    ("path:0", "path needs at least 1 vertex"),
+    ("full-binary:-1", "depth must be non-negative"),
+    ("spider:0,2", "spider needs m >= 1 legs of k >= 1 edges"),
+    ("matchstick:0", "matchstick needs k >= 1"),
+    ("star:abc", "bad --make spec 'star:abc'; expected star:N, path:N, full-binary:D, "
+                 "spider:M,K or matchstick:K"),
+])
+def test_bad_make_value_message(capsys, spec, line):
+    assert run(capsys, "bound", "--make", spec) == (1, "", f"error: {line}\n")
+
+
 def test_bound_missing_file(capsys):
     code, _, err = run(capsys, "bound", "--input", "/no/such/file.g6")
     assert code == 1 and "error:" in err
@@ -384,6 +397,13 @@ def test_docs_name_only_resolved_variables():
         assert not named, named
 
 
+def test_readme_library_use_runs(capsys):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(block, {})
+    assert capsys.readouterr().out.startswith("55\n")
+
+
 # ---------------------------------------------------------------------------
 # --jobs is accepted and ignored: table1 runs in one process, and the
 # benchmark still passes the flag
@@ -500,6 +520,13 @@ def _run_python(code):
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
     return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_package_import_loads_no_submodule():
+    # each public name has one home, its module: the package re-exports none
+    done = _run_python("import sys, treebound\n"
+                       "print([m for m in sys.modules if m.startswith('treebound.')])\n")
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 def test_runtime_needs_neither_networkx_nor_numba():

@@ -103,12 +103,8 @@ def test_exact_diameters_of_named_trees():
 
 def test_oracle_agrees_with_closed_forms():
     for n in range(2, 8):
-        assert orc.cayley_diameter(tr.make_star(n)) == bd.closed_form_diameter(
-            bd.TreeClassSpec.star(n)
-        )
-        assert orc.cayley_diameter(tr.make_path(n)) == bd.closed_form_diameter(
-            bd.TreeClassSpec.path(n)
-        )
+        assert orc.cayley_diameter(tr.make_star(n)) == bd.closed_form_diameter("star", n)
+        assert orc.cayley_diameter(tr.make_path(n)) == bd.closed_form_diameter("path", n)
 
 
 def test_recorded_formulas_refuted_by_search():

@@ -80,12 +80,12 @@ def test_eccentricities_path_five():
 
 
 def test_diameter_named_classes():
-    assert tr.diameter(tr.make_star(7)) == 2
-    assert tr.diameter(tr.make_path(9)) == 8
-    assert tr.diameter(tr.make_full_binary(3)) == 6
-    assert tr.diameter(tr.make_matchstick(4)) == 5
-    assert tr.diameter(tr.make_spider(3, 4)) == 8
-    assert tr.diameter(tr.build_tree(1, [])) == 0
+    assert tr.Walk(tr.make_star(7)).diam == 2
+    assert tr.Walk(tr.make_path(9)).diam == 8
+    assert tr.Walk(tr.make_full_binary(3)).diam == 6
+    assert tr.Walk(tr.make_matchstick(4)).diam == 5
+    assert tr.Walk(tr.make_spider(3, 4)).diam == 8
+    assert tr.Walk(tr.build_tree(1, [])).diam == 0
 
 
 def test_eccentricities_match_networkx(random_tree):
@@ -98,15 +98,16 @@ def test_eccentricities_match_networkx(random_tree):
 
 
 def test_center_path_five_and_four():
-    c5 = tr.center(tr.make_path(5))
-    assert (c5.kind, c5.centers, c5.radius) == ("centered", (2,), 2)
-    c4 = tr.center(tr.make_path(4))
-    assert (c4.kind, c4.centers, c4.radius) == ("bicentered", (1, 2), 2)
+    # a center vertex for an even diameter, a central edge for an odd one
+    w5 = tr.Walk(tr.make_path(5))
+    assert (w5.centers, w5.diam) == ([2], 4)
+    w4 = tr.Walk(tr.make_path(4))
+    assert (w4.centers, w4.diam) == ([1, 2], 3)
 
 
 def test_center_matchstick_two():
-    c = tr.center(tr.make_matchstick(2))
-    assert c.kind == "bicentered" and c.centers == (0, 1) and c.radius == 2
+    w = tr.Walk(tr.make_matchstick(2))
+    assert (w.centers, w.diam) == ([0, 1], 3)
 
 
 def test_peripheral_set_examples():
@@ -138,7 +139,7 @@ def _check_walk(t: tr.Tree) -> None:
     for kept in w.groups + ([[]] if t.n > 2 else []):
         left = tr.delete_vertices(t, [v for v in s if v not in kept])
         assert w.left_code(kept) == tr.canonical_code(left), (t, kept)
-        assert tr.diameter(left) == w.diam - (1 if kept else 2)
+        assert tr.Walk(left).diam == w.diam - (1 if kept else 2)
 
 
 def test_walk_matches_references(all_trees):
@@ -157,20 +158,20 @@ def test_walk_matches_references_on_random_labellings(n, seed):
 # dist_sum and clusters
 
 def test_dist_sum_modes():
-    t = tr.make_path(4)
+    w = tr.Walk(tr.make_path(4))
     ends = [0, 3]
-    assert tr.dist_sum(t, ends, "global") == 12
-    assert tr.dist_sum(t, ends, "pairwise") == 3
+    assert w.dist_sum(ends, "global") == 12
+    assert w.dist_sum(ends, "pairwise") == 3
     with pytest.raises(ValueError):
-        tr.dist_sum(t, ends, "median")
+        w.dist_sum(ends, "median")
 
 
 def test_cluster_keys_follow_dist_sum(all_trees):
     for t in all_trees(9):
-        s = tr.peripheral_set(t)
+        s, w = tr.peripheral_set(t), tr.Walk(t)
         for mode in tr.DIST_SUM_MODES:
             for c in tr.clusters(t, s, dist_sum_mode=mode):
-                assert c.dist_sum == tr.dist_sum(t, c.members, mode)
+                assert c.dist_sum == w.dist_sum(c.members, mode)
         with pytest.raises(ValueError):
             tr.clusters(t, s, dist_sum_mode="median")
 
@@ -235,7 +236,7 @@ def test_delete_peripheral_set_shrinks_diameter(all_trees):
             s = tr.peripheral_set(t)
             t2 = tr.delete_vertices(t, s)
             assert t2.n == t.n - len(s)
-            assert tr.diameter(t2) < tr.diameter(t)
+            assert tr.Walk(t2).diam < tr.Walk(t).diam
             assert set(t2.labels) < set(t.labels)
 
 
