@@ -16,10 +16,6 @@ from typing import NamedTuple
 from . import tree as tr
 
 
-class UnsupportedClassError(ValueError):
-    """No closed-form diameter is known for the requested tree class."""
-
-
 class _HalfMovesFields(NamedTuple):
     units: int
 
@@ -77,6 +73,10 @@ STAR = "Star"
 CASE1 = "Case1"
 CASE2 = "Case2"
 FULL_S = "FullSDeletion"
+
+# Every bound, in report order: its CLI name -> the step rule it peels with
+# (_Step.charge).  The rule name is also its column in golden's tables.
+BOUNDS = {"delta-star": "dstar", "delta-prime-v1": "v1", "delta-prime-v2": "v2"}
 
 
 class IterationRecord(NamedTuple):
@@ -201,12 +201,7 @@ def delta_star(
     strict_pseudocode=True the pairing term uses the post-deletion diameter
     instead.
     """
-    return _peel(
-        t,
-        variant=None,
-        dist_sum_mode=dist_sum_mode,
-        strict_pseudocode=strict_pseudocode,
-    )
+    return _peel(t, "dstar", dist_sum_mode=dist_sum_mode, strict_pseudocode=strict_pseudocode)
 
 
 def delta_prime(
@@ -225,12 +220,7 @@ def delta_prime(
     """
     if variant not in ("v1", "v2"):
         raise ValueError(f"variant must be 'v1' or 'v2', got {variant!r}")
-    return _peel(
-        t,
-        variant=variant,
-        dist_sum_mode=dist_sum_mode,
-        strict_pseudocode=False,
-    )
+    return _peel(t, variant, dist_sum_mode=dist_sum_mode, strict_pseudocode=False)
 
 
 class _Step:
@@ -251,14 +241,15 @@ class _Step:
         # ranking a tie already read the one of S - C*
         self._codes = {} if code is None else {False: code}
 
-    def charge(self, variant: str | None, strict_pseudocode: bool) -> tuple[str, int]:
-        """(case, cost in half-move units) of this step under one bound:
-        variant None for delta-star, "v1" or "v2" for the baselines, which
-        ignore strict_pseudocode."""
+    def charge(self, rule: str, strict_pseudocode: bool) -> tuple[str, int]:
+        """(case, cost in half-move units) of this step under the step rule
+        of one bound (a BOUNDS value); the baselines' rules ignore
+        strict_pseudocode."""
         s, diam = self.walk.s, self.walk.diam
         x = len(self.c_rest)
-        if variant is not None:
-            if _full_s_fires(variant, len(s), x):
+        if rule != "dstar":
+            # |S - C*| > (2/3)|S|  (v1)  /  >= (v2), kept in integers.
+            if 3 * x + (rule == "v2") > 2 * len(s):
                 return FULL_S, len(s) * (2 * diam - 1) - (len(s) % 2)
             # Baselines never pair up partial deletions: flat diameter each.
             return CASE1, 2 * x * diam
@@ -284,8 +275,9 @@ class _Step:
         return tr.Walk(tr.delete_vertices(self.walk.tree, self.deleted(case)))
 
 
-def _peel(t, *, variant, dist_sum_mode, strict_pseudocode):
-    """Peel t down to a star, one step per iteration record.
+def _peel(t, rule, *, dist_sum_mode, strict_pseudocode):
+    """Peel t down to a star under the step rule `rule` (a BOUNDS value),
+    one step per iteration record.
 
     Each step walks its tree from the center once (tr.Walk) and derives the
     rest from that walk: the diameter, whether the tree is a star (diameter
@@ -324,7 +316,7 @@ def _peel(t, *, variant, dist_sum_mode, strict_pseudocode):
             raise AssertionError("peeling failed to terminate")
 
         step = _Step(walk, dist_sum_mode)
-        case, units = step.charge(variant, strict_pseudocode)
+        case, units = step.charge(rule, strict_pseudocode)
         records.append(
             IterationRecord(
                 tree_code=walk.code,
@@ -345,13 +337,14 @@ def _peel(t, *, variant, dist_sum_mode, strict_pseudocode):
 
 def peel_sweep(
     trees, *, dist_sum_mode: str = "global", strict_pseudocode: bool = False
-) -> Iterator[tuple[tr.Tree, tuple[HalfMoves, HalfMoves, HalfMoves]]]:
-    """(tree, (delta_star, v1, v2)) for each tree of the iterable trees,
-    yielded in order as it is valued, with the values delta_star(t,
-    dist_sum_mode=..., strict_pseudocode=...) and delta_prime(t, "v1" /
-    "v2", dist_sum_mode=...) would return, without traces.  This is the
-    batch valuation path: table1, table2 and verify take their values from
-    it, and the per-tree engine (_peel) runs only where a trace is wanted.
+) -> Iterator[tuple[tr.Tree, tuple[HalfMoves, ...]]]:
+    """(tree, values) for each tree of the iterable trees, yielded in order
+    as it is valued: one value per bound, in BOUNDS order, each the value
+    delta_star(t, dist_sum_mode=..., strict_pseudocode=...) or
+    delta_prime(t, variant, dist_sum_mode=...) would return, without
+    traces.  This is the batch valuation path: table1, table2 and verify
+    take their values from it, and the per-tree engine (_peel) runs only
+    where a trace is wanted.
 
     Dynamic programming over isomorphism classes.  A bound's value depends
     only on the isomorphism class of its tree: what a step charges (the
@@ -359,25 +352,25 @@ def peel_sweep(
     chosen by an invariant key whose full ties leave isomorphic trees.  So
     value(T) = cost of T's first step + value(leftover), remembered under
     the canonical code.  Per tree that is one walk from the center, one step
-    shared by the three bounds, and per distinct deleted set the leftover's
+    shared by every bound, and per distinct deleted set the leftover's
     code, read off the same walk (Walk.left_code).  Only a leftover not
     valued yet is built, walked and valued; given every tree of each size
     in ascending order, that happens only below the smallest size.
     """
     if dist_sum_mode not in tr.DIST_SUM_MODES:
         raise ValueError(f"unknown dist_sum mode {dist_sum_mode!r}")
-    memo: dict[bytes, tuple[int, int, int]] = {}
+    memo: dict[bytes, tuple[int, ...]] = {}
 
-    def units(walk: tr.Walk) -> tuple[int, int, int]:
+    def units(walk: tr.Walk) -> tuple[int, ...]:
         got = memo.get(walk.code)
         if got is None:
             if walk.diam <= 2:  # n <= 2 or K_{1,n-1}
-                got = (star_bound(walk.tree.n).units,) * 3
+                got = (star_bound(walk.tree.n).units,) * len(BOUNDS)
             else:
                 step = _Step(walk, dist_sum_mode)
                 got = []
-                for i, variant in enumerate((None, "v1", "v2")):
-                    case, cost = step.charge(variant, strict_pseudocode)
+                for i, rule in enumerate(BOUNDS.values()):
+                    case, cost = step.charge(rule, strict_pseudocode)
                     left = memo.get(step.left_code(case)) or units(step.left(case))
                     got.append(cost + left[i])
                 got = tuple(got)
@@ -385,77 +378,6 @@ def peel_sweep(
         return got
 
     return ((t, tuple(map(HalfMoves, units(tr.Walk(t))))) for t in trees)
-
-
-def _full_s_fires(variant: str, s_size: int, rest_size: int) -> bool:
-    # |S - C*| > (2/3)|S|  (v1)  /  >= (v2), kept in integers.
-    if variant == "v1":
-        return 3 * rest_size > 2 * s_size
-    return 3 * rest_size >= 2 * s_size
-
-
-# ---------------------------------------------------------------------------
-# Closed-form Cayley diameters for the named tree classes.
-
-def closed_form_diameter(kind: str, *params: int) -> int:
-    """Exact Cayley-graph diameter where a trustworthy closed form exists.
-
-    kind and params name the tree as --make does, and as the tree.make_*
-    constructors take it: "star" n, "path" n, "full-binary" d, "spider"
-    m, k and "matchstick" k.
-
-    Star n: floor(3(n-1)/2).  Path n: n choose 2.  Spiders and matchsticks
-    carry recorded formulas, mk(2k+1)/2 and k^2+k-1, but exhaustive search
-    refutes both outside a small verified domain (see below); this function
-    returns only values that exhaustive search or the star/path forms back,
-    and refuses the rest.  Full binary trees have no closed form at all.
-
-    Verified spider instances: m = 1 and m = 2 are paths, k = 1 is a star;
-    all take the matching path/star value.  For genuine spiders the
-    recorded formula overshoots: the true diameter of the 3-spoke spider
-    with legs of 2 is 14 (formula: 15) and of the 4-spoke one 18
-    (formula: 20).  Matchsticks: k = 3 gives 11 as recorded, but the true
-    value at k = 4 is 18 (formula: 19) and at k = 5 it is 26 (formula:
-    29).  The refuted formula values are not diameters but match this
-    package's peel bound on those trees.
-    """
-    if kind == "star":
-        (n,) = params
-        if n < 1:
-            raise ValueError("star needs n >= 1")
-        return 3 * (n - 1) // 2
-    if kind == "path":
-        (n,) = params
-        if n < 1:
-            raise ValueError("path needs n >= 1")
-        return n * (n - 1) // 2
-    if kind == "spider":
-        m, k = params
-        if m < 1 or k < 1:
-            raise ValueError("spider needs m, k >= 1")
-        if m <= 2:
-            return closed_form_diameter("path", m * k + 1)
-        if k == 1:
-            return closed_form_diameter("star", m + 1)
-        raise UnsupportedClassError(
-            f"no verified closed form for a {m}-spoke spider with legs of {k}: "
-            "exhaustive search refutes the recorded mk(2k+1)/2 (e.g. 14 vs 15 "
-            "at m=3,k=2 and 18 vs 20 at m=4,k=2)"
-        )
-    if kind == "matchstick":
-        (k,) = params
-        if k <= 2:
-            raise UnsupportedClassError("matchstick closed form needs k > 2")
-        if k == 3:
-            return 11
-        raise UnsupportedClassError(
-            f"no verified closed form for the matchstick tree at k={k}: "
-            "exhaustive search refutes the recorded k^2+k-1 (18 vs 19 at k=4, "
-            "26 vs 29 at k=5)"
-        )
-    if kind == "full-binary":
-        raise UnsupportedClassError("full binary trees have no closed form")
-    raise UnsupportedClassError(f"unknown tree class {kind!r}")
 
 
 def predicted_gap(d: int, baseline: str) -> HalfMoves:

@@ -29,10 +29,6 @@ EXIT_OK = 0
 EXIT_HARD = 1
 EXIT_MISMATCH = 2
 
-BOUND_NAMES = ("delta-star", "delta-prime-v1", "delta-prime-v2")
-# column each bound is recorded under in the embedded reference tables
-GOLDEN_COLUMN = {"delta-star": "dstar", "delta-prime-v1": "v1", "delta-prime-v2": "v2"}
-
 
 class UsageError(Exception):
     """Unusable flag value or tree source."""
@@ -96,8 +92,8 @@ class ExperimentReport:
         if gold is None:
             return
         for key, _ in self.columns:
-            if key in GOLDEN_COLUMN:
-                col = GOLDEN_COLUMN[key]
+            if key in bd.BOUNDS:
+                col = bd.BOUNDS[key]
                 self.comparisons.append(
                     Comparison(self.row_id(row), col, gold.values[col], row[key],
                                gold.source, gold.suspect)
@@ -130,7 +126,7 @@ class ExperimentReport:
         for row in self.rows:
             line = " ".join(f"{label}={row[key]}" for key, label in self.columns)
             comps = [c for c in by_row.get(self.row_id(row), ())
-                     if c.column in GOLDEN_COLUMN.values()]
+                     if c.column in bd.BOUNDS.values()]
             if comps:
                 line += " | recorded " + " ".join(c.render() for c in comps)
             lines.append(line)
@@ -216,17 +212,12 @@ def _span(lo: int, hi: int, flag: str) -> range:
 def cmd_bound(args) -> int:
     if args.trace and args.output == "csv":
         raise UsageError("--trace has no csv form: use --output text or json")
-    names = BOUND_NAMES if args.bound == "all" else (args.bound,)
+    names = tuple(bd.BOUNDS) if args.bound == "all" else (args.bound,)
     results = []  # (identifier, tree, {bound name: (value, trace)})
     for ident, t in _load_trees(args):
-        res = {}
-        for name in names:
-            if name == "delta-star":
-                res[name] = bd.delta_star(t, dist_sum_mode=args.distsum,
-                                          strict_pseudocode=args.strict_pseudocode)
-            else:
-                res[name] = bd.delta_prime(t, name.rsplit("-", 1)[1],
-                                           dist_sum_mode=args.distsum)
+        res = {name: bd._peel(t, bd.BOUNDS[name], dist_sum_mode=args.distsum,
+                              strict_pseudocode=args.strict_pseudocode)
+               for name in names}
         results.append((ident, t, res))
 
     if args.output == "json":
@@ -265,7 +256,7 @@ def _free_trees(sizes):
 
 
 def cmd_table1(args) -> int:
-    names = BOUND_NAMES if args.bound == "all" else (args.bound,)
+    names = tuple(bd.BOUNDS) if args.bound == "all" else (args.bound,)
     sizes = _span(args.n_min, args.n_max, "n")
     case2 = "post" if args.strict_pseudocode else "pre"
     report = ExperimentReport(
@@ -282,17 +273,16 @@ def cmd_table1(args) -> int:
     )
     t0 = time.time()
     ordering_ok = True
-    totals = {n: [0] * (1 + len(BOUND_NAMES)) for n in sizes}  # trees, then each bound
+    totals = {n: dict.fromkeys(("trees", *bd.BOUNDS), 0) for n in sizes}
     swept = bd.peel_sweep(_free_trees(sizes), dist_sum_mode=args.distsum,
                           strict_pseudocode=args.strict_pseudocode)
     for t, values in swept:
-        acc = totals[t.n]
-        acc[0] += 1
-        for i, x in enumerate(values, 1):
-            acc[i] += x.moves
-    for n, (count, *values) in totals.items():
-        sums = dict(zip(BOUND_NAMES, values))
-        row = {"n": n, "trees": count, **{k: sums[k] for k in names}}
+        sums = totals[t.n]
+        sums["trees"] += 1
+        for name, x in zip(bd.BOUNDS, values):
+            sums[name] += x.moves
+    for n, sums in totals.items():
+        row = {"n": n, "trees": sums["trees"], **{k: sums[k] for k in names}}
         report.rows.append(row)
         if not sums["delta-star"] <= sums["delta-prime-v2"] <= sums["delta-prime-v1"]:
             ordering_ok = False
@@ -321,14 +311,14 @@ def cmd_table2(args) -> int:
         },
         header=f"experiment table2 distsum={args.distsum} case2={case2}",
         columns=[("d", "d"), ("n", "n"), ("leaves", "leaves")]
-        + [(k, GOLDEN_COLUMN[k]) for k in names],
+        + [(k, bd.BOUNDS[k]) for k in names],
     )
     t0 = time.time()
     swept = bd.peel_sweep((tr.make_full_binary(d) for d in depths),
                           dist_sum_mode=args.distsum, strict_pseudocode=args.strict_pseudocode)
     for d, (t, values) in zip(depths, swept):
         row = {"d": d, "n": t.n, "leaves": (t.n + 1) // 2,
-               **{k: v.moves for k, v in zip(BOUND_NAMES, values)}}
+               **{k: v.moves for k, v in zip(bd.BOUNDS, values)}}
         report.rows.append(row)
         gold = golden.BINARY.get(d)
         report.compare(row, gold)
@@ -374,7 +364,7 @@ def cmd_verify(args) -> int:
     counts = dict.fromkeys(sizes, 0)
     histogram: dict[int, int] = {}
     violations = []
-    for t, (bound, _, _) in swept:
+    for t, (bound, *_) in swept:  # the main bound, first in bd.BOUNDS
         exact = pinned[tr.canonical_code(t)]
         slack = bound.moves - exact
         histogram[slack] = histogram.get(slack, 0) + 1
@@ -470,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="compute bounds for input trees")
     _add_source(p)
-    p.add_argument("--bound", choices=("all",) + BOUND_NAMES, default="all")
+    p.add_argument("--bound", choices=("all", *bd.BOUNDS), default="all")
     p.add_argument("--trace", action="store_true")
     _add_common(p, "strict-pseudocode")
     p.set_defaults(func=cmd_bound)
@@ -478,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table1", help="cumulative bounds over all free trees")
     p.add_argument("--n-min", type=int, default=6)
     p.add_argument("--n-max", type=int, default=13)
-    p.add_argument("--bound", choices=("all",) + BOUND_NAMES, default="all")
+    p.add_argument("--bound", choices=("all", *bd.BOUNDS), default="all")
     p.add_argument("--jobs", type=int, default=0,
                    help="ignored: table1 runs in one process; the flag is kept "
                         "for compatibility")

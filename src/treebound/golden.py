@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 
 class GoldenRow(NamedTuple):
-    key: int                  # n (cumulative table) or depth d (binary table)
     values: dict[str, int]    # column name -> recorded value
     source: str
     suspect: bool = False
@@ -23,29 +22,29 @@ class GoldenRow(NamedTuple):
 
 # Cumulative bounds over all free trees on n vertices.
 CUMULATIVE = {
-    6: GoldenRow(6, {"v1": 63, "v2": 63, "dstar": 63}, "cumulative-table"),
-    7: GoldenRow(7, {"v1": 154, "v2": 153, "dstar": 153}, "cumulative-table"),
-    8: GoldenRow(8, {"v1": 409, "v2": 407, "dstar": 407}, "cumulative-table"),
-    9: GoldenRow(9, {"v1": 1032, "v2": 1028, "dstar": 1027}, "cumulative-table"),
-    10: GoldenRow(10, {"v1": 2819, "v2": 2809, "dstar": 2805}, "cumulative-table"),
-    11: GoldenRow(11, {"v1": 7401, "v2": 7376, "dstar": 7361}, "cumulative-table"),
-    12: GoldenRow(12, {"v1": 20277, "v2": 20222, "dstar": 20175}, "cumulative-table"),
-    13: GoldenRow(13, {"v1": 50032, "v2": 49931, "dstar": 49820}, "cumulative-table",
+    6: GoldenRow({"v1": 63, "v2": 63, "dstar": 63}, "cumulative-table"),
+    7: GoldenRow({"v1": 154, "v2": 153, "dstar": 153}, "cumulative-table"),
+    8: GoldenRow({"v1": 409, "v2": 407, "dstar": 407}, "cumulative-table"),
+    9: GoldenRow({"v1": 1032, "v2": 1028, "dstar": 1027}, "cumulative-table"),
+    10: GoldenRow({"v1": 2819, "v2": 2809, "dstar": 2805}, "cumulative-table"),
+    11: GoldenRow({"v1": 7401, "v2": 7376, "dstar": 7361}, "cumulative-table"),
+    12: GoldenRow({"v1": 20277, "v2": 20222, "dstar": 20175}, "cumulative-table"),
+    13: GoldenRow({"v1": 50032, "v2": 49931, "dstar": 49820}, "cumulative-table",
                   suspect=True),
-    14: GoldenRow(14, {"v1": 152585, "v2": 152285, "dstar": 151855}, "cumulative-table"),
-    15: GoldenRow(15, {"v1": 212841, "v2": 212532, "dstar": 212217}, "cumulative-table",
+    14: GoldenRow({"v1": 152585, "v2": 152285, "dstar": 151855}, "cumulative-table"),
+    15: GoldenRow({"v1": 212841, "v2": 212532, "dstar": 212217}, "cumulative-table",
                   suspect=True),
 }
 
 # Full binary tree of depth d: vertex count, leaf count, recorded bounds.
 BINARY = {
-    1: GoldenRow(1, {"n": 3, "leaves": 2, "v1": 3, "v2": 3, "dstar": 3}, "binary-table"),
-    2: GoldenRow(2, {"n": 7, "leaves": 4, "v1": 17, "v2": 17, "dstar": 15}, "binary-table"),
-    3: GoldenRow(3, {"n": 15, "leaves": 8, "v1": 58, "v2": 58, "dstar": 55}, "binary-table"),
-    4: GoldenRow(4, {"n": 31, "leaves": 16, "v1": 171, "v2": 172, "dstar": 167}, "binary-table"),
-    5: GoldenRow(5, {"n": 63, "leaves": 32, "v1": 460, "v2": 461, "dstar": 453}, "binary-table"),
-    6: GoldenRow(6, {"n": 127, "leaves": 64, "v1": 1165, "v2": 1168, "dstar": 1153}, "binary-table"),
-    7: GoldenRow(7, {"n": 255, "leaves": 128, "v1": 2830, "v2": 2833, "dstar": 2807}, "binary-table"),
+    1: GoldenRow({"n": 3, "leaves": 2, "v1": 3, "v2": 3, "dstar": 3}, "binary-table"),
+    2: GoldenRow({"n": 7, "leaves": 4, "v1": 17, "v2": 17, "dstar": 15}, "binary-table"),
+    3: GoldenRow({"n": 15, "leaves": 8, "v1": 58, "v2": 58, "dstar": 55}, "binary-table"),
+    4: GoldenRow({"n": 31, "leaves": 16, "v1": 171, "v2": 172, "dstar": 167}, "binary-table"),
+    5: GoldenRow({"n": 63, "leaves": 32, "v1": 460, "v2": 461, "dstar": 453}, "binary-table"),
+    6: GoldenRow({"n": 127, "leaves": 64, "v1": 1165, "v2": 1168, "dstar": 1153}, "binary-table"),
+    7: GoldenRow({"n": 255, "leaves": 128, "v1": 2830, "v2": 2833, "dstar": 2807}, "binary-table"),
 }
 
 # Free-tree isomorphism-class counts (independent combinatorial record).

@@ -34,8 +34,8 @@ def _verdict(tag: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def sweep():
-    """Per-tree (graph6, delta-star, v1, v2) moves for every tree, n = 6..15,
-    in generation order."""
+    """Per-tree (graph6, then each bound's moves in bounds.BOUNDS order) for
+    every tree, n = 6..15, in generation order."""
     sweep = {n: [] for n in range(6, 16)}
     for t, v in bd.peel_sweep(cli._free_trees(range(6, 16))):
         sweep[t.n].append((en.encode_graph6(t), *(x.moves for x in v)))

@@ -309,36 +309,7 @@ def test_distsum_modes_diverge():
 
 
 # ---------------------------------------------------------------------------
-# closed forms
-
-def test_closed_form_star_and_path():
-    assert bd.closed_form_diameter("star", 7) == 9
-    assert bd.closed_form_diameter("path", 6) == 15
-    assert bd.closed_form_diameter("path", 1) == 0
-
-
-def test_closed_form_degenerate_spiders():
-    assert bd.closed_form_diameter("spider", 1, 5) == 15
-    assert bd.closed_form_diameter("spider", 2, 3) == 21
-    assert bd.closed_form_diameter("spider", 5, 1) == 7
-
-
-def test_closed_form_matchstick_three():
-    assert bd.closed_form_diameter("matchstick", 3) == 11
-
-
-def test_closed_form_refuses_unverified():
-    for kind, *params in (
-        ("spider", 3, 2),
-        ("spider", 4, 2),
-        ("matchstick", 4),
-        ("matchstick", 2),
-        ("full-binary", 3),
-        ("pentagon", 5),
-    ):
-        with pytest.raises(bd.UnsupportedClassError):
-            bd.closed_form_diameter(kind, *params)
-
+# recorded closed forms
 
 def test_peel_reproduces_recorded_formulas():
     # the recorded closed forms for these classes coincide with this

@@ -89,6 +89,28 @@ def test_bound_csv(capsys):
     assert lines[1] == "full-binary:2,7,15,15,15"
 
 
+def test_bound_strict_pseudocode_leaves_the_baselines_alone(capsys, tmp_path):
+    # the flag reaches every bound's engine call, but only delta-star reads it
+    trees = [t for n in range(1, 10) for t in en.enumerate_free_trees(n)]
+    path = tmp_path / "trees.g6"
+    path.write_text("".join(en.encode_graph6(t) + "\n" for t in trees))
+    docs = []
+    for flags in ((), ("--strict-pseudocode",)):
+        code, out, _ = run(capsys, "bound", "--input", str(path), "--bound", "all",
+                           "--trace", "--output", "json", *flags)
+        assert code == 0
+        docs.append(json.loads(out))
+    plain, strict = docs
+    assert len(plain) == len(strict) == len(trees)
+    for t, a, b in zip(trees, plain, strict):
+        for name in ("delta-prime-v1", "delta-prime-v2"):
+            assert (a[name], a["traces"][name]) == (b[name], b["traces"][name])
+        value, trace = bd.delta_star(t, strict_pseudocode=True)
+        assert (b["delta-star"], b["traces"]["delta-star"]) == (value.moves, trace.to_json())
+    # and the flag does change delta-star on some of these trees
+    assert any(a["delta-star"] != b["delta-star"] for a, b in zip(plain, strict))
+
+
 def test_bound_bad_make_spec(capsys):
     for spec in ("pentagon:5", "spider:3"):
         assert_error(capsys, "error: bad --make spec", "bound", "--make", spec)

@@ -76,12 +76,23 @@ def test_pinned_matches_the_oracle_below_8(pinned, n):
         assert pinned[tr.canonical_code(t)] == orc.cayley_diameter(t), en.encode_graph6(t)
 
 
+# the closed forms: star n has 3(n-1)//2, path n has n(n-1)//2, a spider
+# with one or two legs is a path and one with legs of 1 a star, and the
+# matchstick has the recorded k^2+k-1 at k = 3 (not at k = 4 or 5)
 @pytest.mark.parametrize("make, exact", [
     (lambda: tr.make_path(8), 28),
     (lambda: tr.make_star(9), 12),
     (lambda: tr.make_spider(4, 2), 18),
     (lambda: tr.make_matchstick(5), 26),
-], ids=["path:8", "star:9", "spider:4,2", "matchstick:5"])
+    (lambda: tr.make_star(7), 9),
+    (lambda: tr.make_path(6), 15),
+    (lambda: tr.make_path(1), 0),
+    (lambda: tr.make_spider(1, 5), 15),
+    (lambda: tr.make_spider(2, 3), 21),
+    (lambda: tr.make_spider(5, 1), 7),
+    (lambda: tr.make_matchstick(3), 11),
+], ids=["path:8", "star:9", "spider:4,2", "matchstick:5", "star:7", "path:6", "path:1",
+        "spider:1,5", "spider:2,3", "spider:5,1", "matchstick:3"])
 def test_pinned_matches_the_oracle_on_named_trees(pinned, make, exact):
     t = make()
     assert pinned[tr.canonical_code(t)] == orc.cayley_diameter(t) == exact

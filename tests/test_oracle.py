@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from treebound import _bfs_kernels as kern
-from treebound import bounds as bd
 from treebound import oracle as orc
 from treebound import tree as tr
 
@@ -103,8 +102,8 @@ def test_exact_diameters_of_named_trees():
 
 def test_oracle_agrees_with_closed_forms():
     for n in range(2, 8):
-        assert orc.cayley_diameter(tr.make_star(n)) == bd.closed_form_diameter("star", n)
-        assert orc.cayley_diameter(tr.make_path(n)) == bd.closed_form_diameter("path", n)
+        assert orc.cayley_diameter(tr.make_star(n)) == 3 * (n - 1) // 2
+        assert orc.cayley_diameter(tr.make_path(n)) == n * (n - 1) // 2
 
 
 def test_recorded_formulas_refuted_by_search():
