@@ -21,9 +21,10 @@ tabulated once per (n, i, j) in a process (M int32 entries, from the
 digit-delta rule below run over the M ranks seg * w[j]), and shared by
 every BFS whose tree has that edge; then a frontier chunk costs a few
 floor divisions, shared between edges, plus one take and one add per
-edge.  M grows with the span j - i and towards position 0, so the caller
-picks a labeling of the positions that keeps the tables small
-(oracle._frame); the kernel itself works in whatever frame it is given.
+edge.  M grows with the span j - i and towards position 0, so frame
+picks a labeling of the positions that keeps the tables small, and the
+oracle runs the kernel in it; the kernel itself works in whatever frame
+it is given.
 
 This is the only module that imports numpy.  oracle.py imports it on its
 first depth-table build, so subcommands that never run the oracle (table1,
@@ -92,6 +93,43 @@ def table_size(n: int, i: int, j: int) -> int:
     """Entries in the table of a swap of positions i and j: the number of
     values digits min(i, j)..max(i, j) take together."""
     return factorial(n - min(i, j)) // factorial(n - 1 - max(i, j))
+
+
+def frame(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """A relabeling of the positions that keeps the swap tables small.
+
+    frame[v - 1] is the 0-based position of label v, for the tree's label
+    pairs edges.  An edge across positions i < j costs table_size(n, i, j)
+    = (n - i)! / (n - 1 - j)! entries, so short edges at high positions are
+    cheap and an edge across (0, n - 1) costs all n! states.  Relabeling
+    the positions conjugates every state and so keeps every depth; the
+    frame is picked by steepest descent over swaps of two labels'
+    positions, from the identity, until no swap lowers the total entry
+    count.
+    """
+    size = [[table_size(n, i, j) for j in range(n)] for i in range(n)]
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for i, j in edges:
+        nbrs[i - 1].append(j - 1)
+        nbrs[j - 1].append(i - 1)
+    frame = list(range(n))
+
+    def entries(u: int, at: int, v: int) -> int:
+        """Entries of u's edges, but the one to v, with u at position at."""
+        return sum(size[at][frame[x]] for x in nbrs[u] if x != v)
+
+    while True:
+        best, move = 0, None
+        for u in range(n):
+            for v in range(u + 1, n):
+                gain = (entries(u, frame[u], v) + entries(v, frame[v], u)
+                        - entries(u, frame[v], v) - entries(v, frame[u], u))
+                if gain > best:
+                    best, move = gain, (u, v)
+        if move is None:
+            return tuple(frame)
+        u, v = move
+        frame[u], frame[v] = frame[v], frame[u]
 
 
 # ---------------------------------------------------------------------------

@@ -105,9 +105,6 @@ class BoundTrace(_BoundTraceFields):
             raise ValueError("iteration costs do not sum to the trace total")
         return super().__new__(cls, records, total)
 
-    def iteration_costs(self) -> list[HalfMoves]:
-        return [r.cost for r in self.records]
-
     def to_json(self) -> dict:
         """Structured document: iteration array plus whole-move total."""
         iterations = []

@@ -36,15 +36,15 @@ CUMULATIVE = {
                   suspect=True),
 }
 
-# Full binary tree of depth d: vertex count, leaf count, recorded bounds.
+# Full binary tree of depth d (2^(d+1) - 1 vertices, 2^d leaves): recorded bounds.
 BINARY = {
-    1: GoldenRow({"n": 3, "leaves": 2, "v1": 3, "v2": 3, "dstar": 3}, "binary-table"),
-    2: GoldenRow({"n": 7, "leaves": 4, "v1": 17, "v2": 17, "dstar": 15}, "binary-table"),
-    3: GoldenRow({"n": 15, "leaves": 8, "v1": 58, "v2": 58, "dstar": 55}, "binary-table"),
-    4: GoldenRow({"n": 31, "leaves": 16, "v1": 171, "v2": 172, "dstar": 167}, "binary-table"),
-    5: GoldenRow({"n": 63, "leaves": 32, "v1": 460, "v2": 461, "dstar": 453}, "binary-table"),
-    6: GoldenRow({"n": 127, "leaves": 64, "v1": 1165, "v2": 1168, "dstar": 1153}, "binary-table"),
-    7: GoldenRow({"n": 255, "leaves": 128, "v1": 2830, "v2": 2833, "dstar": 2807}, "binary-table"),
+    1: GoldenRow({"v1": 3, "v2": 3, "dstar": 3}, "binary-table"),
+    2: GoldenRow({"v1": 17, "v2": 17, "dstar": 15}, "binary-table"),
+    3: GoldenRow({"v1": 58, "v2": 58, "dstar": 55}, "binary-table"),
+    4: GoldenRow({"v1": 171, "v2": 172, "dstar": 167}, "binary-table"),
+    5: GoldenRow({"v1": 460, "v2": 461, "dstar": 453}, "binary-table"),
+    6: GoldenRow({"v1": 1165, "v2": 1168, "dstar": 1153}, "binary-table"),
+    7: GoldenRow({"v1": 2830, "v2": 2833, "dstar": 2807}, "binary-table"),
 }
 
 # Free-tree isomorphism-class counts (independent combinatorial record).

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
@@ -45,36 +45,11 @@ class NotGeneratingError(RuntimeError):
     """BFS failed to visit all n! states (broken input or kernel bug)."""
 
 
-def identity(n: int) -> Permutation:
-    return tuple(range(1, n + 1))
-
-
 def _validate(p: Permutation) -> int:
     n = len(p)
     if sorted(p) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {p}")
     return n
-
-
-def format_permutation(p: Permutation) -> str:
-    return "(" + ",".join(map(str, p)) + ")"
-
-
-def parse_permutation(text: str) -> Permutation:
-    p = tuple(int(x) for x in text.strip().strip("()").split(","))
-    _validate(p)
-    return p
-
-
-def apply_move(p: Permutation, e: tuple[int, int]) -> Permutation:
-    """Swap the symbols at positions i and j (1-based); an involution."""
-    i, j = e
-    n = len(p)
-    if not (1 <= i <= n and 1 <= j <= n) or i == j:
-        raise ValueError(f"bad move {e} for n={n}")
-    q = list(p)
-    q[i - 1], q[j - 1] = q[j - 1], q[i - 1]
-    return tuple(q)
 
 
 def rank(p: Permutation) -> PermRank:
@@ -85,18 +60,6 @@ def rank(p: Permutation) -> PermRank:
         smaller_after = sum(1 for l in range(k + 1, n) if p[l] < p[k])
         r += smaller_after * factorial(n - 1 - k)
     return r
-
-
-def unrank(r: PermRank, n: int) -> Permutation:
-    if not 0 <= r < factorial(n):
-        raise ValueError(f"rank {r} out of range for n={n}")
-    symbols = list(range(1, n + 1))
-    out = []
-    for k in range(n):
-        f = factorial(n - 1 - k)
-        d, r = divmod(r, f)
-        out.append(symbols.pop(d))
-    return tuple(out)
 
 
 def _check_cap(n: int, cap: int | None) -> None:
@@ -115,8 +78,8 @@ class _Table(NamedTuple):
 
     depth: Sequence[int]  # depth per Lehmer rank in the relabeled frame (uint8 numpy)
     profile: tuple[int, ...]  # count of states at each depth, the same in any frame
-    # frame[v - 1] is label v's 0-based position in that frame; sort_distance
-    # looks p up as the state with frame[p[i] - 1] + 1 at position frame[i]
+    # frame[v - 1] is label v's 0-based position in that frame (_bfs_kernels.frame);
+    # sort_distance looks p up as the state with frame[p[i] - 1] + 1 at position frame[i]
     frame: tuple[int, ...]
 
 
@@ -124,7 +87,7 @@ class _Table(NamedTuple):
 def _depth_table_cached(n: int, edges: tuple[tuple[int, int], ...]) -> _Table:
     from . import _bfs_kernels as kernels  # numpy loads with the first table
 
-    frame = _frame(n, edges, kernels.table_size)
+    frame = kernels.frame(n, edges)
     depth, sizes = kernels.bfs_numpy(n, [(frame[i - 1], frame[j - 1]) for i, j in edges])
     if sum(sizes) != factorial(n):
         raise NotGeneratingError(
@@ -132,43 +95,6 @@ def _depth_table_cached(n: int, edges: tuple[tuple[int, int], ...]) -> _Table:
             "the edge set does not generate the symmetric group"
         )
     return _Table(depth, tuple(sizes), frame)
-
-
-def _frame(n: int, edges: Sequence[tuple[int, int]],
-           table_size: Callable[[int, int, int], int]) -> tuple[int, ...]:
-    """A relabeling of the positions that keeps the kernel's swap tables small.
-
-    The kernel tabulates an edge across 0-based positions i < j with
-    table_size(n, i, j) = (n - i)! / (n - 1 - j)! entries, so short edges at
-    high positions are cheap and an edge across (0, n - 1) costs all n!
-    states.  Relabeling the positions conjugates every state and so keeps
-    every depth; the frame is picked by steepest descent over swaps of two
-    labels' positions, from the identity, until no swap lowers the total
-    entry count.
-    """
-    size = [[table_size(n, i, j) for j in range(n)] for i in range(n)]
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edges:
-        nbrs[i - 1].append(j - 1)
-        nbrs[j - 1].append(i - 1)
-    frame = list(range(n))
-
-    def entries(u: int, at: int, v: int) -> int:
-        """Entries of u's edges, but the one to v, with u at position at."""
-        return sum(size[at][frame[x]] for x in nbrs[u] if x != v)
-
-    while True:
-        best, move = 0, None
-        for u in range(n):
-            for v in range(u + 1, n):
-                gain = (entries(u, frame[u], v) + entries(v, frame[v], u)
-                        - entries(u, frame[v], v) - entries(v, frame[u], u))
-                if gain > best:
-                    best, move = gain, (u, v)
-        if move is None:
-            return tuple(frame)
-        u, v = move
-        frame[u], frame[v] = frame[v], frame[u]
 
 
 def _depth_table(t: tr.Tree, cap: int | None) -> _Table:

@@ -52,14 +52,6 @@ class Tree(NamedTuple):
     adj: tuple[tuple[int, ...], ...]
     labels: tuple[int, ...]
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def leaves(self) -> list[int]:
-        if self.n == 1:
-            return [0]
-        return [v for v in range(self.n) if len(self.adj[v]) == 1]
-
     def edges(self) -> list[tuple[int, int]]:
         """Internal-index edges, each once, endpoints ordered."""
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
@@ -378,24 +370,9 @@ def delete_vertices(t: Tree, xs) -> Tree:
     return Tree(n=len(keep), adj=adj, labels=tuple(t.labels[v] for v in keep))
 
 
-def is_star(t: Tree) -> bool:
-    """True for n <= 2 and for K_{1,n-1} (one vertex adjacent to all others)."""
-    if t.n <= 2:
-        return True
-    return any(len(t.adj[v]) == t.n - 1 for v in range(t.n))
-
-
 def canonical_code(t: Tree) -> bytes:
     """AHU canonical form rooted at the center; equal codes <=> isomorphic."""
     return Walk(t).code
-
-
-def relabel(t: Tree, new_labels) -> Tree:
-    """Same shape, different external labels (for relabeling experiments)."""
-    new_labels = tuple(new_labels)
-    if len(new_labels) != t.n or len(set(new_labels)) != t.n:
-        raise BadLabelError("relabeling must be a bijection on the vertices")
-    return Tree(n=t.n, adj=t.adj, labels=new_labels)
 
 
 # ---------------------------------------------------------------------------

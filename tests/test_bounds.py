@@ -79,7 +79,7 @@ def test_full_binary_strict_pseudocode():
 
 def test_full_binary_depth3_trace():
     val, trace = bd.delta_star(tr.make_full_binary(3))
-    assert [c.moves for c in trace.iteration_costs()] == [24, 10, 11, 6, 4]
+    assert [r.cost.moves for r in trace.records] == [24, 10, 11, 6, 4]
     assert val.moves == 55
     assert trace.records[-1].case == bd.STAR
 
@@ -233,7 +233,7 @@ def test_peel_derives_each_step_from_one_pass(monkeypatch, all_trees):
     def forbidden(*args, **kwargs):
         raise AssertionError("the peel loop recomputes what the walk gave it")
 
-    for name in ("peripheral_set", "clusters", "is_star", "canonical_code",
+    for name in ("peripheral_set", "clusters", "canonical_code",
                  "eccentricities", "_cluster_groups"):
         monkeypatch.setattr(tr, name, forbidden)
     walks, rows, builds = [], [], []

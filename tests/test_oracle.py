@@ -11,30 +11,27 @@ import pytest
 from treebound import _bfs_kernels as kern
 from treebound import oracle as orc
 from treebound import tree as tr
+import reference as ref
 
 
 # ---------------------------------------------------------------------------
 # permutations
 
 def test_identity_and_validation():
-    assert orc.identity(4) == (1, 2, 3, 4)
+    assert ref.identity(4) == (1, 2, 3, 4)
     with pytest.raises(ValueError):
-        orc.parse_permutation("(1,1,2)")
-
-
-def test_format_and_parse_roundtrip():
-    p = (3, 1, 2)
-    assert orc.parse_permutation(orc.format_permutation(p)) == p
-    assert orc.format_permutation(p) == "(3,1,2)"
+        orc.rank((1, 1, 2))
+    with pytest.raises(ValueError):
+        orc.sort_distance(tr.make_path(3), (1, 1, 2))
 
 
 def test_apply_move_examples():
-    assert orc.apply_move((7, 6, 5, 4, 3, 2, 1), (1, 7)) == (1, 6, 5, 4, 3, 2, 7)
-    assert orc.apply_move((2, 1, 3), (1, 2)) == (1, 2, 3)
+    assert ref.apply_move((7, 6, 5, 4, 3, 2, 1), (1, 7)) == (1, 6, 5, 4, 3, 2, 7)
+    assert ref.apply_move((2, 1, 3), (1, 2)) == (1, 2, 3)
     with pytest.raises(ValueError):
-        orc.apply_move((1, 2, 3), (0, 2))
+        ref.apply_move((1, 2, 3), (0, 2))
     with pytest.raises(ValueError):
-        orc.apply_move((1, 2, 3), (2, 2))
+        ref.apply_move((1, 2, 3), (2, 2))
 
 
 def test_apply_move_is_involution():
@@ -46,17 +43,16 @@ def test_apply_move_is_involution():
         j = rng.randrange(1, n + 1)
         if i == j:
             continue
-        assert orc.apply_move(orc.apply_move(p, (i, j)), (i, j)) == p
+        assert ref.apply_move(ref.apply_move(p, (i, j)), (i, j)) == p
 
 
 def test_rank_unrank():
-    assert orc.rank(orc.identity(5)) == 0
-    assert [orc.rank(orc.unrank(r, 3)) for r in range(6)] == list(range(6))
-    rng = random.Random(11)
-    for _ in range(1000):
-        n = rng.randrange(1, 9)
-        p = tuple(rng.sample(range(1, n + 1), n))
-        assert orc.unrank(orc.rank(p), n) == p
+    # rank is a bijection onto range(n!): identity first, reversal last
+    for n in range(1, 8):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        assert sorted(orc.rank(p) for p in perms) == list(range(math.factorial(n)))
+        assert orc.rank(ref.identity(n)) == 0
+        assert orc.rank(ref.identity(n)[::-1]) == math.factorial(n) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +199,7 @@ def test_big_n_warns(monkeypatch):
                         lambda n, edges: orc._Table([0], (1,), tuple(range(n))))
     t = tr.make_path(11)
     for call in (orc.cayley_diameter, orc.depth_profile, orc.profile_csv,
-                 lambda t, cap: orc.sort_distance(t, orc.identity(11), cap=cap)):
+                 lambda t, cap: orc.sort_distance(t, ref.identity(11), cap=cap)):
         with pytest.warns(ResourceWarning, match="n=11 touches 39916800 states") as caught:
             call(t, cap=11)
         assert caught[0].filename == __file__
@@ -253,14 +249,14 @@ def _reference_depths(n, edges):
     """Depth per Lehmer rank by a plain-Python BFS over permutation tuples."""
     depth = [kern.UNSEEN] * math.factorial(n)
     depth[0] = 0
-    frontier = [orc.identity(n)]
+    frontier = [ref.identity(n)]
     level = 0
     while frontier:
         level += 1
         nxt = []
         for p in frontier:
             for i, j in edges:
-                q = orc.apply_move(p, (i + 1, j + 1))
+                q = ref.apply_move(p, (i + 1, j + 1))
                 r = orc.rank(q)
                 if depth[r] == kern.UNSEEN:
                     depth[r] = level
@@ -300,7 +296,7 @@ def test_frame_keeps_swap_tables_small(all_trees):
         used = set()  # spans of all trees of this size
         for t in all_trees(n):
             edges = tuple(sorted((min(e), max(e)) for e in t.label_edges()))
-            frame = orc._frame(n, edges, kern.table_size)
+            frame = kern.frame(n, edges)
             assert sorted(frame) == list(range(n))
             spans = [tuple(sorted((frame[a - 1], frame[b - 1]))) for a, b in edges]
             entries = sum(
