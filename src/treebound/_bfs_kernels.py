@@ -98,8 +98,8 @@ def table_size(n: int, i: int, j: int) -> int:
 def frame(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """A relabeling of the positions that keeps the swap tables small.
 
-    frame[v - 1] is the 0-based position of label v, for the tree's label
-    pairs edges.  An edge across positions i < j costs table_size(n, i, j)
+    edges are the tree's label pairs; frame[v - 1] is label v's 0-based
+    position.  An edge across positions i < j costs table_size(n, i, j)
     = (n - i)! / (n - 1 - j)! entries, so short edges at high positions are
     cheap and an edge across (0, n - 1) costs all n! states.  Relabeling
     the positions conjugates every state and so keeps every depth; the
