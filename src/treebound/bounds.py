@@ -75,7 +75,7 @@ CASE2 = "Case2"
 FULL_S = "FullSDeletion"
 
 # Every bound, in report order: its CLI name -> the step rule it peels with
-# (_Step.charge).  The rule name is also its column in golden's tables.
+# (_charge).  The rule name is also its column in golden's tables.
 BOUNDS = {"delta-star": "dstar", "delta-prime-v1": "v1", "delta-prime-v2": "v2"}
 
 
@@ -149,14 +149,13 @@ def star_bound(n: int) -> HalfMoves:
     return HalfMoves.from_moves(3 * (n - 1) // 2)
 
 
-def _pick_largest_cluster(walk: tr.Walk, dist_sum_mode) -> tuple[list[int], bytes | None]:
+def _pick_largest_cluster(walk: tr.Walk, dist_sum_mode) -> list[int]:
     """C* among the clusters of S (walk.groups), as a member list: the first
     cluster in tr.clusters' order (size desc, distSum asc, canonical code of
     the tree C* would leave behind, least label).  Keys are lazy: distSum is
     summed only for the clusters tied with the leader on size, and the
     leftover's code (walk.left_code) read only for those tied on (size,
-    distSum), since no other cluster can reach the front.  Returned with
-    C*'s leftover code when a tie was ranked by it, else None.
+    distSum), since no other cluster can reach the front.
 
     The granularity matters: clusters tied through the canonical code leave
     isomorphic trees behind, so the least label, which picks among them,
@@ -170,11 +169,10 @@ def _pick_largest_cluster(walk: tr.Walk, dist_sum_mode) -> tuple[list[int], byte
         sums = [walk.dist_sum(m, dist_sum_mode) for m in lead]
         lead = [m for m, ds in zip(lead, sums) if ds == min(sums)]
     if len(lead) == 1:
-        return lead[0], None
+        return lead[0]
     labels = walk.tree.labels
     # clusters are disjoint, so the least labels differ and m is never compared
-    code, _, c_star = min((walk.left_code(m), min(labels[v] for v in m), m) for m in lead)
-    return c_star, code
+    return min((walk.left_code(m), min(labels[v] for v in m), m) for m in lead)[2]
 
 
 def delta_star(
@@ -220,56 +218,23 @@ def delta_prime(
     return _peel(t, variant, dist_sum_mode=dist_sum_mode, strict_pseudocode=False)
 
 
-class _Step:
-    """The part of one non-star peel step that every bound shares.
-
-    Everything comes from the walk of the tree entering the step: its
-    diameter, the peripheral set S, the clusters of S and C* (see
-    _pick_largest_cluster).  The bounds differ only in the charge: which
-    vertices go and what they cost (charge, deleted), and so in the tree
-    the step leaves, whose canonical code left_code reads off the same walk.
-    """
-
-    def __init__(self, walk: tr.Walk, dist_sum_mode: str):
-        self.walk = walk
-        self.c_star, code = _pick_largest_cluster(walk, dist_sum_mode)
-        self.c_rest = [v for v in walk.s if v not in self.c_star]
-        # leftover code per deleted set (True: all of S), each read once;
-        # ranking a tie already read the one of S - C*
-        self._codes = {} if code is None else {False: code}
-
-    def charge(self, rule: str, strict_pseudocode: bool) -> tuple[str, int]:
-        """(case, cost in half-move units) of this step under the step rule
-        of one bound (a BOUNDS value); the baselines' rules ignore
-        strict_pseudocode."""
-        s, diam = self.walk.s, self.walk.diam
-        x = len(self.c_rest)
-        if rule != "dstar":
-            # |S - C*| > (2/3)|S|  (v1)  /  >= (v2), kept in integers.
-            if 3 * x + (rule == "v2") > 2 * len(s):
-                return FULL_S, len(s) * (2 * diam - 1) - (len(s) % 2)
-            # Baselines never pair up partial deletions: flat diameter each.
-            return CASE1, 2 * x * diam
-        c = len(self.c_star)
-        if c * 2 >= len(s):
-            return CASE1, 2 * x * diam
-        # Deleting S - C* leaves depth h in C*'s branch (side) alone: diameter - 1.
-        pair_diam = diam - 1 if strict_pseudocode else diam
-        return CASE2, 2 * c * diam + (x - c) * (2 * pair_diam - 1) - ((x - c) % 2)
-
-    def deleted(self, case: str) -> list[int]:
-        return self.walk.s if case == FULL_S else self.c_rest
-
-    def left_code(self, case: str) -> bytes:
-        """Canonical code of the tree this step leaves when it deletes per `case`."""
-        full = case == FULL_S
-        if full not in self._codes:
-            self._codes[full] = self.walk.left_code(() if full else self.c_star)
-        return self._codes[full]
-
-    def left(self, case: str) -> tr.Walk:
-        """Build and walk the tree this step leaves when it deletes per `case`."""
-        return tr.Walk(tr.delete_vertices(self.walk.tree, self.deleted(case)))
+def _charge(rule: str, strict_pseudocode: bool, s: int, c: int, diam: int) -> tuple[str, int]:
+    """(case, cost in half-move units) of one non-star peel step under the
+    step rule of one bound (a BOUNDS value), where S has s vertices, C* has
+    c of them and the tree entering the step has diameter diam.  The
+    baselines' rules ignore strict_pseudocode.  Both engines charge here."""
+    x = s - c
+    if rule != "dstar":
+        # |S - C*| > (2/3)|S|  (v1)  /  >= (v2), kept in integers.
+        if 3 * x + (rule == "v2") > 2 * s:
+            return FULL_S, s * (2 * diam - 1) - (s % 2)
+        # Baselines never pair up partial deletions: flat diameter each.
+        return CASE1, 2 * x * diam
+    if c * 2 >= s:
+        return CASE1, 2 * x * diam
+    # Deleting S - C* leaves depth h in C*'s branch (side) alone: diameter - 1.
+    pair_diam = diam - 1 if strict_pseudocode else diam
+    return CASE2, 2 * c * diam + (x - c) * (2 * pair_diam - 1) - ((x - c) % 2)
 
 
 def _peel(t, rule, *, dist_sum_mode, strict_pseudocode):
@@ -312,8 +277,9 @@ def _peel(t, rule, *, dist_sum_mode, strict_pseudocode):
         if guard < 0:
             raise AssertionError("peeling failed to terminate")
 
-        step = _Step(walk, dist_sum_mode)
-        case, units = step.charge(rule, strict_pseudocode)
+        c_star = _pick_largest_cluster(walk, dist_sum_mode)
+        case, units = _charge(rule, strict_pseudocode, len(walk.s), len(c_star), walk.diam)
+        deleted = walk.s if case == FULL_S else [v for v in walk.s if v not in c_star]
         records.append(
             IterationRecord(
                 tree_code=walk.code,
@@ -322,59 +288,192 @@ def _peel(t, rule, *, dist_sum_mode, strict_pseudocode):
                 s_size=len(walk.s),
                 cluster_sizes=tuple(sorted(map(len, walk.groups), reverse=True)),
                 case=case,
-                deleted_labels=tuple(sorted(t.labels[v] for v in step.deleted(case))),
+                deleted_labels=tuple(sorted(t.labels[v] for v in deleted)),
                 cost=HalfMoves(units),
             )
         )
         total += units
-        walk = step.left(case)
+        walk = tr.Walk(tr.delete_vertices(t, deleted))
 
     return HalfMoves(total), BoundTrace(records=tuple(records), total=HalfMoves(total))
 
 
-def peel_sweep(
-    trees, *, dist_sum_mode: str = "global", strict_pseudocode: bool = False
-) -> Iterator[tuple[tr.Tree, tuple[HalfMoves, ...]]]:
-    """(tree, values) for each tree of the iterable trees, yielded in order
-    as it is valued: one value per bound, in BOUNDS order, each the value
-    delta_star(t, dist_sum_mode=..., strict_pseudocode=...) or
-    delta_prime(t, variant, dist_sum_mode=...) would return, without
-    traces.  This is the batch valuation path: table1, table2 and verify
-    take their values from it, and the per-tree engine (_peel) runs only
-    where a trace is wanted.
+class _Branch:
+    """One branch of a center-rooted level sequence: the subtree under one
+    child of the root, as its slice of levels (that child at level 1).  A
+    peel step reads off it its AHU code and height, the size of its deepest
+    level (deep; S reaches no other), its root's child codes (kids), the
+    branch less its deepest level (cut; None if that is all of it), and
+    over the edges up from its vertices, with s vertices and k deepest ones
+    below each, the sums of k * k (k2) and of k * s (ks)."""
 
-    Dynamic programming over isomorphism classes.  A bound's value depends
-    only on the isomorphism class of its tree: what a step charges (the
-    diameter, |S|, |C*|, the leftover's diameter) is invariant, and C* is
-    chosen by an invariant key whose full ties leave isomorphic trees.  So
-    value(T) = cost of T's first step + value(leftover), remembered under
-    the canonical code.  Per tree that is one walk from the center, one step
-    shared by every bound, and per distinct deleted set the leftover's
-    code, read off the same walk (Walk.left_code).  Only a leftover not
-    valued yet is built, walked and valued; given every tree of each size
-    in ascending order, that happens only below the smallest size.
+    __slots__ = ("levels", "code", "height", "deep", "kids", "cut", "k2", "ks")
+
+    def __init__(self, levels: tuple[int, ...]):
+        self.levels, self.height = levels, max(levels)
+        h = self.height
+        self.deep = levels.count(h)
+        # per level, what is not under a parent yet: codes, vertices, deepest ones
+        done: list[list[bytes]] = [[] for _ in range(h + 2)]
+        size, below, k2, ks = [0] * (h + 2), [0] * (h + 2), 0, 0
+        for lev in reversed(levels):  # each vertex after its children
+            kids, done[lev + 1] = done[lev + 1], []
+            done[lev].append(tr._ahu(kids))
+            s, k = size[lev + 1] + 1, below[lev + 1] + (lev == h)
+            size[lev + 1] = below[lev + 1] = 0
+            size[lev] += s
+            below[lev] += k
+            k2, ks = k2 + k * k, ks + k * s
+        self.kids, self.code, self.k2, self.ks = kids, done[1][0], k2, ks
+        self.cut = _branch(tuple(x for x in levels if x < h)) if h > 1 else None
+
+
+# A summary depends on its slice alone, so each is made once per process.
+_BRANCHES: dict[tuple[int, ...], _Branch] = {}
+
+
+def _branch(levels: tuple[int, ...]) -> _Branch:
+    got = _BRANCHES.get(levels)
+    if got is None:
+        got = _BRANCHES[levels] = _Branch(levels)
+    return got
+
+
+def _join(codes: list[bytes], second: int) -> bytes:
+    """Tree code from its root's branch codes; branch second's root is the other center."""
+    if second < 0:
+        return tr._ahu(codes)
+    return tr._pair(codes[second], tr._ahu(codes[:second] + codes[second + 1:]))
+
+
+class _Rooted:
+    """The batch path's tr.Walk: a level sequence rooted at a center, and
+    what a peel step reads off its root's branches (_Branch).  If the two
+    tallest branches reach level h, the root is the one center and S is
+    level h.  Else the tallest, second, holds the other center at its root;
+    S is its deepest level and level h elsewhere, h the next height.  So S
+    meets a branch only at its deepest level (in_s), and each cluster of S
+    is that of one branch, or of one side of the central edge.
+    """
+
+    __slots__ = ("n", "branches", "second", "in_s", "diam", "code")
+
+    def __init__(self, seq):
+        self.n = n = len(seq)
+        starts = [i for i in range(1, n) if seq[i] == 1]
+        self.branches = brs = [_branch(tuple(seq[a:b])) for a, b in zip(starts, starts[1:] + [n])]
+        heights = [b.height for b in brs]
+        top = max(heights, default=0)
+        self.second = second = heights.index(top) if heights.count(top) == 1 else -1
+        h = top - (second >= 0)
+        self.in_s = [x == h or j == second for j, x in enumerate(heights)]
+        self.diam = 2 * h + (second >= 0)
+        self.code = _join([b.code for b in brs], second)
+
+    def _left(self, keep) -> list[_Branch | None]:  # the branches left_code(keep) joins
+        return [b if j in keep or not x else b.cut
+                for j, (b, x) in enumerate(zip(self.branches, self.in_s))]
+
+    def left_code(self, keep=()) -> bytes:
+        """Code of the tree left by deleting S less the S vertices of keep
+        (one group, or none): a join of branch codes (see tr.Walk.left_code)."""
+        codes = [b.code if b else b"" for b in self._left(keep)]
+        second = self.second
+        if not keep:
+            return _join(codes, second)
+        if second < 0:
+            return _join(codes, keep[0])
+        if keep == [second]:
+            rest = _join(codes[:second] + codes[second + 1:], -1)
+            return tr._ahu(self.branches[second].kids + [rest])
+        return _join(codes, -1)
+
+    def left(self, keep=()) -> list[int]:
+        """That tree's level sequence: the deleted entries dropped, and
+        re-rooted when the root stops being a center."""
+        parts = [b.levels if b else () for b in self._left(keep)]
+        if self.second >= 0 and keep == [self.second]:
+            top = parts.pop(self.second)
+            return [0, *(x - 1 for x in top[1:]), 1, *(x + 1 for p in parts for x in p)]
+        return [0, *(x for p in parts for x in p)]
+
+    def pick(self, pairwise: bool) -> tuple[list[int], int, int, bytes | None]:
+        """C*'s group as _pick_largest_cluster picks it, |S|, |C*|, and C*'s
+        leftover code if a tie was ranked by it.  A full tie needs no label:
+        its clusters leave isomorphic trees."""
+        deep = [j for j, x in enumerate(self.in_s) if x]
+        groups = ([[j] for j in deep] if self.second < 0 else
+                  [[self.second], [j for j in deep if j != self.second]])
+        sizes = [sum(self.branches[j].deep for j in g) for g in groups]
+        big = max(sizes)
+        lead = [g for g, z in zip(groups, sizes) if z == big]
+        if len(lead) > 1:
+            # distSum (tr.Walk.dist_sum) less a share common to clusters of
+            # one size m: over the edges above s vertices and k members, it
+            # is sum(k(m - k)), or sum(m * s) + sum(k(n - 2s)) with the first
+            # sum common; a branch's sum of k is deep * height
+            n, brs = self.n, self.branches
+            sums = [sum(brs[j].deep * brs[j].height * (big if pairwise else n)
+                        - (brs[j].k2 if pairwise else 2 * brs[j].ks) for j in g) for g in lead]
+            lead = [g for g, ds in zip(lead, sums) if ds == min(sums)]
+        if len(lead) == 1:
+            return lead[0], sum(sizes), big, None
+        code, keep = min((self.left_code(g), g) for g in lead)
+        return keep, sum(sizes), big, code
+
+
+def peel_sweep(
+    seqs, *, dist_sum_mode: str = "global", strict_pseudocode: bool = False
+) -> Iterator[tuple[list[int], bytes, tuple[HalfMoves, ...]]]:
+    """(seq, code, values) for each level sequence of seqs, in order: the
+    tree's canonical code, and per bound in BOUNDS order the value that
+    delta_star or delta_prime would give it, without a trace.  Each seq is
+    rooted at a center (enumeration._free_level_sequences and
+    enumeration.level_sequence make them so).  This is the batch path of
+    table1, table2 and verify; the per-tree engine (_peel) gives traces.
+
+    Dynamic programming over isomorphism classes.  What a step charges is
+    invariant, and C* is chosen by an invariant key whose full ties leave
+    isomorphic trees, so value(T) = cost of T's first step +
+    value(leftover), remembered under the canonical code.  Per tree that is
+    one step, read off its root's branch summaries (_Rooted), and per
+    deleted set a leftover code joined from branch codes.  Only a leftover
+    not valued yet is built, as a level sequence; given every tree of each
+    size in ascending order, that happens only below the smallest size.
     """
     if dist_sum_mode not in tr.DIST_SUM_MODES:
         raise ValueError(f"unknown dist_sum mode {dist_sum_mode!r}")
+    pairwise = dist_sum_mode == "pairwise"
     memo: dict[bytes, tuple[int, ...]] = {}
 
-    def units(walk: tr.Walk) -> tuple[int, ...]:
-        got = memo.get(walk.code)
+    def units(seq) -> tuple[bytes, tuple[int, ...]]:
+        tree = _Rooted(seq)
+        got = memo.get(tree.code)
         if got is None:
-            if walk.diam <= 2:  # n <= 2 or K_{1,n-1}
-                got = (star_bound(walk.tree.n).units,) * len(BOUNDS)
+            if tree.diam <= 2:  # n <= 2 or K_{1,n-1}
+                got = (star_bound(len(seq)).units,) * len(BOUNDS)
             else:
-                step = _Step(walk, dist_sum_mode)
+                keep, s, c, code = tree.pick(pairwise)
+                # leftover code per deleted set (True: all of S), each joined
+                # once; ranking a tie already joined the one of S - C*
+                codes = {} if code is None else {False: code}
                 got = []
                 for i, rule in enumerate(BOUNDS.values()):
-                    case, cost = step.charge(rule, strict_pseudocode)
-                    left = memo.get(step.left_code(case)) or units(step.left(case))
+                    case, cost = _charge(rule, strict_pseudocode, s, c, tree.diam)
+                    full = case == FULL_S
+                    if full not in codes:
+                        codes[full] = tree.left_code(() if full else keep)
+                    left = memo.get(codes[full]) or units(tree.left(() if full else keep))[1]
                     got.append(cost + left[i])
                 got = tuple(got)
-            memo[walk.code] = got
-        return got
+            memo[tree.code] = got
+        return tree.code, got
 
-    return ((t, tuple(map(HalfMoves, units(tr.Walk(t))))) for t in trees)
+    def valued(seq):
+        code, got = units(seq)
+        return seq, code, tuple(map(HalfMoves, got))
+
+    return map(valued, seqs)
 
 
 def predicted_gap(d: int, baseline: str) -> HalfMoves:

@@ -246,15 +246,6 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 # table1
 
-def _free_trees(sizes):
-    """Every free tree of each size, sizes ascending, each size in generation
-    order, built one at a time.  table1 and verify only sum or count per
-    size, so enumerate_free_trees' sort key, a walk per tree, would be
-    wasted.  Each size's generator is made here, so a size out of range
-    fails before any tree is valued."""
-    return chain.from_iterable([en._free_trees(n) for n in sizes])
-
-
 def cmd_table1(args) -> int:
     names = tuple(bd.BOUNDS) if args.bound == "all" else (args.bound,)
     sizes = _span(args.n_min, args.n_max, "n")
@@ -274,10 +265,13 @@ def cmd_table1(args) -> int:
     t0 = time.time()
     ordering_ok = True
     totals = {n: dict.fromkeys(("trees", *bd.BOUNDS), 0) for n in sizes}
-    swept = bd.peel_sweep(_free_trees(sizes), dist_sum_mode=args.distsum,
+    # each size's generator is made here, so a size out of range fails
+    # before any tree is valued; no tree is built, and none sorted
+    seqs = chain.from_iterable([en._free_level_sequences(n) for n in sizes])
+    swept = bd.peel_sweep(seqs, dist_sum_mode=args.distsum,
                           strict_pseudocode=args.strict_pseudocode)
-    for t, values in swept:
-        sums = totals[t.n]
+    for seq, _, values in swept:
+        sums = totals[len(seq)]
         sums["trees"] += 1
         for name, x in zip(bd.BOUNDS, values):
             sums[name] += x.moves
@@ -314,10 +308,10 @@ def cmd_table2(args) -> int:
         + [(k, bd.BOUNDS[k]) for k in names],
     )
     t0 = time.time()
-    swept = bd.peel_sweep((tr.make_full_binary(d) for d in depths),
+    swept = bd.peel_sweep((en.level_sequence(tr.make_full_binary(d)) for d in depths),
                           dist_sum_mode=args.distsum, strict_pseudocode=args.strict_pseudocode)
-    for d, (t, values) in zip(depths, swept):
-        row = {"d": d, "n": t.n, "leaves": (t.n + 1) // 2,
+    for d, (seq, _, values) in zip(depths, swept):
+        row = {"d": d, "n": len(seq), "leaves": (len(seq) + 1) // 2,
                **{k: v.moves for k, v in zip(bd.BOUNDS, values)}}
         report.rows.append(row)
         gold = golden.BINARY.get(d)
@@ -356,7 +350,8 @@ def cmd_verify(args) -> int:
         columns=[("n", "n"), ("trees", "trees")],
     )
     t0 = time.time()
-    swept = bd.peel_sweep(_free_trees(sizes), dist_sum_mode=args.distsum)
+    seqs = chain.from_iterable([en._free_level_sequences(n) for n in sizes])
+    swept = bd.peel_sweep(seqs, dist_sum_mode=args.distsum)
     # every size the cap admits (n <= MAX_CAP) is pinned; the check keeps
     # the cap errors and fails before any tree is valued
     orc._check_cap(args.n_max, args.cap)
@@ -364,13 +359,14 @@ def cmd_verify(args) -> int:
     counts = dict.fromkeys(sizes, 0)
     histogram: dict[int, int] = {}
     violations = []
-    for t, (bound, *_) in swept:  # the main bound, first in bd.BOUNDS
-        exact = pinned[tr.canonical_code(t)]
+    for seq, code, (bound, *_) in swept:  # the main bound, first in bd.BOUNDS
+        exact = pinned[code]
         slack = bound.moves - exact
         histogram[slack] = histogram.get(slack, 0) + 1
         if slack < 0:
-            violations.append((en.encode_graph6(t), bound.moves, exact))
-        counts[t.n] += 1
+            g6 = en.encode_graph6(en._from_level_sequence(seq))  # the one tree built
+            violations.append((g6, bound.moves, exact))
+        counts[len(seq)] += 1
     report.rows = [{"n": n, "trees": count} for n, count in counts.items()]
     slacks = sorted(histogram.items())
     report.footer = (

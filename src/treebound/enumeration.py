@@ -7,9 +7,9 @@ Hedetniemi (1980) and jumps over every sequence that is not the canonical
 one of its free tree.  The test suite re-derives the counts and the
 isomorphism-class uniqueness independently, so a generator defect cannot
 pass silently.  enumerate_free_trees sorts the trees by canonical code, so
-its output does not depend on the generator's order; _free_trees gives
-them unsorted, in generation order, for callers such as table1 whose
-results do not depend on order and which need not pay for the sort key.
+its output does not depend on the generator's order; table1 and verify,
+whose results do not either, take the generator's level sequences, each
+rooted at a center (_free_level_sequences), and build no tree.
 """
 
 from __future__ import annotations
@@ -53,8 +53,16 @@ def _split(seq: list[int]) -> tuple[list[int], list[int]]:
     return [x - 1 for x in seq[1:m]], [0] + seq[m:]
 
 
-def _free_level_sequences(n: int):
-    """Level sequences of every free tree on n >= 2 vertices (WROM)."""
+def _free_level_sequences(n: int) -> Iterator[list[int]]:
+    """Preorder level sequences of every free tree on n vertices, one per
+    isomorphism class, each rooted at a center; n is checked on the call."""
+    if not 1 <= n <= 16:
+        raise TreeSizeError(f"supported range is 1 <= n <= 16, got {n}")
+    return _wrom(n) if n > 1 else iter([[0]])
+
+
+def _wrom(n: int) -> Iterator[list[int]]:
+    # the generator of Wright, Richmond, Odlyzko and McKay, for n >= 2
     seq = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))  # centred path
     while seq is not None:
         left, rest = _split(seq)
@@ -89,20 +97,17 @@ def _from_level_sequence(seq: list[int]) -> tr.Tree:
     return tr.Tree(n=n, adj=tuple(map(tuple, adj)), labels=tuple(range(1, n + 1)))
 
 
-def _free_trees(n: int) -> Iterator[tr.Tree]:
-    """All free trees on n vertices, each isomorphism class exactly once,
-    in generation order, built one at a time."""
-    if not 1 <= n <= 16:
-        raise TreeSizeError(f"supported range is 1 <= n <= 16, got {n}")
-    if n == 1:
-        return iter([tr.build_tree(1, [])])
-    return map(_from_level_sequence, _free_level_sequences(n))
+def level_sequence(t: tr.Tree) -> list[int]:
+    """t's preorder level sequence rooted at a center, for bounds.peel_sweep."""
+    def down(v, parent, level):
+        return [level] + [x for w in t.adj[v] if w != parent for x in down(w, v, level + 1)]
+    return down(tr.Walk(t).centers[0], -1, 0)
 
 
 def enumerate_free_trees(n: int) -> list[tr.Tree]:
     """All free trees on n vertices, each isomorphism class exactly once,
     in canonical-code order."""
-    return sorted(_free_trees(n), key=tr.canonical_code)
+    return sorted(map(_from_level_sequence, _free_level_sequences(n)), key=tr.canonical_code)
 
 
 # ---------------------------------------------------------------------------

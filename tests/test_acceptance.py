@@ -21,7 +21,6 @@ from fractions import Fraction
 import pytest
 
 from treebound import bounds as bd
-from treebound import cli
 from treebound import enumeration as en
 from treebound import golden
 from treebound import oracle as orc
@@ -38,8 +37,9 @@ def sweep():
     """Per-tree (graph6, then each bound's moves in bounds.BOUNDS order) for
     every tree, n = 6..15, in generation order."""
     sweep = {n: [] for n in range(6, 16)}
-    for t, v in bd.peel_sweep(cli._free_trees(range(6, 16))):
-        sweep[t.n].append((en.encode_graph6(t), *(x.moves for x in v)))
+    for seq, _, v in bd.peel_sweep(s for n in range(6, 16) for s in en._free_level_sequences(n)):
+        g6 = en.encode_graph6(en._from_level_sequence(seq))
+        sweep[len(seq)].append((g6, *(x.moves for x in v)))
     return sweep
 
 

@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 from treebound import bounds as bd
+from treebound import cli
 from treebound import enumeration as en
 from treebound import tree as tr
 
@@ -127,7 +128,7 @@ def test_dist_sum_mode_validation():
         with pytest.raises(ValueError, match="bogus"):
             bd.delta_prime(star, variant, dist_sum_mode="bogus")
     with pytest.raises(ValueError, match="bogus"):
-        bd.peel_sweep([star], dist_sum_mode="bogus")
+        bd.peel_sweep([en.level_sequence(star)], dist_sum_mode="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -183,36 +184,47 @@ def test_bound_ordering(all_trees):
 # the choice of C*
 
 def test_c_star_is_the_first_cluster(all_trees):
-    # _pick_largest_cluster's lazy filters and Cluster.sort_key write the
-    # cluster order twice; C* must be the first cluster of tr.clusters
+    # _pick_largest_cluster's lazy filters, the batch path's (_Rooted.pick)
+    # and Cluster.sort_key write the cluster order three times; C* must be
+    # the first cluster of tr.clusters, or leave the tree it leaves
     cases = 0
     for n in range(3, 13):
         for t in all_trees(n):
             walk = tr.Walk(t)
             if walk.diam <= 2:  # a star has no peel step
                 continue
+            rooted = bd._Rooted(en.level_sequence(t))
+            assert (rooted.code, rooted.diam) == (walk.code, walk.diam)
             for mode in tr.DIST_SUM_MODES:
                 ranked = tr.clusters(t, walk.s, mode)
-                c_star, code = bd._pick_largest_cluster(walk, mode)
+                c_star = bd._pick_largest_cluster(walk, mode)
                 assert frozenset(c_star) == ranked[0].members
+                keep, s, c, code = rooted.pick(mode == "pairwise")
+                assert (s, c) == (len(walk.s), ranked[0].size)
+                assert rooted.left_code(keep) == ranked[0].canon_key
                 assert code in (None, ranked[0].canon_key)
+                assert rooted.left_code() == walk.left_code()
                 cases += 1
     assert cases == 1950
 
 
-def test_sweep_codes_each_leftover_once(monkeypatch, all_trees):
-    # ranking a (size, distSum) tie reads each tied cluster's leftover code;
-    # the step then looks the winner's up in the memo without reading it again
-    calls, walks = [], []
-    real = tr.Walk.left_code
+def _sequences(sizes):
+    return [seq for n in sizes for seq in en._free_level_sequences(n)]
 
-    def left_code(walk, kept=()):
-        walks.append(walk)  # kept alive, so no id is reused
-        calls.append((id(walk), tuple(kept)))
-        return real(walk, kept)
 
-    monkeypatch.setattr(tr.Walk, "left_code", left_code)
-    for _ in bd.peel_sweep(t for n in range(6, 13) for t in all_trees(n)):
+def test_sweep_codes_each_leftover_once(monkeypatch):
+    # ranking a (size, distSum) tie joins each tied cluster's leftover code;
+    # the step then looks the winner's up in the memo without joining it again
+    calls, trees = [], []
+    real = bd._Rooted.left_code
+
+    def left_code(tree, keep=()):
+        trees.append(tree)  # kept alive, so no id is reused
+        calls.append((id(tree), tuple(keep)))
+        return real(tree, keep)
+
+    monkeypatch.setattr(bd._Rooted, "left_code", left_code)
+    for _ in bd.peel_sweep(_sequences(range(6, 13))):
         pass
     assert len(set(calls)) == len(calls) == 1188
 
@@ -226,7 +238,7 @@ PEEL_RUNS = [
 ]
 
 
-def test_peel_derives_each_step_from_one_pass(monkeypatch, all_trees):
+def test_peel_derives_each_step_from_one_pass(monkeypatch, all_trees, capsys):
     trees = [t for n in range(1, 10) for t in all_trees(n)]
     trees.append(en.parse_graph6("IhCS?C@?G"))  # no (size, distSum) tie at any step
 
@@ -254,35 +266,55 @@ def test_peel_derives_each_step_from_one_pass(monkeypatch, all_trees):
             assert len(builds) == len(trace.records) - 1
         assert len(trace.records) == 7 and rows == []
 
-    # table1's sweep: one walk per tree; given every smaller tree first, no
-    # leftover is built, since its code is read off the walk and found
+    # table1's sweep: no tree is built or walked, and each distinct branch
+    # of a root is summarised once; a leftover's code is joined from those
+    # summaries, so only leftovers below the smallest size are built
+    want = cli.main(["table1", "--n-min", "6", "--n-max", "12"]), capsys.readouterr().out
     walks.clear()
     builds.clear()
-    assert len(list(bd.peel_sweep(trees[:-1]))) == len(trees) - 1
-    assert len(walks) == len(trees) - 1 and builds == [] and rows == []
-    # alone, the n = 9 trees value their leftovers on demand: each walk
-    # beyond one per tree is of a leftover built after a memo miss
-    nine = all_trees(9)
-    walks.clear()
+    made, lefts = [], []
+    real_branch, real_left = bd._Branch, bd._Rooted.left
+    with monkeypatch.context() as m:
+        m.setattr(tr, "Tree", forbidden)
+        m.setattr(bd, "_BRANCHES", {})
+        m.setattr(bd, "_Branch", lambda levels: made.append(levels) or real_branch(levels))
+        m.setattr(bd._Rooted, "left", lambda *a: lefts.append(real_left(*a)) or lefts[-1])
+        assert (cli.main(["table1", "--n-min", "6", "--n-max", "12"]),
+                capsys.readouterr().out) == want
+    assert walks == builds == rows == []
+    assert sorted(map(len, lefts)) == [3, 4, 4, 5, 5, 5]
+    lefts.clear()
+    assert len(set(made)) == len(made) == 83
+    # alone, the n = 9 trees value their leftovers on demand: each tree
+    # summarised beyond one per input is a leftover built after a memo miss
+    rooted = []
+    real_rooted = bd._Rooted
+    monkeypatch.setattr(bd._Rooted, "left", lambda *a: lefts.append(real_left(*a)) or lefts[-1])
+    monkeypatch.setattr(bd, "_Rooted", lambda seq: rooted.append(seq) or real_rooted(seq))
+    nine = _sequences([9])
     for strict in (False, True):
         assert len(list(bd.peel_sweep(nine, strict_pseudocode=strict))) == len(nine)
-    assert builds and len(walks) == 2 * len(nine) + len(builds) and rows == []
+    assert lefts and len(rooted) == 2 * len(nine) + len(lefts)
+    assert walks == builds == rows == []
 
 
-def test_peel_sweep_matches_engine(all_trees):
-    # Sizes 7..10 go first, so the leftovers below 7 are valued on demand
-    # and sizes 1..6 then come out of the memo: both paths are checked.
-    trees = [t for n in (*range(7, 11), *range(1, 7)) for t in all_trees(n)]
+def test_peel_sweep_matches_engine():
+    # Sizes 7..12 go first, so the leftovers below 7 are valued on demand,
+    # from level sequences, and sizes 1..6 then come out of the memo: both
+    # paths are checked, on every tree with n <= 12.
+    seqs = _sequences((*range(7, 13), *range(1, 7)))
+    trees = [en._from_level_sequence(seq) for seq in seqs]
     for mode in ("global", "pairwise"):
+        baselines = [(bd.delta_prime(t, "v1", dist_sum_mode=mode)[0],
+                      bd.delta_prime(t, "v2", dist_sum_mode=mode)[0]) for t in trees]
         for strict in (False, True):
-            swept = bd.peel_sweep(trees, dist_sum_mode=mode, strict_pseudocode=strict)
-            for want, (t, (ds, v1, v2)) in zip(trees, swept, strict=True):
-                assert t is want
+            swept = bd.peel_sweep(seqs, dist_sum_mode=mode, strict_pseudocode=strict)
+            for t, v12, (seq, code, (ds, *v)) in zip(trees, baselines, swept, strict=True):
                 g6 = en.encode_graph6(t)
+                assert code == tr.canonical_code(t), g6
                 assert ds == bd.delta_star(t, dist_sum_mode=mode,
                                            strict_pseudocode=strict)[0], (g6, mode, strict)
-                assert v1 == bd.delta_prime(t, "v1", dist_sum_mode=mode)[0], (g6, mode)
-                assert v2 == bd.delta_prime(t, "v2", dist_sum_mode=mode)[0], (g6, mode)
+                assert tuple(v) == v12, (g6, mode)
 
 
 def test_peel_sweep_matches_engine_on_full_binary_trees():
@@ -290,9 +322,10 @@ def test_peel_sweep_matches_engine_on_full_binary_trees():
     trees = [tr.make_full_binary(d) for d in range(1, 8)]
     for mode in ("global", "pairwise"):
         for strict in (False, True):
-            swept = bd.peel_sweep(trees, dist_sum_mode=mode, strict_pseudocode=strict)
-            for want, (t, values) in zip(trees, swept, strict=True):
-                assert t is want
+            swept = bd.peel_sweep(map(en.level_sequence, trees), dist_sum_mode=mode,
+                                  strict_pseudocode=strict)
+            for t, (seq, _, values) in zip(trees, swept, strict=True):
+                assert len(seq) == t.n
                 assert values == (
                     bd.delta_star(t, dist_sum_mode=mode, strict_pseudocode=strict)[0],
                     bd.delta_prime(t, "v1", dist_sum_mode=mode)[0],

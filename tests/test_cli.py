@@ -176,21 +176,32 @@ def test_table1_csv(capsys):
 
 def test_table1_sweep_skips_the_sort_key(monkeypatch):
     # table1 and verify only sum or count per size, so they take each
-    # size's trees unsorted and never compute enumerate_free_trees' sort key
+    # size's level sequences unsorted and never compute enumerate_free_trees'
+    # sort key
     def no_sort_key(t):
         raise AssertionError("the sweep computed the enumeration sort key")
 
     with monkeypatch.context() as m:
         m.setattr(tr, "canonical_code", no_sort_key)
-        sweep = list(bd.peel_sweep(cli._free_trees(range(6, 12))))
-    assert [t.n for t, _ in sweep] == sorted(t.n for t, _ in sweep)
-    assert {t.n for t, _ in sweep} == set(range(6, 12))
+        sweep = list(bd.peel_sweep(s for n in range(6, 12) for s in en._free_level_sequences(n)))
+    assert [len(s) for s, _, _ in sweep] == sorted(len(s) for s, _, _ in sweep)
+    assert {len(s) for s, _, _ in sweep} == set(range(6, 12))
     for n in range(6, 12):
-        got = {en.encode_graph6(t): v for t, v in sweep if t.n == n}
+        got = {en.encode_graph6(en._from_level_sequence(s)): v for s, _, v in sweep if len(s) == n}
         trees = en.enumerate_free_trees(n)
-        want = {en.encode_graph6(t): v for t, v in bd.peel_sweep(trees)}
-        assert sum(t.n == n for t, _ in sweep) == len(trees)
+        swept = bd.peel_sweep(map(en.level_sequence, trees))
+        want = {en.encode_graph6(t): v for t, (_, _, v) in zip(trees, swept)}
+        assert sum(len(s) == n for s, _, _ in sweep) == len(trees)
         assert got == want, n
+
+
+def test_table1_row_does_not_depend_on_the_smaller_sizes(capsys):
+    # alone, n = 13 values every leftover on a memo miss, from a level
+    # sequence; after n = 6..12, nearly all of them come out of the memo
+    _, alone, _ = run(capsys, "table1", "--n-min", "13", "--n-max", "13")
+    _, after, _ = run(capsys, "table1", "--n-min", "6", "--n-max", "13")
+    row = [line for line in alone.splitlines() if line.startswith("n=13 ")]
+    assert len(row) == 1 and row[0] in after.splitlines()
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +526,7 @@ def test_bad_range_fails_before_any_tree_is_valued(capsys, monkeypatch, argv, pr
         raise AssertionError("a tree was valued before the range was checked")
 
     monkeypatch.setattr(tr, "Walk", valued)
+    monkeypatch.setattr(bd, "_Rooted", valued)
     monkeypatch.setattr(orc, "cayley_diameter", valued)
     assert_error(capsys, prefix, *argv)
 

@@ -29,6 +29,47 @@ def test_stream_range_check():
         en.enumerate_free_trees(17)
 
 
+def _root_branch_heights(seq):
+    # the height of each subtree of the root, tallest first
+    starts = [i for i, level in enumerate(seq) if level == 1] + [len(seq)]
+    return sorted((max(seq[a:b]) for a, b in zip(starts, starts[1:])), reverse=True)
+
+
+def test_level_sequences_are_rooted_at_a_center():
+    # bounds.peel_sweep reads the centers off the root's branches: the root
+    # is a center iff its two tallest branches differ in height by at most
+    # one, and when they differ the taller one's root is the other center
+    assert list(en._free_level_sequences(1)) == [[0]]
+    assert list(en._free_level_sequences(2)) == [[0, 1]]
+    for n in (0, 17):  # checked on the call, before any sequence is made
+        with pytest.raises(en.TreeSizeError):
+            en._free_level_sequences(n)
+    for n in range(1, 15):
+        seqs = list(en._free_level_sequences(n))
+        assert len(seqs) == golden.TREE_COUNTS[n]
+        for seq in seqs:
+            heights = _root_branch_heights(seq) + [0, 0]
+            assert seq[0] == 0 and heights[0] - heights[1] <= 1, seq
+            if n > 12:
+                continue
+            centers = tr.Walk(en._from_level_sequence(seq)).centers
+            if heights[0] == heights[1]:
+                assert centers == [0], seq
+            else:  # the root of the branch that holds the top level
+                top = seq.index(heights[0])
+                assert centers == [0, max(i for i in range(top + 1) if seq[i] == 1)], seq
+
+
+def test_level_sequence_of_a_tree(all_trees):
+    # the one conversion of a tr.Tree, rooted at its first center
+    for n in range(1, 10):
+        for t in all_trees(n):
+            seq = en.level_sequence(t)
+            assert tr.canonical_code(en._from_level_sequence(seq)) == tr.canonical_code(t)
+            heights = _root_branch_heights(seq) + [0, 0]
+            assert heights[0] - heights[1] <= 1, seq
+
+
 def test_counts_match_otter_recurrence():
     # independent re-derivation: rooted-tree counts by Euler transform,
     # free-tree counts by Otter's formula t(n) = r(n) - (sum of products
