@@ -408,10 +408,10 @@ class _Rooted:
         big = max(sizes)
         lead = [g for g, z in zip(groups, sizes) if z == big]
         if len(lead) > 1:
-            # distSum (tr.Walk.dist_sum) less a share common to clusters of
-            # one size m: over the edges above s vertices and k members, it
-            # is sum(k(m - k)), or sum(m * s) + sum(k(n - 2s)) with the first
-            # sum common; a branch's sum of k is deep * height
+            # distSum (tr.Walk.dist_sum) less what all clusters of size m
+            # share.  Over the edges, each above s vertices and k members,
+            # pairwise sums k(m - k) = mk - kk, global sums ms + k(n - 2s),
+            # whose ms is shared; and a branch's sum of k is deep * height
             n, brs = self.n, self.branches
             sums = [sum(brs[j].deep * brs[j].height * (big if pairwise else n)
                         - (brs[j].k2 if pairwise else 2 * brs[j].ks) for j in g) for g in lead]

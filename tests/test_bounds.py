@@ -186,7 +186,8 @@ def test_bound_ordering(all_trees):
 def test_c_star_is_the_first_cluster(all_trees):
     # _pick_largest_cluster's lazy filters, the batch path's (_Rooted.pick)
     # and Cluster.sort_key write the cluster order three times; C* must be
-    # the first cluster of tr.clusters, or leave the tree it leaves
+    # the first cluster of tr.clusters, and the batch path, which has no
+    # labels, must leave the tree that cluster leaves
     cases = 0
     for n in range(3, 13):
         for t in all_trees(n):
