@@ -13,8 +13,6 @@ from collections.abc import Iterator
 from math import isqrt
 from typing import NamedTuple
 
-from . import tree as tr
-
 
 class _HalfMovesFields(NamedTuple):
     units: int
@@ -77,6 +75,19 @@ FULL_S = "FullSDeletion"
 # Every bound, in report order: its CLI name -> the step rule it peels with
 # (_charge).  The rule name is also its column in golden's tables.
 BOUNDS = {"delta-star": "dstar", "delta-prime-v1": "v1", "delta-prime-v2": "v2"}
+
+# the cluster tie-break keys (tr.Walk.dist_sum)
+DIST_SUM_MODES = ("global", "pairwise")
+
+
+def _ahu(codes: list[bytes]) -> bytes:
+    # AHU code of a rooted tree from its root's child codes
+    return b"(" + b"".join(sorted(codes)) + b")"
+
+
+def _pair(a: bytes, b: bytes) -> bytes:
+    # code of a bicentered tree from its two sides' codes
+    return a + b if a <= b else b + a
 
 
 class IterationRecord(NamedTuple):
@@ -246,8 +257,10 @@ def _peel(t, rule, *, dist_sum_mode, strict_pseudocode):
     <= 2), the peripheral set S, its clusters, their distSums and the tree
     code.  Canonical tie keys are lazy (see _pick_largest_cluster).
     """
+    from . import tree as tr  # the batch path (peel_sweep) never loads it
+
     # checked up front: a star input never reaches a distSum
-    if dist_sum_mode not in tr.DIST_SUM_MODES:
+    if dist_sum_mode not in DIST_SUM_MODES:
         raise ValueError(f"unknown dist_sum mode {dist_sum_mode!r}")
     records = []
     total = 0  # half-move units
@@ -318,7 +331,7 @@ class _Branch:
         size, below, k2, ks = [0] * (h + 2), [0] * (h + 2), 0, 0
         for lev in reversed(levels):  # each vertex after its children
             kids, done[lev + 1] = done[lev + 1], []
-            done[lev].append(tr._ahu(kids))
+            done[lev].append(_ahu(kids))
             s, k = size[lev + 1] + 1, below[lev + 1] + (lev == h)
             size[lev + 1] = below[lev + 1] = 0
             size[lev] += s
@@ -342,8 +355,8 @@ def _branch(levels: tuple[int, ...]) -> _Branch:
 def _join(codes: list[bytes], second: int) -> bytes:
     """Tree code from its root's branch codes; branch second's root is the other center."""
     if second < 0:
-        return tr._ahu(codes)
-    return tr._pair(codes[second], tr._ahu(codes[:second] + codes[second + 1:]))
+        return _ahu(codes)
+    return _pair(codes[second], _ahu(codes[:second] + codes[second + 1:]))
 
 
 class _Rooted:
@@ -385,7 +398,7 @@ class _Rooted:
             return _join(codes, keep[0])
         if keep == [second]:
             rest = _join(codes[:second] + codes[second + 1:], -1)
-            return tr._ahu(self.branches[second].kids + [rest])
+            return _ahu(self.branches[second].kids + [rest])
         return _join(codes, -1)
 
     def left(self, keep=()) -> list[int]:
@@ -441,7 +454,7 @@ def peel_sweep(
     not valued yet is built, as a level sequence; given every tree of each
     size in ascending order, that happens only below the smallest size.
     """
-    if dist_sum_mode not in tr.DIST_SUM_MODES:
+    if dist_sum_mode not in DIST_SUM_MODES:
         raise ValueError(f"unknown dist_sum mode {dist_sum_mode!r}")
     pairwise = dist_sum_mode == "pairwise"
     memo: dict[bytes, tuple[int, ...]] = {}

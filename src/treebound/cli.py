@@ -21,9 +21,9 @@ from typing import NamedTuple
 
 from . import bounds as bd
 from . import enumeration as en
-from . import golden
-from . import oracle as orc
-from . import tree as tr
+
+# golden, oracle and tree are imported by the subcommands that use them, so
+# table1 and verify load no module they do not run
 
 EXIT_OK = 0
 EXIT_HARD = 1
@@ -151,29 +151,23 @@ def _json(doc) -> str:
 # ---------------------------------------------------------------------------
 # tree sources
 
-# --make kind: (constructor, parameter count)
-_MAKE = {
-    "star": (tr.make_star, 1),
-    "path": (tr.make_path, 1),
-    "full-binary": (tr.make_full_binary, 1),
-    "spider": (tr.make_spider, 2),
-    "matchstick": (tr.make_matchstick, 1),
-}
+# --make kind -> parameter count; the constructor is tr.make_<kind>
+_MAKE = {"star": 1, "path": 1, "full-binary": 1, "spider": 2, "matchstick": 1}
 
 
 def _parse_make(spec: str) -> tr.Tree:
+    from . import tree as tr
     kind, _, rest = spec.partition(":")
     try:
         params = tuple(int(x) for x in rest.split(",")) if rest else ()
-        make, arity = _MAKE[kind]
-        if len(params) != arity:
+        if len(params) != _MAKE[kind]:
             raise ValueError
     except (KeyError, ValueError):
         raise UsageError(
             f"bad --make spec {spec!r}; expected star:N, path:N, full-binary:D, "
             "spider:M,K or matchstick:K"
         ) from None
-    return make(*params)
+    return getattr(tr, "make_" + kind.replace("-", "_"))(*params)
 
 
 def _load_trees(args) -> list[tuple[str, tr.Tree]]:
@@ -188,6 +182,7 @@ def _load_trees(args) -> list[tuple[str, tr.Tree]]:
     except UnicodeDecodeError:
         raise UsageError(f"{args.input} is not an ASCII text file") from None
     if args.format == "edges":
+        from . import tree as tr
         return [(args.input, tr.parse_edge_list(text))]
     out = []
     for line in text.splitlines():
@@ -247,6 +242,7 @@ def cmd_bound(args) -> int:
 # table1
 
 def cmd_table1(args) -> int:
+    from . import golden
     names = tuple(bd.BOUNDS) if args.bound == "all" else (args.bound,)
     sizes = _span(args.n_min, args.n_max, "n")
     case2 = "post" if args.strict_pseudocode else "pre"
@@ -292,6 +288,7 @@ def cmd_table1(args) -> int:
 # table2
 
 def cmd_table2(args) -> int:
+    from . import golden, tree as tr
     names = ("delta-prime-v1", "delta-prime-v2", "delta-star")  # column order
     depths = _span(args.d_min, args.d_max, "d")
     case2 = "post" if args.strict_pseudocode else "pre"
@@ -341,6 +338,7 @@ def cmd_table2(args) -> int:
 # verify
 
 def cmd_verify(args) -> int:
+    from . import oracle as orc
     sizes = _span(args.n_min, args.n_max, "n")
     report = ExperimentReport(
         "verify",
@@ -390,6 +388,7 @@ def cmd_verify(args) -> int:
 # enumerate / oracle
 
 def cmd_enumerate(args) -> int:
+    from . import tree as tr
     trees = en.enumerate_free_trees(args.n)
     if args.format == "edges":
         _emit("\n\n".join(tr.format_edge_list(t).rstrip("\n") for t in trees))
@@ -400,6 +399,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle as orc
     trees = _load_trees(args)
     t0 = time.time()
     doc = []
@@ -431,7 +431,7 @@ def _add_common(p: argparse.ArgumentParser, *flags: str,
     """--output (one of `outputs`) and --distsum, plus those of
     --strict-pseudocode and --cap that `flags` names."""
     p.add_argument("--output", choices=outputs, default="text")
-    p.add_argument("--distsum", choices=tr.DIST_SUM_MODES, default="global")
+    p.add_argument("--distsum", choices=bd.DIST_SUM_MODES, default="global")
     if "strict-pseudocode" in flags:
         p.add_argument("--strict-pseudocode", action="store_true")
     if "cap" in flags:
@@ -496,12 +496,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _errors() -> tuple:
+    """The exceptions main() reports as a one-line error.  An except clause
+    evaluates its tuple only when an exception propagates, so tree and
+    oracle load here only on that path."""
+    from . import oracle as orc, tree as tr
+    return (UsageError, tr.TreeError, en.MalformedGraph6Error, en.TreeSizeError,
+            orc.TooLargeError, orc.NotGeneratingError, OSError)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (UsageError, tr.TreeError, en.MalformedGraph6Error, en.TreeSizeError,
-            orc.TooLargeError, orc.NotGeneratingError, OSError) as exc:
+    except _errors() as exc:
         _note(f"error: {exc}")
         return EXIT_HARD
 

@@ -9,14 +9,13 @@ isomorphism-class uniqueness independently, so a generator defect cannot
 pass silently.  enumerate_free_trees sorts the trees by canonical code, so
 its output does not depend on the generator's order; table1 and verify,
 whose results do not either, take the generator's level sequences, each
-rooted at a center (_free_level_sequences), and build no tree.
+rooted at a center (_free_level_sequences), and build no tree: tree is
+imported only by the functions that build or read one.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-
-from . import tree as tr
 
 
 class MalformedGraph6Error(ValueError):
@@ -85,6 +84,7 @@ def _from_level_sequence(seq: list[int]) -> tr.Tree:
     # vertex i's parent is the last earlier vertex one level up; label i + 1.
     # A tree by construction, so build_tree's checks are skipped; each
     # neighbour list comes out ascending (parent first, then children).
+    from . import tree as tr
     last = [0] * len(seq)
     adj: list[list[int]] = [[] for _ in seq]
     for i, level in enumerate(seq):
@@ -99,6 +99,7 @@ def _from_level_sequence(seq: list[int]) -> tr.Tree:
 
 def level_sequence(t: tr.Tree) -> list[int]:
     """t's preorder level sequence rooted at a center, for bounds.peel_sweep."""
+    from . import tree as tr
     def down(v, parent, level):
         return [level] + [x for w in t.adj[v] if w != parent for x in down(w, v, level + 1)]
     return down(tr.Walk(t).centers[0], -1, 0)
@@ -107,6 +108,7 @@ def level_sequence(t: tr.Tree) -> list[int]:
 def enumerate_free_trees(n: int) -> list[tr.Tree]:
     """All free trees on n vertices, each isomorphism class exactly once,
     in canonical-code order."""
+    from . import tree as tr
     return sorted(map(_from_level_sequence, _free_level_sequences(n)), key=tr.canonical_code)
 
 
@@ -145,6 +147,7 @@ def parse_graph6(line: str) -> tr.Tree:
     MalformedGraph6Error for anything that is not clean short-form graph6
     and NotATreeError when the decoded graph is not a tree.
     """
+    from . import tree as tr
     s = line.strip()
     if s.startswith(_HEADER):
         s = s[len(_HEADER):]

@@ -13,8 +13,10 @@ importing this module, or the CLI, does not load numpy.
 
 The exact diameter of every free tree with n <= MAX_CAP is also pinned as
 data, in exact_diameters.txt (tests/test_exact_diameters.py checks it
-against the BFS and re-records it); pinned_diameters reads it without the
-BFS or numpy.  cayley_diameter and depth_profile always run the BFS.
+against the BFS and re-records it).  Each line stores its tree's canonical
+code, so pinned_diameters looks diameters up with no BFS, no numpy and no
+graph6 parse: this module never loads tree or enumeration.  cayley_diameter
+and depth_profile always run the BFS.
 """
 
 from __future__ import annotations
@@ -25,9 +27,6 @@ from collections.abc import Sequence
 from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
-
-from . import enumeration as en
-from . import tree as tr
 
 # One-line external view: p[i] is the symbol at 1-based position i+1.
 Permutation = tuple[int, ...]
@@ -144,19 +143,24 @@ def cayley_diameter(t: tr.Tree, *, cap: int | None = None) -> int:
     return len(_depth_table(t, cap).profile) - 1
 
 
+_PARENS = bytes.maketrans(b"10", b"()")  # a pinned code's bits back to parentheses
+
+
 def pinned_diameters(sizes) -> dict[bytes, int]:
     """Pinned exact diameters of every free tree whose size is in `sizes`,
     keyed by canonical code; sizes past MAX_CAP have none.  Only the lines
-    of the requested sizes are parsed: a graph6 line's first character
-    encodes its tree's size."""
+    of the requested sizes are read: a graph6 line's first character
+    encodes its tree's size.  A line is "<graph6> <diameter> <code>", the
+    code in hex of its parenthesis bits, "(" = 1 and ")" = 0; it starts
+    with "(", so the bits come back whole from the number."""
     heads = {chr(63 + n) for n in sizes}
     out = {}
     path = os.path.join(os.path.dirname(__file__), "exact_diameters.txt")
     with open(path, encoding="ascii") as fh:
         for line in fh:
             if line[0] in heads:
-                g6, diameter = line.split()
-                out[tr.canonical_code(en.parse_graph6(g6))] = int(diameter)
+                _, diameter, code = line.split()
+                out[bin(int(code, 16))[2:].encode().translate(_PARENS)] = int(diameter)
     return out
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .bounds import DIST_SUM_MODES, _ahu, _pair
+
 
 class TreeError(Exception):
     """Base class for tree construction and manipulation errors."""
@@ -239,15 +241,6 @@ class Walk:
         return recode(g, extra=new[centers[0] + centers[1] - g])
 
 
-def _ahu(codes: list[bytes]) -> bytes:
-    return b"(" + b"".join(sorted(codes)) + b")"
-
-
-def _pair(a: bytes, b: bytes) -> bytes:
-    # code of a bicentered tree from its two sides' codes
-    return a + b if a <= b else b + a
-
-
 def eccentricities(t: Tree) -> list[int]:
     """Per-vertex eccentricity: depth below the center plus the radius (see Walk)."""
     w = Walk(t)
@@ -272,10 +265,6 @@ class Cluster(NamedTuple):
 
     def sort_key(self):
         return (-self.size, self.dist_sum, self.canon_key, self.min_label)
-
-
-# the cluster tie-break keys Walk.dist_sum takes
-DIST_SUM_MODES = ("global", "pairwise")
 
 
 def clusters(t: Tree, s, dist_sum_mode: str = "global") -> list[Cluster]:

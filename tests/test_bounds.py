@@ -196,7 +196,7 @@ def test_c_star_is_the_first_cluster(all_trees):
                 continue
             rooted = bd._Rooted(en.level_sequence(t))
             assert (rooted.code, rooted.diam) == (walk.code, walk.diam)
-            for mode in tr.DIST_SUM_MODES:
+            for mode in bd.DIST_SUM_MODES:
                 ranked = tr.clusters(t, walk.s, mode)
                 c_star = bd._pick_largest_cluster(walk, mode)
                 assert frozenset(c_star) == ranked[0].members

@@ -578,18 +578,25 @@ def test_runtime_needs_neither_networkx_nor_numba():
 
 
 def test_subcommands_without_the_oracle_run_without_numpy():
-    code = (
-        "import sys\n"
-        "sys.modules['numpy'] = None\n"
-        "import treebound.cli as cli\n"
-        "assert cli.main(['table1', '--n-min', '6', '--n-max', '8']) == 0\n"
-        "assert cli.main(['table2', '--d-max', '3']) == 2\n"
-        "assert cli.main(['bound', '--make', 'spider:3,2']) == 0\n"
-        "assert cli.main(['enumerate', '--n', '7']) == 0\n"
-        "assert cli.main(['verify']) == 0\n"  # 3..8: every diameter is pinned
-    )
-    done = _run_python(code)
-    assert done.returncode == 0, done.stderr
+    # None in sys.modules makes any import of the name raise ImportError, so
+    # each subcommand is also run with the modules it must not load blocked
+    runs = [
+        ("numpy", "assert cli.main(['table1', '--n-min', '6', '--n-max', '8']) == 0\n"
+                  "assert cli.main(['table2', '--d-max', '3']) == 2\n"
+                  "assert cli.main(['bound', '--make', 'spider:3,2']) == 0\n"
+                  "assert cli.main(['enumerate', '--n', '7']) == 0\n"
+                  "assert cli.main(['verify']) == 0\n"),  # 3..8: every diameter is pinned
+        # the batch path: table1 values level sequences, verify reads pinned codes
+        ("treebound.tree treebound.oracle",
+         "assert cli.main(['table1', '--n-min', '6', '--n-max', '8']) == 0\n"),
+        ("treebound.tree treebound.golden", "assert cli.main(['verify']) == 0\n"),
+    ]
+    for blocked, calls in runs:
+        code = ("import sys\n"
+                + "".join(f"sys.modules[{m!r}] = None\n" for m in blocked.split())
+                + "import treebound.cli as cli\n" + calls)
+        done = _run_python(code)
+        assert done.returncode == 0, (blocked, done.stderr)
 
 
 def test_oracle_loads_numpy_on_first_use():

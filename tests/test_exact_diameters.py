@@ -1,11 +1,14 @@
 """The pinned exact diameters of every free tree with n <= 11.
 
-src/treebound/exact_diameters.txt holds one "<graph6> <diameter>" line per
-free tree on 1..11 vertices, in enumerate_free_trees order, each diameter
-computed by the oracle's BFS.  verify reads it and runs no BFS.
-These tests check that the file covers exactly those trees, recompute a
-fixed sample with the oracle so the data cannot drift from the kernel,
-and check every bound against the pinned diameters.
+src/treebound/exact_diameters.txt holds one "<graph6> <diameter> <code>"
+line per free tree on 1..11 vertices, in enumerate_free_trees order, each
+diameter computed by the oracle's BFS.  <code> is the tree's canonical code
+in hex of its parenthesis bits ("(" = 1, ")" = 0), so oracle.pinned_diameters
+looks diameters up without parsing graph6; _line writes it, and only
+pinned_diameters reads it back.  verify reads the file and runs no BFS.
+These tests check that the file covers exactly those trees with their
+codes, recompute a fixed sample with the oracle so the data cannot drift
+from the kernel, and check every bound against the pinned diameters.
 
 To re-record (about 8 minutes on two processes, most of it on n = 11),
 run from the repository root:
@@ -32,17 +35,25 @@ COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235)  # free trees on n = 1..11 ver
 # sum of the exact diameters over every free tree on n vertices, n = 8..11
 CUMULATIVE = {8: 393, 9: 971, 10: 2607, 11: 6728}
 HEADER = ("# exact Cayley-graph diameter of every free tree on 1..11 vertices, by BFS;\n"
-          "# one '<graph6> <diameter>' line per tree in enumerate_free_trees order.\n"
+          "# one '<graph6> <diameter> <code>' line per tree in enumerate_free_trees order,\n"
+          "# <code> the canonical code in hex of its bits, '(' = 1 and ')' = 0.\n"
           "# Re-record: PYTHONPATH=src python3 tests/test_exact_diameters.py\n")
 
 
-def _lines() -> list[tuple[str, int]]:
+def _lines() -> list[tuple[str, int, str]]:
     out = []
     for line in DATA.read_text(encoding="ascii").splitlines():
         if line and not line.startswith("#"):
-            g6, diameter = line.split()
-            out.append((g6, int(diameter)))
+            g6, diameter, code = line.split()
+            out.append((g6, int(diameter), code))
     return out
+
+
+def _line(g6: str, diameter: int) -> str:
+    """The data file's line for one tree: its canonical code goes in hex."""
+    code = tr.canonical_code(en.parse_graph6(g6))
+    bits = int(code.translate(bytes.maketrans(b"()", b"10")), 2)
+    return f"{g6} {diameter} {bits:x}\n"
 
 
 @pytest.fixture(scope="module")
@@ -52,15 +63,37 @@ def pinned():
 
 def test_file_holds_every_tree_in_enumeration_order():
     lines = _lines()
-    assert [sum(1 for g6, _ in lines if en.parse_graph6(g6).n == n) for n in SIZES] \
+    assert [sum(1 for g6, *_ in lines if en.parse_graph6(g6).n == n) for n in SIZES] \
         == list(COUNTS)
-    trees = [en.parse_graph6(g6) for g6, _ in lines]
+    trees = [en.parse_graph6(g6) for g6, *_ in lines]
     codes = [tr.canonical_code(t) for t in trees]
     assert len(set(codes)) == len(codes) == sum(COUNTS)
     want = [t for n in SIZES for t in en.enumerate_free_trees(n)]
     assert codes == [tr.canonical_code(t) for t in want]
-    assert [g6 for g6, _ in lines] == [en.encode_graph6(t) for t in want]
+    assert [g6 for g6, *_ in lines] == [en.encode_graph6(t) for t in want]
     assert DATA.stat().st_size < 10_000
+
+
+def test_every_stored_code_is_its_trees_code():
+    for g6, diameter, code in _lines():
+        assert _line(g6, diameter) == f"{g6} {diameter} {code}\n"
+
+
+def test_the_line_writer_reproduces_the_file():
+    # what a re-record writes, given the committed diameters: no BFS runs
+    text = HEADER + "".join(_line(g6, diameter) for g6, diameter, _ in _lines())
+    assert text == DATA.read_text(encoding="ascii")
+
+
+def test_loader_builds_no_tree(monkeypatch, pinned):
+    want = {tr.canonical_code(en.parse_graph6(g6)): d for g6, d, _ in _lines()}
+
+    def built(*args, **kwargs):
+        raise AssertionError("pinned_diameters built a tree")
+
+    monkeypatch.setattr(tr, "Tree", built)
+    monkeypatch.setattr(tr, "Walk", built)
+    assert orc.pinned_diameters(range(1, 12)) == want == pinned
 
 
 def test_loader_parses_only_the_requested_sizes(pinned):
@@ -110,7 +143,7 @@ def test_every_bound_is_sound_against_the_pinned_diameters(pinned):
 
 def test_cumulative_exact_diameters():
     sums = {}
-    for g6, diameter in _lines():
+    for g6, diameter, _ in _lines():
         n = en.parse_graph6(g6).n
         sums[n] = sums.get(n, 0) + diameter
     assert {n: sums[n] for n in CUMULATIVE} == CUMULATIVE
@@ -132,7 +165,7 @@ def _record() -> None:
             t0 = time.time()
             g6s = [en.encode_graph6(t) for t in en.enumerate_free_trees(n)]
             diameters = pool.map(_diameter, g6s, chunksize=1)
-            lines += [f"{g6} {d}\n" for g6, d in zip(g6s, diameters)]
+            lines += map(_line, g6s, diameters)
             print(f"n={n}: {len(g6s)} trees, diameters sum {sum(diameters)}, "
                   f"{time.time() - t0:.1f}s", file=sys.stderr, flush=True)
     DATA.write_text(HEADER + "".join(lines), encoding="ascii")

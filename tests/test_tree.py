@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treebound import bounds as bd
 from treebound import tree as tr
 from conftest import prufer_tree
 import reference as ref
@@ -170,7 +171,7 @@ def test_dist_sum_modes():
 def test_cluster_keys_follow_dist_sum(all_trees):
     for t in all_trees(9):
         s, w = tr.peripheral_set(t), tr.Walk(t)
-        for mode in tr.DIST_SUM_MODES:
+        for mode in bd.DIST_SUM_MODES:
             for c in tr.clusters(t, s, dist_sum_mode=mode):
                 assert c.dist_sum == w.dist_sum(c.members, mode)
         with pytest.raises(ValueError):
