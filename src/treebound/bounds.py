@@ -76,7 +76,8 @@ FULL_S = "FullSDeletion"
 # (_charge).  The rule name is also its column in golden's tables.
 BOUNDS = {"delta-star": "dstar", "delta-prime-v1": "v1", "delta-prime-v2": "v2"}
 
-# the cluster tie-break keys (tr.Walk.dist_sum)
+# The cluster tie-break keys (tr.Walk.dist_sum) and the AHU code helpers
+# live here, not in tree.py, which imports them: peel_sweep never loads tree.
 DIST_SUM_MODES = ("global", "pairwise")
 
 

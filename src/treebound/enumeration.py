@@ -81,10 +81,10 @@ def _wrom(n: int) -> Iterator[list[int]]:
 
 
 def _from_level_sequence(seq: list[int]) -> tr.Tree:
+    from . import tree as tr
     # vertex i's parent is the last earlier vertex one level up; label i + 1.
     # A tree by construction, so build_tree's checks are skipped; each
     # neighbour list comes out ascending (parent first, then children).
-    from . import tree as tr
     last = [0] * len(seq)
     adj: list[list[int]] = [[] for _ in seq]
     for i, level in enumerate(seq):

@@ -149,7 +149,7 @@ _PARENS = bytes.maketrans(b"10", b"()")  # a pinned code's bits back to parenthe
 def pinned_diameters(sizes) -> dict[bytes, int]:
     """Pinned exact diameters of every free tree whose size is in `sizes`,
     keyed by canonical code; sizes past MAX_CAP have none.  Only the lines
-    of the requested sizes are read: a graph6 line's first character
+    of the requested sizes are decoded: a graph6 line's first character
     encodes its tree's size.  A line is "<graph6> <diameter> <code>", the
     code in hex of its parenthesis bits, "(" = 1 and ")" = 0; it starts
     with "(", so the bits come back whole from the number."""
