@@ -11,7 +11,12 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from math import isqrt
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+from .enumeration import level_sequence
+
+if TYPE_CHECKING:
+    from . import tree as tr
 
 
 class _HalfMovesFields(NamedTuple):
@@ -76,8 +81,9 @@ FULL_S = "FullSDeletion"
 # (_charge).  The rule name is also its column in golden's tables.
 BOUNDS = {"delta-star": "dstar", "delta-prime-v1": "v1", "delta-prime-v2": "v2"}
 
-# The cluster tie-break keys (tr.Walk.dist_sum) and the AHU code helpers
-# live here, not in tree.py, which imports them: peel_sweep never loads tree.
+# The cluster tie-break keys (_Rooted.pick, tr.clusters) and the AHU code
+# helpers live here, not in tree.py, which imports them: peel_sweep never
+# loads tree.
 DIST_SUM_MODES = ("global", "pairwise")
 
 
@@ -161,32 +167,6 @@ def star_bound(n: int) -> HalfMoves:
     return HalfMoves.from_moves(3 * (n - 1) // 2)
 
 
-def _pick_largest_cluster(walk: tr.Walk, dist_sum_mode) -> list[int]:
-    """C* among the clusters of S (walk.groups), as a member list: the first
-    cluster in tr.clusters' order (size desc, distSum asc, canonical code of
-    the tree C* would leave behind, least label).  Keys are lazy: distSum is
-    summed only for the clusters tied with the leader on size, and the
-    leftover's code (walk.left_code) read only for those tied on (size,
-    distSum), since no other cluster can reach the front.
-
-    The granularity matters: clusters tied through the canonical code leave
-    isomorphic trees behind, so the least label, which picks among them,
-    changes no value and no step's shape.  Ties on (size, distSum) alone do
-    change the bound from n = 10 up, which is exactly why the order includes
-    the canonical code.
-    """
-    big = max(map(len, walk.groups))
-    lead = [m for m in walk.groups if len(m) == big]
-    if len(lead) > 1:
-        sums = [walk.dist_sum(m, dist_sum_mode) for m in lead]
-        lead = [m for m, ds in zip(lead, sums) if ds == min(sums)]
-    if len(lead) == 1:
-        return lead[0]
-    labels = walk.tree.labels
-    # clusters are disjoint, so the least labels differ and m is never compared
-    return min((walk.left_code(m), min(labels[v] for v in m), m) for m in lead)[2]
-
-
 def delta_star(
     t: tr.Tree,
     *,
@@ -234,7 +214,7 @@ def _charge(rule: str, strict_pseudocode: bool, s: int, c: int, diam: int) -> tu
     """(case, cost in half-move units) of one non-star peel step under the
     step rule of one bound (a BOUNDS value), where S has s vertices, C* has
     c of them and the tree entering the step has diameter diam.  The
-    baselines' rules ignore strict_pseudocode.  Both engines charge here."""
+    baselines' rules ignore strict_pseudocode."""
     x = s - c
     if rule != "dstar":
         # |S - C*| > (2/3)|S|  (v1)  /  >= (v2), kept in integers.
@@ -253,63 +233,51 @@ def _peel(t, rule, *, dist_sum_mode, strict_pseudocode):
     """Peel t down to a star under the step rule `rule` (a BOUNDS value),
     one step per iteration record.
 
-    Each step walks its tree from the center once (tr.Walk) and derives the
-    rest from that walk: the diameter, whether the tree is a star (diameter
-    <= 2), the peripheral set S, its clusters, their distSums and the tree
-    code.  Canonical tie keys are lazy (see _pick_largest_cluster).
+    Each step is peel_sweep's (_Rooted, _charge), run on t's level
+    sequence with each entry's label carried along.  The labels pick C*
+    among the clusters tied on its whole key, whose leftovers are
+    isomorphic: the one holding the least label.  They name the deleted
+    vertices, and follow the entries into the leftover's sequence.
     """
-    from . import tree as tr  # the batch path (peel_sweep) never loads it
-
     # checked up front: a star input never reaches a distSum
     if dist_sum_mode not in DIST_SUM_MODES:
         raise ValueError(f"unknown dist_sum mode {dist_sum_mode!r}")
+    pairwise = dist_sum_mode == "pairwise"
+    seq, labels = level_sequence(t)
     records = []
-    total = 0  # half-move units
-    walk = tr.Walk(t)
-    guard = walk.diam + 2
-
     while True:
-        t = walk.tree
-        if walk.diam <= 2:  # n <= 2 or K_{1,n-1}
-            cost = star_bound(t.n)
-            records.append(
-                IterationRecord(
-                    tree_code=walk.code,
-                    n=t.n,
-                    diameter=walk.diam,
-                    s_size=0,
-                    cluster_sizes=(),
-                    case=STAR,
-                    deleted_labels=(),
-                    cost=cost,
-                )
-            )
-            total += cost.units
-            break
-
-        guard -= 1
-        if guard < 0:
+        tree = _Rooted(seq)
+        if records and tree.diam >= records[-1].diameter:
             raise AssertionError("peeling failed to terminate")
-
-        c_star = _pick_largest_cluster(walk, dist_sum_mode)
-        case, units = _charge(rule, strict_pseudocode, len(walk.s), len(c_star), walk.diam)
-        deleted = walk.s if case == FULL_S else [v for v in walk.s if v not in c_star]
+        if tree.diam <= 2:  # n <= 2 or K_{1,n-1}
+            records.append(IterationRecord(tree.code, tree.n, tree.diam, 0, (), STAR, (),
+                                           star_bound(tree.n)))
+            break
+        tied, sizes, _ = tree.pick(pairwise)
+        starts, brs = tree.starts, tree.branches
+        # C*: the tied group whose S entries hold the least label (clusters
+        # are disjoint, so labels differ and no two groups are compared)
+        keep = min((labels[i], g) for g in tied for j in g
+                   for i in range(starts[j], starts[j + 1]) if seq[i] == brs[j].height)[1]
+        case, units = _charge(rule, strict_pseudocode, sum(sizes), max(sizes), tree.diam)
+        seq, kept = tree.left(() if case == FULL_S else keep)
+        gone = set(range(tree.n)).difference(kept)
         records.append(
             IterationRecord(
-                tree_code=walk.code,
-                n=t.n,
-                diameter=walk.diam,
-                s_size=len(walk.s),
-                cluster_sizes=tuple(sorted(map(len, walk.groups), reverse=True)),
+                tree_code=tree.code,
+                n=tree.n,
+                diameter=tree.diam,
+                s_size=sum(sizes),
+                cluster_sizes=tuple(sorted(sizes, reverse=True)),
                 case=case,
-                deleted_labels=tuple(sorted(t.labels[v] for v in deleted)),
+                deleted_labels=tuple(sorted(labels[i] for i in gone)),
                 cost=HalfMoves(units),
             )
         )
-        total += units
-        walk = tr.Walk(tr.delete_vertices(t, deleted))
+        labels = [labels[i] for i in kept]
 
-    return HalfMoves(total), BoundTrace(records=tuple(records), total=HalfMoves(total))
+    total = HalfMoves(sum(r.cost.units for r in records))
+    return total, BoundTrace(records=tuple(records), total=total)
 
 
 class _Branch:
@@ -317,29 +285,34 @@ class _Branch:
     child of the root, as its slice of levels (that child at level 1).  A
     peel step reads off it its AHU code and height, the size of its deepest
     level (deep; S reaches no other), its root's child codes (kids), the
-    branch less its deepest level (cut; None if that is all of it), and
-    over the edges up from its vertices, with s vertices and k deepest ones
-    below each, the sums of k * k (k2) and of k * s (ks)."""
+    code of the branch less its deepest level (cut_code; empty if that is
+    all of it), and over the edges up from its vertices, with s vertices
+    and k deepest ones below each, the sums of k * k (k2) and of k * s
+    (ks).  One pass up the slice, with no recursion, however tall."""
 
-    __slots__ = ("levels", "code", "height", "deep", "kids", "cut", "k2", "ks")
+    __slots__ = ("code", "height", "deep", "kids", "cut_code", "k2", "ks")
 
     def __init__(self, levels: tuple[int, ...]):
-        self.levels, self.height = levels, max(levels)
-        h = self.height
+        self.height = h = max(levels)
         self.deep = levels.count(h)
-        # per level, what is not under a parent yet: codes, vertices, deepest ones
+        # per level, what is not under a parent yet: codes, the same with
+        # level h left out, vertices, deepest ones
         done: list[list[bytes]] = [[] for _ in range(h + 2)]
+        cut: list[list[bytes]] = [[] for _ in range(h + 2)]
         size, below, k2, ks = [0] * (h + 2), [0] * (h + 2), 0, 0
         for lev in reversed(levels):  # each vertex after its children
             kids, done[lev + 1] = done[lev + 1], []
             done[lev].append(_ahu(kids))
+            if lev < h:
+                cut[lev].append(_ahu(cut[lev + 1]))
+                cut[lev + 1] = []
             s, k = size[lev + 1] + 1, below[lev + 1] + (lev == h)
             size[lev + 1] = below[lev + 1] = 0
             size[lev] += s
             below[lev] += k
             k2, ks = k2 + k * k, ks + k * s
         self.kids, self.code, self.k2, self.ks = kids, done[1][0], k2, ks
-        self.cut = _branch(tuple(x for x in levels if x < h)) if h > 1 else None
+        self.cut_code = cut[1][0] if h > 1 else b""
 
 
 # A summary depends on its slice alone, so each is made once per process.
@@ -361,21 +334,23 @@ def _join(codes: list[bytes], second: int) -> bytes:
 
 
 class _Rooted:
-    """The batch path's tr.Walk: a level sequence rooted at a center, and
-    what a peel step reads off its root's branches (_Branch).  If the two
-    tallest branches reach level h, the root is the one center and S is
-    level h.  Else the tallest, second, holds the other center at its root;
-    S is its deepest level and level h elsewhere, h the next height.  So S
-    meets a branch only at its deepest level (in_s), and each cluster of S
-    is that of one branch, or of one side of the central edge.
+    """A level sequence rooted at a center, and what a peel step reads off
+    its root's branches (_Branch), branch j being seq[starts[j]:starts[j +
+    1]].  If the two tallest branches reach level h, the root is the one
+    center and S is level h.  Else the tallest, second, holds the other
+    center at its root; S is its deepest level and level h elsewhere, h the
+    next height.  So S meets a branch only at its deepest level (in_s), and
+    each cluster of S is that of one branch, or of one side of the central
+    edge.
     """
 
-    __slots__ = ("n", "branches", "second", "in_s", "diam", "code")
+    __slots__ = ("seq", "n", "starts", "branches", "second", "in_s", "diam", "code")
 
     def __init__(self, seq):
-        self.n = n = len(seq)
-        starts = [i for i in range(1, n) if seq[i] == 1]
-        self.branches = brs = [_branch(tuple(seq[a:b])) for a, b in zip(starts, starts[1:] + [n])]
+        self.seq, self.n = seq, (n := len(seq))
+        self.starts = starts = [i for i in range(1, n) if seq[i] == 1]
+        starts.append(n)
+        self.branches = brs = [_branch(tuple(seq[a:b])) for a, b in zip(starts, starts[1:])]
         heights = [b.height for b in brs]
         top = max(heights, default=0)
         self.second = second = heights.index(top) if heights.count(top) == 1 else -1
@@ -384,14 +359,14 @@ class _Rooted:
         self.diam = 2 * h + (second >= 0)
         self.code = _join([b.code for b in brs], second)
 
-    def _left(self, keep) -> list[_Branch | None]:  # the branches left_code(keep) joins
-        return [b if j in keep or not x else b.cut
-                for j, (b, x) in enumerate(zip(self.branches, self.in_s))]
-
     def left_code(self, keep=()) -> bytes:
         """Code of the tree left by deleting S less the S vertices of keep
-        (one group, or none): a join of branch codes (see tr.Walk.left_code)."""
-        codes = [b.code if b else b"" for b in self._left(keep)]
+        (one group, or none): a join of branch codes and their cuts.
+        Keeping a group keeps h in its branch (side) alone, so one center
+        becomes the central edge into that branch, and of two centers the
+        group's one becomes the center."""
+        codes = [b.code if j in keep or not x else b.cut_code
+                 for j, (b, x) in enumerate(zip(self.branches, self.in_s))]
         second = self.second
         if not keep:
             return _join(codes, second)
@@ -402,19 +377,29 @@ class _Rooted:
             return _ahu(self.branches[second].kids + [rest])
         return _join(codes, -1)
 
-    def left(self, keep=()) -> list[int]:
-        """That tree's level sequence: the deleted entries dropped, and
-        re-rooted when the root stops being a center."""
-        parts = [b.levels if b else () for b in self._left(keep)]
+    def left(self, keep=()) -> tuple[list[int], list[int]]:
+        """That tree's level sequence, and the position here of each of its
+        entries: the deleted entries dropped, and re-rooted when the root
+        stops being a center."""
+        seq, starts = self.seq, self.starts
+        # a branch keeps the levels below height + 1, or height where S is cut
+        parts = [[i for i in range(starts[j], starts[j + 1])
+                  if seq[i] < b.height + (j in keep or not x)]
+                 for j, (b, x) in enumerate(zip(self.branches, self.in_s))]
         if self.second >= 0 and keep == [self.second]:
             top = parts.pop(self.second)
-            return [0, *(x - 1 for x in top[1:]), 1, *(x + 1 for p in parts for x in p)]
-        return [0, *(x for p in parts for x in p)]
+            kept = top + [0, *(i for p in parts for i in p)]
+            return [seq[i] - 1 for i in top] + [seq[i] + 1 for i in kept[len(top):]], kept
+        kept = [0, *(i for p in parts for i in p)]
+        return [seq[i] for i in kept], kept
 
-    def pick(self, pairwise: bool) -> tuple[list[int], int, int, bytes | None]:
-        """C*'s group as _pick_largest_cluster picks it, |S|, |C*|, and C*'s
-        leftover code if a tie was ranked by it.  A full tie needs no label:
-        its clusters leave isomorphic trees."""
+    def pick(self, pairwise: bool) -> tuple[list[list[int]], list[int], bytes | None]:
+        """The groups of S (lists of branches) tied for C*, ascending, the
+        size of every group, and the tied groups' leftover code if a tie
+        was ranked by it.  Clusters rank by size desc, distSum asc and the
+        canonical code of the tree they leave (tr.clusters' order, less its
+        least label): the groups left are tied on all of it, so they leave
+        isomorphic trees and any of them gives the same values."""
         deep = [j for j, x in enumerate(self.in_s) if x]
         groups = ([[j] for j in deep] if self.second < 0 else
                   [[self.second], [j for j in deep if j != self.second]])
@@ -422,18 +407,20 @@ class _Rooted:
         big = max(sizes)
         lead = [g for g, z in zip(groups, sizes) if z == big]
         if len(lead) > 1:
-            # distSum (tr.Walk.dist_sum) less what all clusters of size m
-            # share.  Over the edges, each above s vertices and k members,
-            # pairwise sums k(m - k) = mk - kk, global sums ms + k(n - 2s),
-            # whose ms is shared; and a branch's sum of k is deep * height
+            # distSum less what all clusters of size m share.  Over the
+            # edges, each above s vertices and k members, pairwise sums
+            # k(m - k) = mk - kk, global sums k(n - s) + (m - k)s =
+            # ms + k(n - 2s), whose ms is shared; a branch's sum of k is
+            # deep * height
             n, brs = self.n, self.branches
             sums = [sum(brs[j].deep * brs[j].height * (big if pairwise else n)
                         - (brs[j].k2 if pairwise else 2 * brs[j].ks) for j in g) for g in lead]
             lead = [g for g, ds in zip(lead, sums) if ds == min(sums)]
         if len(lead) == 1:
-            return lead[0], sum(sizes), big, None
-        code, keep = min((self.left_code(g), g) for g in lead)
-        return keep, sum(sizes), big, code
+            return lead, sizes, None
+        codes = [self.left_code(g) for g in lead]
+        code = min(codes)
+        return sorted(g for g, c in zip(lead, codes) if c == code), sizes, code
 
 
 def peel_sweep(
@@ -444,7 +431,8 @@ def peel_sweep(
     delta_star or delta_prime would give it, without a trace.  Each seq is
     rooted at a center (enumeration._free_level_sequences and
     enumeration.level_sequence make them so).  This is the batch path of
-    table1, table2 and verify; the per-tree engine (_peel) gives traces.
+    table1, table2 and verify; delta_star and delta_prime (_peel) run the
+    same step to the end, for a trace.
 
     Dynamic programming over isomorphism classes.  What a step charges is
     invariant, and C* is chosen by an invariant key whose full ties leave
@@ -467,7 +455,8 @@ def peel_sweep(
             if tree.diam <= 2:  # n <= 2 or K_{1,n-1}
                 got = (star_bound(len(seq)).units,) * len(BOUNDS)
             else:
-                keep, s, c, code = tree.pick(pairwise)
+                tied, sizes, code = tree.pick(pairwise)
+                keep, s, c = tied[0], sum(sizes), max(sizes)
                 # leftover code per deleted set (True: all of S), each joined
                 # once; ranking a tie already joined the one of S - C*
                 codes = {} if code is None else {False: code}
@@ -477,7 +466,7 @@ def peel_sweep(
                     full = case == FULL_S
                     if full not in codes:
                         codes[full] = tree.left_code(() if full else keep)
-                    left = memo.get(codes[full]) or units(tree.left(() if full else keep))[1]
+                    left = memo.get(codes[full]) or units(tree.left(() if full else keep)[0])[1]
                     got.append(cost + left[i])
                 got = tuple(got)
             memo[tree.code] = got

@@ -17,10 +17,13 @@ import gc
 import sys
 import time
 from itertools import chain
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import bounds as bd
 from . import enumeration as en
+
+if TYPE_CHECKING:
+    from . import tree as tr
 
 # golden, oracle and tree are imported by the subcommands that use them, so
 # table1 and verify load no module they do not run
@@ -305,7 +308,7 @@ def cmd_table2(args) -> int:
         + [(k, bd.BOUNDS[k]) for k in names],
     )
     t0 = time.time()
-    swept = bd.peel_sweep((en.level_sequence(tr.make_full_binary(d)) for d in depths),
+    swept = bd.peel_sweep((en.level_sequence(tr.make_full_binary(d))[0] for d in depths),
                           dist_sum_mode=args.distsum, strict_pseudocode=args.strict_pseudocode)
     for d, (seq, _, values) in zip(depths, swept):
         row = {"d": d, "n": len(seq), "leaves": (len(seq) + 1) // 2,

@@ -16,6 +16,10 @@ imported only by the functions that build or read one.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from . import tree as tr
 
 
 class MalformedGraph6Error(ValueError):
@@ -97,12 +101,18 @@ def _from_level_sequence(seq: list[int]) -> tr.Tree:
     return tr.Tree(n=n, adj=tuple(map(tuple, adj)), labels=tuple(range(1, n + 1)))
 
 
-def level_sequence(t: tr.Tree) -> list[int]:
-    """t's preorder level sequence rooted at a center, for bounds.peel_sweep."""
+def level_sequence(t: tr.Tree) -> tuple[list[int], list[int]]:
+    """t's preorder level sequence rooted at a center, for bounds.peel_sweep,
+    and the label of the vertex at each of its entries."""
     from . import tree as tr
-    def down(v, parent, level):
-        return [level] + [x for w in t.adj[v] if w != parent for x in down(w, v, level + 1)]
-    return down(tr.Walk(t).centers[0], -1, 0)
+    levels, labels = [], []
+    todo = [(tr.Walk(t).centers[0], -1, 0)]  # a stack: no recursion, however deep t is
+    while todo:
+        v, parent, level = todo.pop()
+        levels.append(level)
+        labels.append(t.labels[v])
+        todo += [(w, v, level + 1) for w in reversed(t.adj[v]) if w != parent]
+    return levels, labels
 
 
 def enumerate_free_trees(n: int) -> list[tr.Tree]:

@@ -26,7 +26,10 @@ import warnings
 from collections.abc import Sequence
 from functools import lru_cache
 from math import factorial
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from . import tree as tr
 
 # One-line external view: p[i] is the symbol at 1-based position i+1.
 Permutation = tuple[int, ...]

@@ -123,7 +123,9 @@ def bfs_distances(t: Tree, v: int) -> DistanceTable:
 
 
 class Walk:
-    """One walk over a tree from its center, and what a peel step reads off it.
+    """One walk over a tree from its center, and what the tree's readers
+    (eccentricities, peripheral_set, clusters, canonical_code and
+    enumeration.level_sequence) take from it.
 
     Leaves are stripped layer by layer down to the center, one vertex or the
     two ends of the central edge; a stripped vertex's parent is its one
@@ -135,8 +137,7 @@ class Walk:
     ordered by least member.  Walked up it gives each AHU code, and code.
     """
 
-    __slots__ = ("tree", "centers", "depth", "parent", "order", "top", "diam", "s",
-                 "groups", "ahu", "code")
+    __slots__ = ("centers", "depth", "diam", "s", "groups", "code")
 
     def __init__(self, t: Tree):
         n, adj = t.n, t.adj
@@ -161,9 +162,8 @@ class Walk:
         if len(centers) == 2:  # rooted at the first center, across the central edge
             parent[centers[1]] = centers[0]
             top[centers[0]], top[centers[1]] = centers
-        self.order = order = centers + stripped[::-1]  # each vertex after its parent
         depth = [0] * n
-        for v in order[len(centers):]:
+        for v in reversed(stripped):  # each vertex after its parent
             p = parent[v]
             depth[v] = depth[p] + 1
             tp = top[p]
@@ -173,7 +173,7 @@ class Walk:
             d = depth[u]
             ahu[u] = _ahu([ahu[w] for w in adj[u] if depth[w] > d])
         h = max(depth)
-        self.tree, self.depth, self.parent, self.top, self.ahu = t, depth, parent, top, ahu
+        self.depth = depth
         self.diam = 2 * h + len(centers) - 1
         self.s = s = [v for v in range(n) if depth[v] == h]
         groups: dict[int, list[int]] = {}
@@ -183,62 +183,6 @@ class Walk:
         # h is reached in two branches of one center, and on both sides of two
         assert n == 1 or len(self.groups) >= 2, "the center is not central"
         self.code = ahu[centers[0]] if len(centers) == 1 else _pair(*(ahu[c] for c in centers))
-
-    def dist_sum(self, members, mode: str = "global") -> int:
-        """distSum of the vertex set members, the tie-breaking key for
-        clusters.  "global": total distance from the members to every
-        vertex; "pairwise": total distance over unordered member pairs only.
-        One pass up the walk: the edge above a vertex with s vertices and k
-        of the m members below it lies on k(n - s) + (m - k)s
-        member-to-vertex paths and on k(m - k) member-to-member ones."""
-        if mode not in DIST_SUM_MODES:
-            raise ValueError(f"unknown dist_sum mode {mode!r}")
-        pairwise = mode == "pairwise"
-        n, m, parent = len(self.depth), len(members), self.parent
-        below, size, total = [0] * n, [1] * n, 0
-        for v in members:
-            below[v] = 1
-        for v in reversed(self.order[1:]):
-            k, sv, p = below[v], size[v], parent[v]
-            total += k * (m - k) if pairwise else k * (n - sv) + (m - k) * sv
-            below[p] += k
-            size[p] += sv
-        return total
-
-    def left_code(self, kept=()) -> bytes:
-        """Canonical code of the tree left by deleting S - kept, without
-        building it; kept is one group of S, or empty for all of S.  Only
-        the ancestors of deleted vertices are recoded.  Deleting all of S
-        keeps the center(s).  Keeping group g keeps h in g's branch or side
-        alone, so one center c becomes the central edge from c into g's
-        branch, and of two centers g's one becomes the center.
-        """
-        if len(kept) == len(self.s):
-            return self.code
-        depth, ahu, adj, parent = self.depth, self.ahu, self.tree.adj, self.parent
-        keep = set(kept)
-        new = {v: b"" for v in self.s if v not in keep}  # a deleted vertex codes as nothing
-        up = set()
-        for v in list(new):
-            v = parent[v]
-            while v >= 0 and v not in up:
-                up.add(v)
-                v = parent[v]
-
-        def recode(u, skip=-1, extra=b""):
-            d = depth[u]
-            return _ahu([new.get(w, ahu[w]) for w in adj[u] if depth[w] > d and w != skip]
-                        + [extra])
-
-        for u in sorted(up, key=depth.__getitem__, reverse=True):
-            new[u] = recode(u)
-        centers = self.centers
-        if not kept:
-            return new[centers[0]] if len(centers) == 1 else _pair(*(new[c] for c in centers))
-        g = self.top[kept[0]]
-        if len(centers) == 1:
-            return _pair(ahu[g], recode(centers[0], skip=g))
-        return recode(g, extra=new[centers[0] + centers[1] - g])
 
 
 def eccentricities(t: Tree) -> list[int]:
@@ -272,26 +216,36 @@ def clusters(t: Tree, s, dist_sum_mode: str = "global") -> list[Cluster]:
 
     Components of the relation graph are extracted from BFS rows and each
     is asserted to be a clique under the relation (NonCliqueComponentError
-    otherwise).  Every cluster carries its full key, the canonical code of
-    the tree it would leave behind included, read off the walk from the
-    center (Walk.left_code; the peel engine builds that code only for
-    clusters tied on size and distSum, see bounds._pick_largest_cluster).
-    Returned sorted by (size desc, distSum asc, canonical key, min label).
+    otherwise).  Every cluster carries its full key: its distSum, summed
+    from the same BFS rows ("global": total distance from the members to
+    every vertex; "pairwise": over unordered member pairs only), and the
+    canonical code of the tree it would leave behind (delete_vertices).
+    Returned sorted by (size desc, distSum asc, canonical key, min label),
+    the order in which the peel step (bounds._Rooted.pick, then the least
+    label) picks C*: an independent reference for that step.
     """
     s = sorted(s)
     if not s:
         return []
+    if dist_sum_mode not in DIST_SUM_MODES:
+        raise ValueError(f"unknown dist_sum mode {dist_sum_mode!r}")
     w = Walk(t)
     if s != w.s:
         raise TreeError("clusters partition the peripheral set, not another vertex set")
+    groups, rows = _cluster_groups(t, s, w.diam)
     out = []
-    for members in _cluster_groups(t, s, w.diam):
+    for members in groups:
+        if dist_sum_mode == "pairwise":
+            dist_sum = sum(rows[u][v] for u in members for v in members if u < v)
+        else:
+            dist_sum = sum(sum(rows[v]) for v in members)
+        left = delete_vertices(t, [v for v in s if v not in members])
         out.append(
             Cluster(
                 members=frozenset(members),
                 size=len(members),
-                dist_sum=w.dist_sum(members, dist_sum_mode),
-                canon_key=w.left_code(members),
+                dist_sum=dist_sum,
+                canon_key=canonical_code(left),
                 min_label=min(t.labels[v] for v in members),
             )
         )
@@ -299,13 +253,14 @@ def clusters(t: Tree, s, dist_sum_mode: str = "global") -> list[Cluster]:
     return out
 
 
-def _cluster_groups(t: Tree, s: list[int], diam: int) -> list[list[int]]:
-    """Member lists of the clusters of s (ascending), without their keys.
+def _cluster_groups(t: Tree, s: list[int], diam: int) -> tuple[list[list[int]], dict]:
+    """Member lists of the clusters of s (ascending), without their keys,
+    and the BFS row of each vertex of s they were built from.
 
-    Built from one BFS row per vertex of s.  Components of the "closer than
-    diam" relation come out ordered by least member, members ascending;
-    each is checked to be a clique under the relation.  Walk.groups must
-    equal this on the peripheral set; the tests hold it to that.
+    Components of the "closer than diam" relation come out ordered by least
+    member, members ascending; each is checked to be a clique under the
+    relation.  Walk.groups must equal this on the peripheral set; the tests
+    hold it to that.
     """
     rows = {v: bfs_distances(t, v) for v in s}
     parent = {v: v for v in s}
@@ -333,7 +288,7 @@ def _cluster_groups(t: Tree, s: list[int], diam: int) -> list[list[int]]:
                         f"peripheral vertices {t.labels[u]} and {t.labels[v]} share a "
                         f"component but are {rows[u][v]} >= diam {diam} apart"
                     )
-    return list(groups.values())
+    return list(groups.values()), rows
 
 
 def delete_vertices(t: Tree, xs) -> Tree:

@@ -1,13 +1,18 @@
 """Bound engine: peel algorithm, baselines, traces, closed forms, gaps."""
 
 import pickle
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treebound import bounds as bd
 from treebound import cli
 from treebound import enumeration as en
 from treebound import tree as tr
+from conftest import prufer_tree
+import reference as ref
 
 
 def dstar(t, **kw) -> int:
@@ -128,7 +133,7 @@ def test_dist_sum_mode_validation():
         with pytest.raises(ValueError, match="bogus"):
             bd.delta_prime(star, variant, dist_sum_mode="bogus")
     with pytest.raises(ValueError, match="bogus"):
-        bd.peel_sweep([en.level_sequence(star)], dist_sum_mode="bogus")
+        bd.peel_sweep([en.level_sequence(star)[0]], dist_sum_mode="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -183,30 +188,58 @@ def test_bound_ordering(all_trees):
 # ---------------------------------------------------------------------------
 # the choice of C*
 
+def _replay_against_clusters(t, mode) -> int:
+    """Replay t's delta_star trace on the labelled tree, step by step, and
+    check each step against tr.clusters, the independent reference for the
+    cluster order: C*, the one cluster kept, is its first (least label
+    included).  Returns the number of peel steps checked."""
+    _, trace = bd.delta_star(t, dist_sum_mode=mode)
+    for r in trace.records[:-1]:
+        assert r.tree_code == tr.canonical_code(t)
+        s = tr.peripheral_set(t)
+        ranked = tr.clusters(t, s, mode)
+        assert (r.s_size, r.cluster_sizes) == (len(s), tuple(c.size for c in ranked))
+        deleted = {t.index_of_label(label) for label in r.deleted_labels}
+        assert set(s) - deleted == ranked[0].members, (en.encode_graph6(t), mode)
+        t = tr.delete_vertices(t, deleted)
+    assert trace.records[-1].tree_code == tr.canonical_code(t)
+    return len(trace.records) - 1
+
+
 def test_c_star_is_the_first_cluster(all_trees):
-    # _pick_largest_cluster's lazy filters, the batch path's (_Rooted.pick)
-    # and Cluster.sort_key write the cluster order three times; C* must be
-    # the first cluster of tr.clusters, and the batch path, which has no
-    # labels, must leave the tree that cluster leaves
-    cases = 0
+    # the peel step (_Rooted.pick, then the least label) and Cluster.sort_key
+    # write the cluster order twice; at every step of every trace, the
+    # cluster kept must be the first of tr.clusters, and the batch path's
+    # first step, which has no labels, must leave the tree that cluster leaves
+    cases = steps = 0
     for n in range(3, 13):
         for t in all_trees(n):
             walk = tr.Walk(t)
             if walk.diam <= 2:  # a star has no peel step
                 continue
-            rooted = bd._Rooted(en.level_sequence(t))
+            rooted = bd._Rooted(en.level_sequence(t)[0])
             assert (rooted.code, rooted.diam) == (walk.code, walk.diam)
+            assert rooted.left_code() == tr.canonical_code(tr.delete_vertices(t, walk.s))
             for mode in bd.DIST_SUM_MODES:
                 ranked = tr.clusters(t, walk.s, mode)
-                c_star = bd._pick_largest_cluster(walk, mode)
-                assert frozenset(c_star) == ranked[0].members
-                keep, s, c, code = rooted.pick(mode == "pairwise")
-                assert (s, c) == (len(walk.s), ranked[0].size)
-                assert rooted.left_code(keep) == ranked[0].canon_key
+                tied, sizes, code = rooted.pick(mode == "pairwise")
+                assert sorted(sizes, reverse=True) == [c.size for c in ranked]
+                assert {rooted.left_code(g) for g in tied} == {ranked[0].canon_key}
                 assert code in (None, ranked[0].canon_key)
-                assert rooted.left_code() == walk.left_code()
+                steps += _replay_against_clusters(t, mode)
                 cases += 1
-    assert cases == 1950
+    assert cases == 1950 and steps == 7652
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 40), st.integers(0, 2**32), st.sampled_from(bd.DIST_SUM_MODES))
+def test_c_star_is_the_first_cluster_on_random_labellings(n, seed, mode):
+    # labels that do not follow the level sequence: the least label among
+    # tied clusters is the vertex's, not its position's
+    rng = random.Random(seed)
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    _replay_against_clusters(ref.relabel(prufer_tree(n, rng), labels), mode)
 
 
 def _sequences(sizes):
@@ -244,7 +277,7 @@ def test_peel_derives_each_step_from_one_pass(monkeypatch, all_trees, capsys):
     trees.append(en.parse_graph6("IhCS?C@?G"))  # no (size, distSum) tie at any step
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the peel loop recomputes what the walk gave it")
+        raise AssertionError("the peel loop recomputes what its step gave it")
 
     for name in ("peripheral_set", "clusters", "canonical_code",
                  "eccentricities", "_cluster_groups"):
@@ -256,16 +289,20 @@ def test_peel_derives_each_step_from_one_pass(monkeypatch, all_trees, capsys):
     monkeypatch.setattr(tr, "delete_vertices",
                         lambda t, xs: builds.append(t.n) or real_delete(t, xs))
 
-    for run in PEEL_RUNS:
-        for t in trees:
-            walks.clear()
-            builds.clear()
-            _, trace = run(t)
-            # one walk per step, ties included; each step but the last builds
-            # the tree it leaves, and no step makes a BFS row
-            assert len(walks) == len(trace.records), en.encode_graph6(t)
-            assert len(builds) == len(trace.records) - 1
-        assert len(trace.records) == 7 and rows == []
+    steps, real_rooted = [], bd._Rooted
+    with monkeypatch.context() as m:
+        m.setattr(bd, "_Rooted", lambda seq: steps.append(len(seq)) or real_rooted(seq))
+        for run in PEEL_RUNS:
+            for t in trees:
+                walks.clear()
+                steps.clear()
+                _, trace = run(t)
+                # one walk per trace, for its center; one step summary per
+                # record, ties included; no tree is built and no BFS row made
+                assert walks == [t.n], en.encode_graph6(t)
+                assert steps == [r.n for r in trace.records], en.encode_graph6(t)
+            assert len(trace.records) == 7 and walks == [10]
+    assert builds == rows == []
 
     # table1's sweep: no tree is built or walked, and each distinct branch
     # of a root is summarised once; a leftover's code is joined from those
@@ -283,9 +320,9 @@ def test_peel_derives_each_step_from_one_pass(monkeypatch, all_trees, capsys):
         assert (cli.main(["table1", "--n-min", "6", "--n-max", "12"]),
                 capsys.readouterr().out) == want
     assert walks == builds == rows == []
-    assert sorted(map(len, lefts)) == [3, 4, 4, 5, 5, 5]
+    assert sorted(len(seq) for seq, _ in lefts) == [3, 4, 4, 5, 5, 5]
     lefts.clear()
-    assert len(set(made)) == len(made) == 83
+    assert len(set(made)) == len(made) == 82
     # alone, the n = 9 trees value their leftovers on demand: each tree
     # summarised beyond one per input is a leftover built after a memo miss
     rooted = []
@@ -323,7 +360,7 @@ def test_peel_sweep_matches_engine_on_full_binary_trees():
     trees = [tr.make_full_binary(d) for d in range(1, 8)]
     for mode in ("global", "pairwise"):
         for strict in (False, True):
-            swept = bd.peel_sweep(map(en.level_sequence, trees), dist_sum_mode=mode,
+            swept = bd.peel_sweep((en.level_sequence(t)[0] for t in trees), dist_sum_mode=mode,
                                   strict_pseudocode=strict)
             for t, (seq, _, values) in zip(trees, swept, strict=True):
                 assert len(seq) == t.n

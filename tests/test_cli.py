@@ -42,6 +42,14 @@ def test_bound_make_star(capsys):
     assert out == "tree star:8 n=8 delta-star=10\n"
 
 
+def test_bound_on_a_deep_tree(capsys):
+    # a path far deeper than the recursion limit: no step recurses per level
+    code, out, _ = run(capsys, "bound", "--make", "path:2100", "--bound", "delta-star")
+    assert code == 0
+    assert out == f"tree path:2100 n=2100 delta-star={2100 * 2099 // 2}\n" == (
+        "tree path:2100 n=2100 delta-star=2203950\n")
+
+
 def test_bound_all_from_g6_file(capsys, tmp_path):
     path = tmp_path / "trees.g6"
     path.write_text("Bg\n")
@@ -189,7 +197,7 @@ def test_table1_sweep_skips_the_sort_key(monkeypatch):
     for n in range(6, 12):
         got = {en.encode_graph6(en._from_level_sequence(s)): v for s, _, v in sweep if len(s) == n}
         trees = en.enumerate_free_trees(n)
-        swept = bd.peel_sweep(map(en.level_sequence, trees))
+        swept = bd.peel_sweep(en.level_sequence(t)[0] for t in trees)
         want = {en.encode_graph6(t): v for t, (_, _, v) in zip(trees, swept)}
         assert sum(len(s) == n for s, _, _ in sweep) == len(trees)
         assert got == want, n

@@ -60,14 +60,37 @@ def test_level_sequences_are_rooted_at_a_center():
                 assert centers == [0, max(i for i in range(top + 1) if seq[i] == 1)], seq
 
 
+def _check_level_sequence(t):
+    seq, labels = en.level_sequence(t)
+    again = en._from_level_sequence(seq)  # entry i is labelled i + 1
+    assert tr.canonical_code(again) == tr.canonical_code(t)
+    heights = _root_branch_heights(seq) + [0, 0]
+    assert heights[0] - heights[1] <= 1, seq
+    # entry i is the vertex labelled labels[i]: the labelled edges agree
+    assert sorted(labels) == sorted(t.labels)
+    assert ({frozenset((labels[a - 1], labels[b - 1])) for a, b in again.label_edges()}
+            == {frozenset(e) for e in t.label_edges()})
+
+
 def test_level_sequence_of_a_tree(all_trees):
     # the one conversion of a tr.Tree, rooted at its first center
     for n in range(1, 10):
         for t in all_trees(n):
-            seq = en.level_sequence(t)
-            assert tr.canonical_code(en._from_level_sequence(seq)) == tr.canonical_code(t)
-            heights = _root_branch_heights(seq) + [0, 0]
-            assert heights[0] - heights[1] <= 1, seq
+            _check_level_sequence(t)
+    rng = random.Random(20261020)
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        t = prufer_tree(n, rng)
+        labels = list(range(1, n + 1))
+        rng.shuffle(labels)
+        _check_level_sequence(tr.Tree(n=t.n, adj=t.adj, labels=tuple(labels)))
+
+
+def test_level_sequence_of_a_deep_tree():
+    # no recursion per level: a path far deeper than the recursion limit
+    seq, labels = en.level_sequence(tr.make_path(2100))
+    assert seq == [0, *range(1, 1050), *range(1, 1051)]
+    assert labels == [*range(1050, 0, -1), *range(1051, 2101)]
 
 
 def test_counts_match_otter_recurrence():

@@ -132,15 +132,10 @@ def _check_walk(t: tr.Tree) -> None:
     assert w.s == s
     if t.n < 2:
         return
-    assert w.groups == tr._cluster_groups(t, s, w.diam)
-    for members in w.groups:
-        assert w.dist_sum(members) == sum(sum(rows[v]) for v in members)
-        assert w.dist_sum(members, "pairwise") == sum(
-            rows[u][v] for u in members for v in members if u < v)
+    assert w.groups == tr._cluster_groups(t, s, w.diam)[0]
     # the tree left by keeping one cluster, or by deleting all of S
     for kept in w.groups + ([[]] if t.n > 2 else []):
         left = tr.delete_vertices(t, [v for v in s if v not in kept])
-        assert w.left_code(kept) == tr.canonical_code(left), (t, kept)
         assert tr.Walk(left).diam == w.diam - (1 if kept else 2)
 
 
@@ -159,21 +154,34 @@ def test_walk_matches_references_on_random_labellings(n, seed):
 # ---------------------------------------------------------------------------
 # dist_sum and clusters
 
+def _dist_sums(t, mode):
+    return [c.dist_sum for c in tr.clusters(t, tr.peripheral_set(t), mode)]
+
+
 def test_dist_sum_modes():
-    w = tr.Walk(tr.make_path(4))
-    ends = [0, 3]
-    assert w.dist_sum(ends, "global") == 12
-    assert w.dist_sum(ends, "pairwise") == 3
+    # the ends of path(4) are one-vertex clusters, 0 + 1 + 2 + 3 = 6 from
+    # all vertices each (12 over S) and in no pair; the leaf pairs of the
+    # full binary tree of depth 2 are clusters, 2 apart
+    assert _dist_sums(tr.make_path(4), "global") == [6, 6]
+    assert _dist_sums(tr.make_path(4), "pairwise") == [0, 0]
+    assert _dist_sums(tr.make_full_binary(2), "global") == [16 * 2, 16 * 2]
+    assert _dist_sums(tr.make_full_binary(2), "pairwise") == [2, 2]
     with pytest.raises(ValueError):
-        w.dist_sum(ends, "median")
+        _dist_sums(tr.make_path(4), "median")
 
 
 def test_cluster_keys_follow_dist_sum(all_trees):
+    # distSums against distances networkx finds
     for t in all_trees(9):
-        s, w = tr.peripheral_set(t), tr.Walk(t)
+        s = tr.peripheral_set(t)
+        dist = dict(nx.all_pairs_shortest_path_length(_nx_graph(t)))
         for mode in bd.DIST_SUM_MODES:
             for c in tr.clusters(t, s, dist_sum_mode=mode):
-                assert c.dist_sum == w.dist_sum(c.members, mode)
+                if mode == "global":
+                    assert c.dist_sum == sum(sum(dist[v].values()) for v in c.members)
+                else:
+                    assert c.dist_sum == sum(dist[u][v] for u in c.members
+                                             for v in c.members if u < v)
         with pytest.raises(ValueError):
             tr.clusters(t, s, dist_sum_mode="median")
 
@@ -183,7 +191,7 @@ def test_clusters_path():
     cs = tr.clusters(t, tr.peripheral_set(t))
     assert [c.size for c in cs] == [1, 1]
     assert {frozenset(c.members) for c in cs} == {frozenset({0}), frozenset({6})}
-    with pytest.raises(tr.TreeError):  # keys are read off the walk, which knows only S
+    with pytest.raises(tr.TreeError):  # only S is partitioned into clusters
         tr.clusters(t, [0])
 
 
