@@ -1,4 +1,5 @@
-"""Labeled free trees and the distance machinery the bound engine runs on.
+"""Labeled free trees, their walk from the center, and the distance
+machinery (BFS rows, clusters) the peel step is checked against.
 
 Vertices are dense 0-based internal indices; every tree carries an external
 label per index (1-based positions of the permutation being sorted).  All
