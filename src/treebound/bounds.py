@@ -64,7 +64,7 @@ class HalfMoves(_HalfMovesFields):
         return self.units // 2
 
     def __str__(self) -> str:
-        return str(self.units // 2) if self.units % 2 == 0 else f"{self.units / 2:.1f}"
+        return str(self.units // 2) if self.units % 2 == 0 else f"{self.units // 2}.5"
 
     def as_fraction(self) -> tuple[int, int]:
         """(numerator, denominator) in lowest terms, for serialization."""
@@ -81,9 +81,8 @@ FULL_S = "FullSDeletion"
 # (_charge).  The rule name is also its column in golden's tables.
 BOUNDS = {"delta-star": "dstar", "delta-prime-v1": "v1", "delta-prime-v2": "v2"}
 
-# The cluster tie-break keys (_Rooted.pick, tr.clusters) and the AHU code
-# helpers live here, not in tree.py, which imports them: peel_sweep never
-# loads tree.
+# The cluster tie-break keys (_Rooted.pick, tr.clusters) live here, not in
+# tree.py, which imports them: peel_sweep never loads tree.
 DIST_SUM_MODES = ("global", "pairwise")
 
 

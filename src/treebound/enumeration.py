@@ -102,11 +102,12 @@ def _from_level_sequence(seq: list[int]) -> tr.Tree:
 
 
 def level_sequence(t: tr.Tree) -> tuple[list[int], list[int]]:
-    """t's preorder level sequence rooted at a center, for bounds.peel_sweep,
-    and the label of the vertex at each of its entries."""
+    """t's preorder level sequence rooted at its first center, for
+    bounds.peel_sweep, and the label of the vertex at each of its entries."""
     from . import tree as tr
     levels, labels = [], []
-    todo = [(tr.Walk(t).centers[0], -1, 0)]  # a stack: no recursion, however deep t is
+    ecc = tr.eccentricities(t)
+    todo = [(ecc.index(min(ecc)), -1, 0)]  # a stack: no recursion, however deep t is
     while todo:
         v, parent, level = todo.pop()
         levels.append(level)
@@ -118,8 +119,10 @@ def level_sequence(t: tr.Tree) -> tuple[list[int], list[int]]:
 def enumerate_free_trees(n: int) -> list[tr.Tree]:
     """All free trees on n vertices, each isomorphism class exactly once,
     in canonical-code order."""
-    from . import tree as tr
-    return sorted(map(_from_level_sequence, _free_level_sequences(n)), key=tr.canonical_code)
+    from .bounds import _Rooted
+    # each sequence is rooted at a center, so its _Rooted code is canonical
+    seqs = sorted(_free_level_sequences(n), key=lambda seq: _Rooted(seq).code)
+    return list(map(_from_level_sequence, seqs))
 
 
 # ---------------------------------------------------------------------------

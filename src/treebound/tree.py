@@ -1,5 +1,6 @@
-"""Labeled free trees, their walk from the center, and the distance
-machinery (BFS rows, clusters) the peel step is checked against.
+"""Labeled free trees and the distance machinery (BFS rows,
+eccentricities, clusters) the peel step is checked against; the canonical
+code is the peel engine's (bounds._Rooted).
 
 Vertices are dense 0-based internal indices; every tree carries an external
 label per index (1-based positions of the permutation being sorted).  All
@@ -12,7 +13,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bounds import DIST_SUM_MODES, _ahu, _pair
+from .bounds import DIST_SUM_MODES, _Rooted
+from .enumeration import level_sequence
 
 
 class TreeError(Exception):
@@ -123,80 +125,28 @@ def bfs_distances(t: Tree, v: int) -> DistanceTable:
     return dist
 
 
-class Walk:
-    """One walk over a tree from its center, and what the tree's readers
-    (eccentricities, peripheral_set, clusters, canonical_code and
-    enumeration.level_sequence) take from it.
-
-    Leaves are stripped layer by layer down to the center, one vertex or the
-    two ends of the central edge; a stripped vertex's parent is its one
-    neighbour left.  Walked down from the center that gives each depth (to
-    the nearer center); with h the greatest, ecc(v) = depth(v) + radius, the
-    diameter is 2h or 2h + 1 and S is the vertices at depth h.  Two of them
-    are closer than the diameter iff they hang off the same branch of the
-    center (side of the central edge): those are the clusters of S, groups,
-    ordered by least member.  Walked up it gives each AHU code, and code.
-    """
-
-    __slots__ = ("centers", "depth", "diam", "s", "groups", "code")
-
-    def __init__(self, t: Tree):
-        n, adj = t.n, t.adj
-        deg = [len(a) for a in adj]
-        parent = [-1] * n
-        layer = [v for v in range(n) if deg[v] <= 1]
-        leaves, stripped = len(layer), []
-        while n - len(stripped) > 2:
-            nxt = []
-            for v in layer:
-                deg[v] = 0
-                for w in adj[v]:
-                    if deg[w]:  # the one neighbour not stripped yet
-                        parent[v] = w
-                        deg[w] -= 1
-                        if deg[w] == 1:
-                            nxt.append(w)
-            stripped += layer
-            layer = nxt
-        self.centers = centers = sorted(layer)
-        top = [-1] * n  # branch (child of the one center) or side (a center) per vertex
-        if len(centers) == 2:  # rooted at the first center, across the central edge
-            parent[centers[1]] = centers[0]
-            top[centers[0]], top[centers[1]] = centers
-        depth = [0] * n
-        for v in reversed(stripped):  # each vertex after its parent
-            p = parent[v]
-            depth[v] = depth[p] + 1
-            tp = top[p]
-            top[v] = v if tp < 0 else tp
-        ahu = [b"()"] * n  # every leaf's code
-        for u in stripped[leaves:] + centers:  # the rest, each after its children
-            d = depth[u]
-            ahu[u] = _ahu([ahu[w] for w in adj[u] if depth[w] > d])
-        h = max(depth)
-        self.depth = depth
-        self.diam = 2 * h + len(centers) - 1
-        self.s = s = [v for v in range(n) if depth[v] == h]
-        groups: dict[int, list[int]] = {}
-        for v in s:
-            groups.setdefault(top[v], []).append(v)
-        self.groups = list(groups.values())
-        # h is reached in two branches of one center, and on both sides of two
-        assert n == 1 or len(self.groups) >= 2, "the center is not central"
-        self.code = ahu[centers[0]] if len(centers) == 1 else _pair(*(ahu[c] for c in centers))
-
-
 def eccentricities(t: Tree) -> list[int]:
-    """Per-vertex eccentricity: depth below the center plus the radius (see Walk)."""
-    w = Walk(t)
-    return [d + (w.diam + 1) // 2 for d in w.depth]
+    """Per-vertex eccentricity from three BFS rows: the vertex farthest from
+    any vertex ends a longest path, and each vertex's eccentricity is its
+    distance to one of that path's two ends."""
+    row = bfs_distances(t, 0)
+    a = bfs_distances(t, row.index(max(row)))
+    b = bfs_distances(t, a.index(max(a)))
+    return [max(x, y) for x, y in zip(a, b)]
+
+
+def _periphery(t: Tree) -> tuple[int, list[int]]:
+    # the diameter, and the vertices of maximum eccentricity ascending
+    ecc = eccentricities(t)
+    diam = max(ecc)
+    return diam, [v for v, e in enumerate(ecc) if e == diam]
 
 
 def peripheral_set(t: Tree) -> list[int]:
     """Vertices of maximum eccentricity, ascending by internal index."""
     if t.n < 2:
         raise TreeError("peripheral set needs at least 2 vertices")
-    return Walk(t).s
+    return _periphery(t)[1]
 
 
 class Cluster(NamedTuple):
@@ -230,10 +180,10 @@ def clusters(t: Tree, s, dist_sum_mode: str = "global") -> list[Cluster]:
         return []
     if dist_sum_mode not in DIST_SUM_MODES:
         raise ValueError(f"unknown dist_sum mode {dist_sum_mode!r}")
-    w = Walk(t)
-    if s != w.s:
+    diam, periphery = _periphery(t)
+    if s != periphery:
         raise TreeError("clusters partition the peripheral set, not another vertex set")
-    groups, rows = _cluster_groups(t, s, w.diam)
+    groups, rows = _cluster_groups(t, s, diam)
     out = []
     for members in groups:
         if dist_sum_mode == "pairwise":
@@ -260,8 +210,9 @@ def _cluster_groups(t: Tree, s: list[int], diam: int) -> tuple[list[list[int]], 
 
     Components of the "closer than diam" relation come out ordered by least
     member, members ascending; each is checked to be a clique under the
-    relation.  Walk.groups must equal this on the peripheral set; the tests
-    hold it to that.
+    relation.  On the peripheral set these must be the groups of S that the
+    peel step ranks (bounds._Rooted.pick: one per branch, or per side, of
+    the center); the tests hold them to that.
     """
     rows = {v: bfs_distances(t, v) for v in s}
     parent = {v: v for v in s}
@@ -316,8 +267,9 @@ def delete_vertices(t: Tree, xs) -> Tree:
 
 
 def canonical_code(t: Tree) -> bytes:
-    """AHU canonical form rooted at the center; equal codes <=> isomorphic."""
-    return Walk(t).code
+    """AHU canonical form rooted at the center, the peel engine's
+    (bounds._Rooted); equal codes <=> isomorphic."""
+    return _Rooted(level_sequence(t)[0]).code
 
 
 # ---------------------------------------------------------------------------

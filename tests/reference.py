@@ -1,7 +1,8 @@
 """Plain-Python references the tests check the package against.
 
 Nothing in the package calls these: the engine reads star-ness off its
-walk, and the oracle works on Lehmer ranks, never on permutation tuples.
+step's diameter, and the oracle works on Lehmer ranks, never on
+permutation tuples.
 """
 
 from treebound import tree as tr

@@ -31,6 +31,8 @@ def test_half_moves():
     b = bd.HalfMoves(7)
     assert a.units == 6 and a.is_whole and a.moves == 3
     assert not b.is_whole and str(b) == "3.5" and b.as_fraction() == (7, 2)
+    # exact past float precision: no float division in the string form
+    assert str(bd.HalfMoves(2**54 + 1)) == "9007199254740992.5"
     assert (a + b).units == 13 and (b - a).units == 1
     with pytest.raises(ValueError):
         _ = b.moves
@@ -214,14 +216,14 @@ def test_c_star_is_the_first_cluster(all_trees):
     cases = steps = 0
     for n in range(3, 13):
         for t in all_trees(n):
-            walk = tr.Walk(t)
-            if walk.diam <= 2:  # a star has no peel step
-                continue
             rooted = bd._Rooted(en.level_sequence(t)[0])
-            assert (rooted.code, rooted.diam) == (walk.code, walk.diam)
-            assert rooted.left_code() == tr.canonical_code(tr.delete_vertices(t, walk.s))
+            assert rooted.diam == max(tr.eccentricities(t))
+            if rooted.diam <= 2:  # a star has no peel step
+                continue
+            s = tr.peripheral_set(t)
+            assert rooted.left_code() == tr.canonical_code(tr.delete_vertices(t, s))
             for mode in bd.DIST_SUM_MODES:
-                ranked = tr.clusters(t, walk.s, mode)
+                ranked = tr.clusters(t, s, mode)
                 tied, sizes, code = rooted.pick(mode == "pairwise")
                 assert sorted(sizes, reverse=True) == [c.size for c in ranked]
                 assert {rooted.left_code(g) for g in tied} == {ranked[0].canon_key}
@@ -279,12 +281,11 @@ def test_peel_derives_each_step_from_one_pass(monkeypatch, all_trees, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("the peel loop recomputes what its step gave it")
 
-    for name in ("peripheral_set", "clusters", "canonical_code",
-                 "eccentricities", "_cluster_groups"):
+    for name in ("peripheral_set", "clusters", "canonical_code", "_cluster_groups"):
         monkeypatch.setattr(tr, name, forbidden)
-    walks, rows, builds = [], [], []
-    real_walk, real_bfs, real_delete = tr.Walk, tr.bfs_distances, tr.delete_vertices
-    monkeypatch.setattr(tr, "Walk", lambda t: walks.append(t.n) or real_walk(t))
+    eccs, rows, builds = [], [], []
+    real_ecc, real_bfs, real_delete = tr.eccentricities, tr.bfs_distances, tr.delete_vertices
+    monkeypatch.setattr(tr, "eccentricities", lambda t: eccs.append(t.n) or real_ecc(t))
     monkeypatch.setattr(tr, "bfs_distances", lambda t, v: rows.append(v) or real_bfs(t, v))
     monkeypatch.setattr(tr, "delete_vertices",
                         lambda t, xs: builds.append(t.n) or real_delete(t, xs))
@@ -294,22 +295,24 @@ def test_peel_derives_each_step_from_one_pass(monkeypatch, all_trees, capsys):
         m.setattr(bd, "_Rooted", lambda seq: steps.append(len(seq)) or real_rooted(seq))
         for run in PEEL_RUNS:
             for t in trees:
-                walks.clear()
+                eccs.clear()
+                rows.clear()
                 steps.clear()
                 _, trace = run(t)
-                # one walk per trace, for its center; one step summary per
-                # record, ties included; no tree is built and no BFS row made
-                assert walks == [t.n], en.encode_graph6(t)
+                # one eccentricities call (three BFS rows) per trace, for its
+                # center; one step summary per record, ties included; no
+                # tree is built
+                assert eccs == [t.n] and len(rows) == 3, en.encode_graph6(t)
                 assert steps == [r.n for r in trace.records], en.encode_graph6(t)
-            assert len(trace.records) == 7 and walks == [10]
-    assert builds == rows == []
+            assert len(trace.records) == 7 and eccs == [10]
+    assert builds == []
 
-    # table1's sweep: no tree is built or walked, and each distinct branch
+    # table1's sweep: no tree is built or BFS row made, and each distinct branch
     # of a root is summarised once; a leftover's code is joined from those
     # summaries, so only leftovers below the smallest size are built
     want = cli.main(["table1", "--n-min", "6", "--n-max", "12"]), capsys.readouterr().out
-    walks.clear()
-    builds.clear()
+    eccs.clear()
+    rows.clear()
     made, lefts = [], []
     real_branch, real_left = bd._Branch, bd._Rooted.left
     with monkeypatch.context() as m:
@@ -319,7 +322,7 @@ def test_peel_derives_each_step_from_one_pass(monkeypatch, all_trees, capsys):
         m.setattr(bd._Rooted, "left", lambda *a: lefts.append(real_left(*a)) or lefts[-1])
         assert (cli.main(["table1", "--n-min", "6", "--n-max", "12"]),
                 capsys.readouterr().out) == want
-    assert walks == builds == rows == []
+    assert eccs == builds == rows == []
     assert sorted(len(seq) for seq, _ in lefts) == [3, 4, 4, 5, 5, 5]
     lefts.clear()
     assert len(set(made)) == len(made) == 82
@@ -333,7 +336,7 @@ def test_peel_derives_each_step_from_one_pass(monkeypatch, all_trees, capsys):
     for strict in (False, True):
         assert len(list(bd.peel_sweep(nine, strict_pseudocode=strict))) == len(nine)
     assert lefts and len(rooted) == 2 * len(nine) + len(lefts)
-    assert walks == builds == rows == []
+    assert eccs == builds == rows == []
 
 
 def test_peel_sweep_matches_engine():

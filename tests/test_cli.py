@@ -533,7 +533,7 @@ def test_bad_range_fails_before_any_tree_is_valued(capsys, monkeypatch, argv, pr
     def valued(*args, **kwargs):
         raise AssertionError("a tree was valued before the range was checked")
 
-    monkeypatch.setattr(tr, "Walk", valued)
+    monkeypatch.setattr(tr, "bfs_distances", valued)
     monkeypatch.setattr(bd, "_Rooted", valued)
     monkeypatch.setattr(orc, "cayley_diameter", valued)
     assert_error(capsys, prefix, *argv)

@@ -52,7 +52,8 @@ def test_level_sequences_are_rooted_at_a_center():
             assert seq[0] == 0 and heights[0] - heights[1] <= 1, seq
             if n > 12:
                 continue
-            centers = tr.Walk(en._from_level_sequence(seq)).centers
+            ecc = tr.eccentricities(en._from_level_sequence(seq))
+            centers = [v for v in range(n) if ecc[v] == min(ecc)]
             if heights[0] == heights[1]:
                 assert centers == [0], seq
             else:  # the root of the branch that holds the top level
@@ -66,6 +67,8 @@ def _check_level_sequence(t):
     assert tr.canonical_code(again) == tr.canonical_code(t)
     heights = _root_branch_heights(seq) + [0, 0]
     assert heights[0] - heights[1] <= 1, seq
+    ecc = tr.eccentricities(t)  # the root is the first vertex of least eccentricity
+    assert labels[0] == t.labels[ecc.index(min(ecc))]
     # entry i is the vertex labelled labels[i]: the labelled edges agree
     assert sorted(labels) == sorted(t.labels)
     assert ({frozenset((labels[a - 1], labels[b - 1])) for a, b in again.label_edges()}

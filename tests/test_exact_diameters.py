@@ -92,7 +92,7 @@ def test_loader_builds_no_tree(monkeypatch, pinned):
         raise AssertionError("pinned_diameters built a tree")
 
     monkeypatch.setattr(tr, "Tree", built)
-    monkeypatch.setattr(tr, "Walk", built)
+    monkeypatch.setattr(tr, "bfs_distances", built)
     assert orc.pinned_diameters(range(1, 12)) == want == pinned
 
 

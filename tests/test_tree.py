@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treebound import bounds as bd
+from treebound import enumeration as en
 from treebound import tree as tr
 from conftest import prufer_tree
 import reference as ref
@@ -81,13 +82,17 @@ def test_eccentricities_path_five():
     assert tr.eccentricities(tr.make_path(5)) == [4, 3, 2, 3, 4]
 
 
+def _diam(t: tr.Tree) -> int:
+    return max(tr.eccentricities(t))
+
+
 def test_diameter_named_classes():
-    assert tr.Walk(tr.make_star(7)).diam == 2
-    assert tr.Walk(tr.make_path(9)).diam == 8
-    assert tr.Walk(tr.make_full_binary(3)).diam == 6
-    assert tr.Walk(tr.make_matchstick(4)).diam == 5
-    assert tr.Walk(tr.make_spider(3, 4)).diam == 8
-    assert tr.Walk(tr.build_tree(1, [])).diam == 0
+    assert _diam(tr.make_star(7)) == 2
+    assert _diam(tr.make_path(9)) == 8
+    assert _diam(tr.make_full_binary(3)) == 6
+    assert _diam(tr.make_matchstick(4)) == 5
+    assert _diam(tr.make_spider(3, 4)) == 8
+    assert _diam(tr.build_tree(1, [])) == 0
 
 
 def test_eccentricities_match_networkx(random_tree):
@@ -99,17 +104,23 @@ def test_eccentricities_match_networkx(random_tree):
         assert tr.eccentricities(t) == [want[v] for v in range(t.n)]
 
 
+def _centers(t: tr.Tree) -> list[int]:
+    # the vertices of least eccentricity
+    ecc = tr.eccentricities(t)
+    return [v for v in range(t.n) if ecc[v] == min(ecc)]
+
+
 def test_center_path_five_and_four():
     # a center vertex for an even diameter, a central edge for an odd one
-    w5 = tr.Walk(tr.make_path(5))
-    assert (w5.centers, w5.diam) == ([2], 4)
-    w4 = tr.Walk(tr.make_path(4))
-    assert (w4.centers, w4.diam) == ([1, 2], 3)
+    t5 = tr.make_path(5)
+    assert (_centers(t5), _diam(t5)) == ([2], 4)
+    t4 = tr.make_path(4)
+    assert (_centers(t4), _diam(t4)) == ([1, 2], 3)
 
 
 def test_center_matchstick_two():
-    w = tr.Walk(tr.make_matchstick(2))
-    assert (w.centers, w.diam) == ([0, 1], 3)
+    t = tr.make_matchstick(2)
+    assert (_centers(t), _diam(t)) == ([0, 1], 3)
 
 
 def test_peripheral_set_examples():
@@ -121,34 +132,57 @@ def test_peripheral_set_examples():
 
 
 # ---------------------------------------------------------------------------
-# the walk from the center, against references that do not use it
+# eccentricities, S and clusters against every BFS row, and against the
+# groups of S the peel step ranks
 
-def _check_walk(t: tr.Tree) -> None:
-    w = tr.Walk(t)  # asserts that h is reached in two branches or on both sides
+def _rooted_groups(t: tr.Tree) -> tuple[list[list[int]], list[int]]:
+    # the groups of S as bounds._Rooted.pick forms them (one per branch of
+    # the center, or per side of the central edge), as internal indices
+    # ordered by least member, and pick's size of each group
+    seq, labels = en.level_sequence(t)
+    rooted = bd._Rooted(seq)
+    starts, brs = rooted.starts, rooted.branches
+    deep = [j for j, x in enumerate(rooted.in_s) if x]
+    groups = ([[j] for j in deep] if rooted.second < 0 else
+              [[rooted.second], [j for j in deep if j != rooted.second]])
+    members = [sorted(t.index_of_label(labels[i]) for j in g
+                      for i in range(starts[j], starts[j + 1]) if seq[i] == brs[j].height)
+               for g in groups]
+    return sorted(members), rooted.pick(False)[1]
+
+
+def _check_periphery(t: tr.Tree) -> None:
     rows = [tr.bfs_distances(t, v) for v in range(t.n)]
     ecc = [max(row) for row in rows]
-    assert tr.eccentricities(t) == ecc and w.diam == max(ecc)
-    s = [v for v in range(t.n) if ecc[v] == w.diam]
-    assert w.s == s
+    diam = max(ecc)
+    assert tr.eccentricities(t) == ecc
+    s = [v for v in range(t.n) if ecc[v] == diam]
     if t.n < 2:
         return
-    assert w.groups == tr._cluster_groups(t, s, w.diam)[0]
+    assert tr.peripheral_set(t) == s
+    groups = tr._cluster_groups(t, s, diam)[0]
+    # diam is reached in two branches of one center, and on both sides of two
+    assert len(groups) >= 2
+    if t.n > 2:  # at n = 2 S holds the root, which is in no branch
+        rooted, sizes = _rooted_groups(t)
+        assert rooted == groups and sorted(sizes) == sorted(map(len, groups))
+    assert sorted(sorted(c.members) for c in tr.clusters(t, s)) == groups
     # the tree left by keeping one cluster, or by deleting all of S
-    for kept in w.groups + ([[]] if t.n > 2 else []):
+    for kept in groups + ([[]] if t.n > 2 else []):
         left = tr.delete_vertices(t, [v for v in s if v not in kept])
-        assert tr.Walk(left).diam == w.diam - (1 if kept else 2)
+        assert _diam(left) == diam - (1 if kept else 2)
 
 
 def test_walk_matches_references(all_trees):
     for n in range(1, 13):
         for t in all_trees(n):
-            _check_walk(t)
+            _check_periphery(t)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 40), st.integers(0, 2**32))
 def test_walk_matches_references_on_random_labellings(n, seed):
-    _check_walk(prufer_tree(n, random.Random(seed)))
+    _check_periphery(prufer_tree(n, random.Random(seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +280,7 @@ def test_delete_peripheral_set_shrinks_diameter(all_trees):
             s = tr.peripheral_set(t)
             t2 = tr.delete_vertices(t, s)
             assert t2.n == t.n - len(s)
-            assert tr.Walk(t2).diam < tr.Walk(t).diam
+            assert _diam(t2) < _diam(t)
             assert set(t2.labels) < set(t.labels)
 
 
@@ -297,7 +331,7 @@ def test_canonical_code_invariant_under_relabeling(random_tree):
 
 
 def test_canonical_code_separates_nonisomorphic(all_trees):
-    for n in range(1, 11):
+    for n in range(1, 14):
         codes = {tr.canonical_code(t) for t in all_trees(n)}
         assert len(codes) == len(all_trees(n))
 
