@@ -5,10 +5,14 @@ each deleted vertex either the full current diameter or the cheaper paired
 cost (diameter minus a half move), depending on how the largest cluster
 compares to the rest.  All arithmetic is exact, in integer half-move units;
 no floating point enters any bound.
+
+pinned_diameters reads the exact diameters of all trees with n <= 11, which
+the oracle's BFS computed once, keyed by the peel engine's canonical code.
 """
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterator
 from math import isqrt
 from typing import TYPE_CHECKING, NamedTuple
@@ -476,6 +480,28 @@ def peel_sweep(
         return seq, code, tuple(map(HalfMoves, got))
 
     return map(valued, seqs)
+
+
+_PARENS = bytes.maketrans(b"10", b"()")  # a pinned code's bits back to parentheses
+
+
+def pinned_diameters(sizes) -> dict[bytes, int]:
+    """Pinned exact diameters of every free tree whose size is in `sizes`,
+    keyed by canonical code (_Rooted's); only n <= 11 is pinned, so larger
+    sizes have none.  Only the lines of the requested sizes are decoded: a
+    graph6 line's first character encodes its tree's size.  A line is
+    "<graph6> <diameter> <code>", the code in hex of its parenthesis bits,
+    "(" = 1 and ")" = 0; it starts with "(", so the bits come back whole
+    from the number."""
+    heads = {chr(63 + n) for n in sizes}
+    out = {}
+    path = os.path.join(os.path.dirname(__file__), "exact_diameters.txt")
+    with open(path, encoding="ascii") as fh:
+        for line in fh:
+            if line[0] in heads:
+                _, diameter, code = line.split()
+                out[bin(int(code, 16))[2:].encode().translate(_PARENS)] = int(diameter)
+    return out
 
 
 def predicted_gap(d: int, baseline: str) -> HalfMoves:

@@ -1,6 +1,11 @@
 """Batch experiment command line.
 
-Subcommands: bound, table1, table2, verify, enumerate, oracle.
+Subcommands: bound, table1, table2, verify, enumerate, oracle.  This module
+holds the parser, main(), the report renderer, table1 and verify; the
+tree-side subcommands (bound, table2, enumerate, oracle), which build or
+read a tree.Tree, live in treecli.  A run builds the arguments of, and
+loads, only the subcommand it names: table1 and verify compile neither
+treecli, tree nor oracle.
 
 Stdout is byte-stable given identical flags: wall time goes to stderr only.
 
@@ -17,16 +22,12 @@ import gc
 import sys
 import time
 from itertools import chain
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import bounds as bd
 from . import enumeration as en
 
-if TYPE_CHECKING:
-    from . import tree as tr
-
-# golden, oracle and tree are imported by the subcommands that use them, so
-# table1 and verify load no module they do not run
+# golden is imported by the subcommands that use it, so verify does not load it
 
 EXIT_OK = 0
 EXIT_HARD = 1
@@ -151,94 +152,11 @@ def _json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-# ---------------------------------------------------------------------------
-# tree sources
-
-# --make kind -> parameter count; the constructor is tr.make_<kind>
-_MAKE = {"star": 1, "path": 1, "full-binary": 1, "spider": 2, "matchstick": 1}
-
-
-def _parse_make(spec: str) -> tr.Tree:
-    from . import tree as tr
-    kind, _, rest = spec.partition(":")
-    try:
-        params = tuple(int(x) for x in rest.split(",")) if rest else ()
-        if len(params) != _MAKE[kind]:
-            raise ValueError
-    except (KeyError, ValueError):
-        raise UsageError(
-            f"bad --make spec {spec!r}; expected star:N, path:N, full-binary:D, "
-            "spider:M,K or matchstick:K"
-        ) from None
-    return getattr(tr, "make_" + kind.replace("-", "_"))(*params)
-
-
-def _load_trees(args) -> list[tuple[str, tr.Tree]]:
-    """(identifier, tree) pairs from --make or --input per --format."""
-    if args.make:
-        return [(args.make, _parse_make(args.make))]
-    if not args.input:
-        raise UsageError("no tree source: pass --make or --input")
-    try:
-        with open(args.input, encoding="ascii") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        raise UsageError(f"{args.input} is not an ASCII text file") from None
-    if args.format == "edges":
-        from . import tree as tr
-        return [(args.input, tr.parse_edge_list(text))]
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            out.append((line, en.parse_graph6(line)))
-    if not out:
-        raise UsageError(f"no graph6 lines in {args.input}")
-    return out
-
-
 def _span(lo: int, hi: int, flag: str) -> range:
     """lo..hi inclusive, from the --FLAG-min/--FLAG-max pair; never empty."""
     if lo > hi:
         raise UsageError(f"empty range: --{flag}-min {lo} > --{flag}-max {hi}")
     return range(lo, hi + 1)
-
-
-# ---------------------------------------------------------------------------
-# bound
-
-def cmd_bound(args) -> int:
-    if args.trace and args.output == "csv":
-        raise UsageError("--trace has no csv form: use --output text or json")
-    names = tuple(bd.BOUNDS) if args.bound == "all" else (args.bound,)
-    results = []  # (identifier, tree, {bound name: (value, trace)})
-    for ident, t in _load_trees(args):
-        res = {name: bd._peel(t, bd.BOUNDS[name], dist_sum_mode=args.distsum,
-                              strict_pseudocode=args.strict_pseudocode)
-               for name in names}
-        results.append((ident, t, res))
-
-    if args.output == "json":
-        doc = []
-        for ident, t, res in results:
-            row = {"tree": ident, "n": t.n, **{k: v.moves for k, (v, _) in res.items()}}
-            if args.trace:
-                row["traces"] = {k: trace.to_json() for k, (_, trace) in res.items()}
-            doc.append(row)
-        _emit(_json(doc))
-    elif args.output == "csv":
-        _emit("tree,n," + ",".join(names))
-        for ident, t, res in results:
-            _emit(",".join([ident, str(t.n)] + [str(v.moves) for v, _ in res.values()]))
-    else:
-        for ident, t, res in results:
-            vals = " ".join(f"{k}={v.moves}" for k, (v, _) in res.items())
-            _emit(f"tree {ident} n={t.n} {vals}")
-            if args.trace:
-                for k, (_, trace) in res.items():
-                    _emit(f"trace {k}:")
-                    _emit(trace.to_text())
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -288,75 +206,24 @@ def cmd_table1(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# table2
-
-def cmd_table2(args) -> int:
-    from . import golden, tree as tr
-    names = ("delta-prime-v1", "delta-prime-v2", "delta-star")  # column order
-    depths = _span(args.d_min, args.d_max, "d")
-    case2 = "post" if args.strict_pseudocode else "pre"
-    report = ExperimentReport(
-        "table2",
-        {
-            "d_min": args.d_min,
-            "d_max": args.d_max,
-            "distsum": args.distsum,
-            "case2_diameter": case2,
-        },
-        header=f"experiment table2 distsum={args.distsum} case2={case2}",
-        columns=[("d", "d"), ("n", "n"), ("leaves", "leaves")]
-        + [(k, bd.BOUNDS[k]) for k in names],
-    )
-    t0 = time.time()
-    swept = bd.peel_sweep((en.level_sequence(tr.make_full_binary(d))[0] for d in depths),
-                          dist_sum_mode=args.distsum, strict_pseudocode=args.strict_pseudocode)
-    for d, (seq, _, values) in zip(depths, swept):
-        row = {"d": d, "n": len(seq), "leaves": (len(seq) + 1) // 2,
-               **{k: v.moves for k, v in zip(bd.BOUNDS, values)}}
-        report.rows.append(row)
-        gold = golden.BINARY.get(d)
-        report.compare(row, gold)
-        if gold is None or d < 2:
-            continue
-        for variant in ("v1", "v2"):
-            gap = Comparison(
-                report.row_id(row),
-                f"gap-{variant}",
-                golden.recorded_gap(d, variant),
-                bd.predicted_gap(d, variant).moves,
-                gold.source + "+formula",
-            )
-            report.comparisons.append(gap)
-            report.footer.append(
-                f"gap-check d={d} {variant}: formula={gap.actual} "
-                f"recorded-diff={gap.expected} {'ok' if gap.match else 'MISMATCH'}"
-            )
-
-    _emit(report.render(args.output))
-    _note(f"wall-time: {time.time() - t0:.2f}s")
-    return report.exit_code()
-
-
-# ---------------------------------------------------------------------------
 # verify
 
 def cmd_verify(args) -> int:
-    from . import oracle as orc
     sizes = _span(args.n_min, args.n_max, "n")
     report = ExperimentReport(
         "verify",
-        {"n_min": args.n_min, "n_max": args.n_max, "cap": args.cap,
-         "distsum": args.distsum},
+        {"n_min": args.n_min, "n_max": args.n_max, "distsum": args.distsum},
         header=f"experiment verify n={args.n_min}..{args.n_max}",
         columns=[("n", "n"), ("trees", "trees")],
     )
     t0 = time.time()
     seqs = chain.from_iterable([en._free_level_sequences(n) for n in sizes])
     swept = bd.peel_sweep(seqs, dist_sum_mode=args.distsum)
-    # every size the cap admits (n <= MAX_CAP) is pinned; the check keeps
-    # the cap errors and fails before any tree is valued
-    orc._check_cap(args.n_max, args.cap)
-    pinned = orc.pinned_diameters(sizes)
+    pinned = bd.pinned_diameters(sizes)
+    # checked before any tree is valued; a canonical code has two bytes per vertex
+    missing = set(sizes).difference(len(code) // 2 for code in pinned)
+    if missing:
+        raise UsageError(f"n={min(missing)} has no pinned exact diameter to verify against")
     counts = dict.fromkeys(sizes, 0)
     histogram: dict[int, int] = {}
     violations = []
@@ -388,46 +255,6 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# enumerate / oracle
-
-def cmd_enumerate(args) -> int:
-    from . import tree as tr
-    trees = en.enumerate_free_trees(args.n)
-    if args.format == "edges":
-        _emit("\n\n".join(tr.format_edge_list(t).rstrip("\n") for t in trees))
-    else:
-        _emit("\n".join(en.encode_graph6(t) for t in trees))
-    _note(f"trees: {len(trees)}")
-    return EXIT_OK
-
-
-def cmd_oracle(args) -> int:
-    from . import oracle as orc
-    trees = _load_trees(args)
-    t0 = time.time()
-    doc = []
-    if args.output == "csv":
-        _emit("tree,depth,count")
-    # text and csv stream per tree, so trees done before an error are shown
-    for ident, t in trees:
-        profile = orc.depth_profile(t, cap=args.cap)
-        counts = [f"{depth},{cnt}" for depth, cnt in enumerate(profile)]
-        if args.output == "json":
-            doc.append(
-                {"tree": ident, "n": t.n, "diameter": len(profile) - 1, "profile": profile}
-            )
-        elif args.output == "csv":
-            _emit("\n".join(f"{ident},{line}" for line in counts))
-        else:
-            _emit(f"tree {ident} n={t.n} diameter={len(profile) - 1}")
-            _emit("\n".join(["depth,count"] + counts))
-    if args.output == "json":
-        _emit(_json(doc))
-    _note(f"wall-time: {time.time() - t0:.2f}s")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser, *flags: str,
                 outputs: tuple[str, ...] = ("text", "csv", "json")) -> None:
@@ -441,61 +268,50 @@ def _add_common(p: argparse.ArgumentParser, *flags: str,
         p.add_argument("--cap", type=int)
 
 
-def _add_source(p: argparse.ArgumentParser) -> None:
-    source = p.add_mutually_exclusive_group()
-    source.add_argument("--input", help="tree file (graph6 lines or an edge list)")
-    p.add_argument("--format", choices=("g6", "edges"), default="g6")
-    source.add_argument("--make",
-                        help="construct a named tree: star:N path:N full-binary:D "
-                             "spider:M,K matchstick:K")
+# every subcommand and its help, in help order
+_COMMANDS = {
+    "bound": "compute bounds for input trees",
+    "table1": "cumulative bounds over all free trees",
+    "table2": "bounds on full binary trees",
+    "verify": "bound vs pinned exact diameter",
+    "enumerate": "dump all free trees on n vertices",
+    "oracle": "exact diameters with depth profiles",
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of argv: only the subcommand argv[0] names gets its
+    arguments (here for table1 and verify, else from treecli), so a run
+    builds and loads no other; when argv names none (none given, --help,
+    an unknown name), every subcommand gets them."""
     ap = _Parser(
         prog="treebound",
         description="Diameter bounds for Cayley graphs of transposition trees",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bound", help="compute bounds for input trees")
-    _add_source(p)
-    p.add_argument("--bound", choices=("all", *bd.BOUNDS), default="all")
-    p.add_argument("--trace", action="store_true")
-    _add_common(p, "strict-pseudocode")
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("table1", help="cumulative bounds over all free trees")
-    p.add_argument("--n-min", type=int, default=6)
-    p.add_argument("--n-max", type=int, default=13)
-    p.add_argument("--bound", choices=("all", *bd.BOUNDS), default="all")
-    p.add_argument("--jobs", type=int, default=0,
-                   help="ignored: table1 runs in one process; the flag is kept "
-                        "for compatibility")
-    _add_common(p, "strict-pseudocode")
-    p.set_defaults(func=cmd_table1)
-
-    p = sub.add_parser("table2", help="bounds on full binary trees")
-    p.add_argument("--d-min", type=int, default=1)
-    p.add_argument("--d-max", type=int, default=7)
-    _add_common(p, "strict-pseudocode")
-    p.set_defaults(func=cmd_table2)
-
-    p = sub.add_parser("verify", help="bound vs pinned exact diameter")
-    p.add_argument("--n-min", type=int, default=3)
-    p.add_argument("--n-max", type=int, default=8)
-    _add_common(p, "cap", outputs=("text", "json"))  # verify has no csv form
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("enumerate", help="dump all free trees on n vertices")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("g6", "edges"), default="g6")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("oracle", help="exact diameters with depth profiles")
-    _add_source(p)
-    _add_common(p, "cap")
-    p.set_defaults(func=cmd_oracle)
-
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, text in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if named not in (None, name):
+            continue
+        if name == "table1":
+            p.add_argument("--n-min", type=int, default=6)
+            p.add_argument("--n-max", type=int, default=13)
+            p.add_argument("--bound", choices=("all", *bd.BOUNDS), default="all")
+            p.add_argument("--jobs", type=int, default=0,
+                           help="ignored: table1 runs in one process; the flag is kept "
+                                "for compatibility")
+            _add_common(p, "strict-pseudocode")
+            p.set_defaults(func=cmd_table1)
+        elif name == "verify":
+            p.add_argument("--n-min", type=int, default=3)
+            p.add_argument("--n-max", type=int, default=8)
+            # --cap is unused (every size verify accepts is pinned); perfbench reads args.cap
+            _add_common(p, "cap", outputs=("text", "json"))  # verify has no csv form
+            p.set_defaults(func=cmd_verify)
+        else:
+            from . import treecli
+            getattr(treecli, "add_" + name)(p)
     return ap
 
 
@@ -509,8 +325,9 @@ def _errors() -> tuple:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         return args.func(args)
     except _errors() as exc:
         _note(f"error: {exc}")
@@ -532,4 +349,7 @@ def run() -> None:
 
 
 if __name__ == "__main__":
+    # treecli imports this module by name: without this entry, cli.py would run
+    # a second time, with a second UsageError class that main() does not catch
+    sys.modules[__spec__.name] = sys.modules[__name__]
     run()

@@ -103,11 +103,20 @@ def _from_level_sequence(seq: list[int]) -> tr.Tree:
 
 def level_sequence(t: tr.Tree) -> tuple[list[int], list[int]]:
     """t's preorder level sequence rooted at its first center, for
-    bounds.peel_sweep, and the label of the vertex at each of its entries."""
+    bounds.peel_sweep, and the label of the vertex at each of its entries.
+    The centers are the middle of a longest path, found from two BFS rows."""
     from . import tree as tr
+    row = tr.bfs_distances(t, 0)
+    row = tr.bfs_distances(t, row.index(max(row)))  # from one end of a longest path
+    d = max(row)
+    v, u = row.index(d), -1  # back from its other end to the middle: the centers
+    while row[v] > d // 2:
+        for w in t.adj[v]:
+            if row[w] < row[v]:
+                u, v = v, w
+                break
     levels, labels = [], []
-    ecc = tr.eccentricities(t)
-    todo = [(ecc.index(min(ecc)), -1, 0)]  # a stack: no recursion, however deep t is
+    todo = [(min(u, v) if d % 2 else v, -1, 0)]  # a stack: no recursion, however deep t is
     while todo:
         v, parent, level = todo.pop()
         levels.append(level)

@@ -12,16 +12,12 @@ module (_bfs_kernels) is imported on the first depth-table build, so
 importing this module, or the CLI, does not load numpy.
 
 The exact diameter of every free tree with n <= MAX_CAP is also pinned as
-data, in exact_diameters.txt (tests/test_exact_diameters.py checks it
-against the BFS and re-records it).  Each line stores its tree's canonical
-code, so pinned_diameters looks diameters up with no BFS, no numpy and no
-graph6 parse: this module never loads tree or enumeration.  cayley_diameter
-and depth_profile always run the BFS.
+data, read by bounds.pinned_diameters; verify reads that and never loads
+this module.  cayley_diameter and depth_profile always run the BFS.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 from collections.abc import Sequence
 from functools import lru_cache
@@ -144,27 +140,6 @@ def profile_csv(t: tr.Tree, *, cap: int | None = None) -> str:
 def cayley_diameter(t: tr.Tree, *, cap: int | None = None) -> int:
     """Exact diameter of the Cayley graph generated by the tree."""
     return len(_depth_table(t, cap).profile) - 1
-
-
-_PARENS = bytes.maketrans(b"10", b"()")  # a pinned code's bits back to parentheses
-
-
-def pinned_diameters(sizes) -> dict[bytes, int]:
-    """Pinned exact diameters of every free tree whose size is in `sizes`,
-    keyed by canonical code; sizes past MAX_CAP have none.  Only the lines
-    of the requested sizes are decoded: a graph6 line's first character
-    encodes its tree's size.  A line is "<graph6> <diameter> <code>", the
-    code in hex of its parenthesis bits, "(" = 1 and ")" = 0; it starts
-    with "(", so the bits come back whole from the number."""
-    heads = {chr(63 + n) for n in sizes}
-    out = {}
-    path = os.path.join(os.path.dirname(__file__), "exact_diameters.txt")
-    with open(path, encoding="ascii") as fh:
-        for line in fh:
-            if line[0] in heads:
-                _, diameter, code = line.split()
-                out[bin(int(code, 16))[2:].encode().translate(_PARENS)] = int(diameter)
-    return out
 
 
 # perfbench records this; it goes with the benchmark-upkeep change (ROADMAP item 7)

@@ -299,12 +299,12 @@ def test_peel_derives_each_step_from_one_pass(monkeypatch, all_trees, capsys):
                 rows.clear()
                 steps.clear()
                 _, trace = run(t)
-                # one eccentricities call (three BFS rows) per trace, for its
-                # center; one step summary per record, ties included; no
-                # tree is built
-                assert eccs == [t.n] and len(rows) == 3, en.encode_graph6(t)
+                # two BFS rows per trace, for its center, and no
+                # eccentricities; one step summary per record, ties included;
+                # no tree is built
+                assert eccs == [] and len(rows) == 2, en.encode_graph6(t)
                 assert steps == [r.n for r in trace.records], en.encode_graph6(t)
-            assert len(trace.records) == 7 and eccs == [10]
+            assert len(trace.records) == 7 and len(rows) == 2
     assert builds == []
 
     # table1's sweep: no tree is built or BFS row made, and each distinct branch

@@ -271,6 +271,13 @@ def test_verify_at_n_11_does_not_warn_of_a_bfs(capsys):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+def test_verify_needs_no_cap_where_every_diameter_is_pinned(capsys):
+    code, out, err = run(capsys, "verify", "--n-min", "10", "--n-max", "11")
+    assert code == 0
+    assert out.splitlines()[1:3] == ["n=10 trees=106", "n=11 trees=235"]
+    assert "violations-total=0" in out and err.startswith("exact diameters: 341 pinned\n")
+
+
 def test_oracle_builds_each_swap_table_once():
     # the 23 trees on 3..7 vertices have 116 edges between them, but their
     # swap tables span only 37 distinct (n, i, j)
@@ -527,8 +534,9 @@ def test_argparse_errors_exit_1(capsys, argv, prefix):
 @pytest.mark.parametrize("argv, prefix", [
     (("table1", "--n-min", "6", "--n-max", "17"),
      "error: supported range is 1 <= n <= 16, got 17"),
-    (("verify", "--n-min", "10", "--n-max", "11"), "error: n=11 exceeds the oracle cap 10"),
-], ids=["table1-size", "verify-cap"])
+    # verify reads pinned diameters, which stop at n = 11
+    (("verify", "--n-max", "12"), "error: n=12 has no pinned exact diameter to verify against"),
+], ids=["table1-size", "verify-unpinned"])
 def test_bad_range_fails_before_any_tree_is_valued(capsys, monkeypatch, argv, prefix):
     def valued(*args, **kwargs):
         raise AssertionError("a tree was valued before the range was checked")
@@ -537,6 +545,31 @@ def test_bad_range_fails_before_any_tree_is_valued(capsys, monkeypatch, argv, pr
     monkeypatch.setattr(bd, "_Rooted", valued)
     monkeypatch.setattr(orc, "cayley_diameter", valued)
     assert_error(capsys, prefix, *argv)
+
+
+def _argvs():
+    """Every argv of the golden cases and of perfbench's recorded runs."""
+    root = pathlib.Path(__file__).parents[1]
+    golden = json.loads((root / "tests" / "cli_golden.json").read_text(encoding="utf-8"))
+    runs = json.loads((root / "perfbench" / "expected" / "outputs.json")
+                      .read_text(encoding="utf-8"))["runs"]
+    return [case["argv"] for case in golden.values()] + [key.split() for key in runs]
+
+
+def _parsed(parser, argv):
+    """The namespace parser reads from argv, func by name, or its error."""
+    try:
+        args = parser.parse_args(argv)
+    except cli.UsageError as exc:
+        return str(exc)
+    return {**vars(args), "func": args.func.__name__}
+
+
+@pytest.mark.parametrize("argv", _argvs(), ids=" ".join)
+def test_each_subcommand_parses_alone_as_with_all(argv):
+    # main() builds the named subcommand's arguments only; the whole parser
+    # (no argv, as perfbench builds it) must read the command line the same
+    assert _parsed(cli.build_parser(argv), argv) == _parsed(cli.build_parser(), argv)
 
 
 def test_help_exits_0(capsys):
@@ -597,7 +630,11 @@ def test_subcommands_without_the_oracle_run_without_numpy():
         # the batch path: table1 values level sequences, verify reads pinned codes
         ("treebound.tree treebound.oracle",
          "assert cli.main(['table1', '--n-min', '6', '--n-max', '8']) == 0\n"),
-        ("treebound.tree treebound.golden", "assert cli.main(['verify']) == 0\n"),
+        ("treebound.tree treebound.golden treebound.oracle",
+         "assert cli.main(['verify']) == 0\n"),
+        # the tree-side subcommands' module is loaded only by them
+        ("treebound.treecli", "assert cli.main(['table1', '--n-min', '6', '--n-max', '8']) == 0\n"
+                              "assert cli.main(['verify']) == 0\n"),
     ]
     for blocked, calls in runs:
         code = ("import sys\n"
@@ -681,6 +718,23 @@ def test_module_run_matches_main(capsys, argv, code):
     assert done.stdout == want[1].encode()
     if code == 1:
         assert done.stderr == want[2].encode()
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (("verify", "--n-min", "3", "--n-max", "7"),
+     {"treebound.oracle", "treebound.tree", "treebound.treecli"}),
+    (("table1", "--n-min", "6", "--n-max", "7"), {"treebound.oracle", "treebound.treecli"}),
+    # treecli imports the running cli, which must not be compiled a second time
+    (("bound", "--make", "star:4"), {"treebound.cli", "treebound.oracle"}),
+    (("oracle", "--make", "star:4"), {"treebound.cli"}),
+], ids=["verify", "table1", "bound", "oracle"])
+def test_module_run_imports_only_what_it_runs(argv, absent):
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "treebound.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    imported = {line.split("|")[-1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "treebound.bounds" in imported and not absent & imported, done.stderr
 
 
 def test_run_freezes_the_heap_and_still_runs_atexit():

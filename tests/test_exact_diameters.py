@@ -3,7 +3,7 @@
 src/treebound/exact_diameters.txt holds one "<graph6> <diameter> <code>"
 line per free tree on 1..11 vertices, in enumerate_free_trees order, each
 diameter computed by the oracle's BFS.  <code> is the tree's canonical code
-in hex of its parenthesis bits ("(" = 1, ")" = 0), so oracle.pinned_diameters
+in hex of its parenthesis bits ("(" = 1, ")" = 0), so bounds.pinned_diameters
 looks diameters up without parsing graph6; _line writes it, and only
 pinned_diameters reads it back.  verify reads the file and runs no BFS.
 These tests check that the file covers exactly those trees with their
@@ -58,7 +58,7 @@ def _line(g6: str, diameter: int) -> str:
 
 @pytest.fixture(scope="module")
 def pinned():
-    return orc.pinned_diameters(SIZES)
+    return bd.pinned_diameters(SIZES)
 
 
 def test_file_holds_every_tree_in_enumeration_order():
@@ -93,14 +93,14 @@ def test_loader_builds_no_tree(monkeypatch, pinned):
 
     monkeypatch.setattr(tr, "Tree", built)
     monkeypatch.setattr(tr, "bfs_distances", built)
-    assert orc.pinned_diameters(range(1, 12)) == want == pinned
+    assert bd.pinned_diameters(range(1, 12)) == want == pinned
 
 
 def test_loader_parses_only_the_requested_sizes(pinned):
     assert len(pinned) == sum(COUNTS)
-    some = orc.pinned_diameters(range(3, 8))
+    some = bd.pinned_diameters(range(3, 8))
     assert len(some) == 1 + 2 + 3 + 6 + 11 and some.items() <= pinned.items()
-    assert orc.pinned_diameters([12, 13]) == {}
+    assert bd.pinned_diameters([12, 13]) == {}
 
 
 @pytest.mark.parametrize("n", range(1, 8))
