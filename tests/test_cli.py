@@ -263,19 +263,14 @@ def test_verify_json(capsys):
 
 
 def test_verify_at_n_11_does_not_warn_of_a_bfs(capsys):
-    # every diameter verify needs is pinned, so no BFS runs and none is announced
+    # every diameter verify needs is pinned, so no BFS runs, none is
+    # announced and no cap is needed
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, _, err = run(capsys, "verify", "--n-min", "11", "--n-max", "11", "--cap", "11")
-    assert code == 0 and err.startswith("exact diameters: 235 pinned\n")
-    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
-
-
-def test_verify_needs_no_cap_where_every_diameter_is_pinned(capsys):
-    code, out, err = run(capsys, "verify", "--n-min", "10", "--n-max", "11")
-    assert code == 0
+        code, out, err = run(capsys, "verify", "--n-min", "10", "--n-max", "11")
+    assert code == 0 and err.startswith("exact diameters: 341 pinned\n")
     assert out.splitlines()[1:3] == ["n=10 trees=106", "n=11 trees=235"]
-    assert "violations-total=0" in out and err.startswith("exact diameters: 341 pinned\n")
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_oracle_builds_each_swap_table_once():
