@@ -4,8 +4,8 @@ Subcommands: bound, table1, table2, verify, enumerate, oracle.  This module
 holds the parser, main(), the report renderer, table1 and verify; the
 tree-side subcommands (bound, table2, enumerate, oracle), which build or
 read a tree.Tree, live in treecli.  A run builds the arguments of, and
-loads, only the subcommand it names: table1 and verify compile neither
-treecli, tree nor oracle.
+loads, only the subcommand it names: table1 and verify compile batch, and
+neither treecli, bounds, enumeration, tree nor oracle.
 
 Stdout is byte-stable given identical flags: wall time goes to stderr only.
 
@@ -24,8 +24,7 @@ import time
 from itertools import chain
 from typing import NamedTuple
 
-from . import bounds as bd
-from . import enumeration as en
+from . import batch
 
 # golden is imported by the subcommands that use it, so verify does not load it
 
@@ -96,8 +95,8 @@ class ExperimentReport:
         if gold is None:
             return
         for key, _ in self.columns:
-            if key in bd.BOUNDS:
-                col = bd.BOUNDS[key]
+            if key in batch.BOUNDS:
+                col = batch.BOUNDS[key]
                 self.comparisons.append(
                     Comparison(self.row_id(row), col, gold.values[col], row[key],
                                gold.source, gold.suspect)
@@ -130,7 +129,7 @@ class ExperimentReport:
         for row in self.rows:
             line = " ".join(f"{label}={row[key]}" for key, label in self.columns)
             comps = [c for c in by_row.get(self.row_id(row), ())
-                     if c.column in bd.BOUNDS.values()]
+                     if c.column in batch.BOUNDS.values()]
             if comps:
                 line += " | recorded " + " ".join(c.render() for c in comps)
             lines.append(line)
@@ -164,7 +163,7 @@ def _span(lo: int, hi: int, flag: str) -> range:
 
 def cmd_table1(args) -> int:
     from . import golden
-    names = tuple(bd.BOUNDS) if args.bound == "all" else (args.bound,)
+    names = tuple(batch.BOUNDS) if args.bound == "all" else (args.bound,)
     sizes = _span(args.n_min, args.n_max, "n")
     case2 = "post" if args.strict_pseudocode else "pre"
     report = ExperimentReport(
@@ -181,17 +180,17 @@ def cmd_table1(args) -> int:
     )
     t0 = time.time()
     ordering_ok = True
-    totals = {n: dict.fromkeys(("trees", *bd.BOUNDS), 0) for n in sizes}
+    totals = {n: dict.fromkeys(("trees", *batch.BOUNDS), 0) for n in sizes}
     # each size's generator is made here, so a size out of range fails
     # before any tree is valued; no tree is built, and none sorted
-    seqs = chain.from_iterable([en._free_level_sequences(n) for n in sizes])
-    swept = bd.peel_sweep(seqs, dist_sum_mode=args.distsum,
-                          strict_pseudocode=args.strict_pseudocode)
+    seqs = chain.from_iterable([batch._free_level_sequences(n) for n in sizes])
+    swept = batch.peel_sweep(seqs, dist_sum_mode=args.distsum,
+                             strict_pseudocode=args.strict_pseudocode)
     for seq, _, values in swept:
         sums = totals[len(seq)]
         sums["trees"] += 1
-        for name, x in zip(bd.BOUNDS, values):
-            sums[name] += x.moves
+        for name, x in zip(batch.BOUNDS, values):
+            sums[name] += x
     for n, sums in totals.items():
         row = {"n": n, "trees": sums["trees"], **{k: sums[k] for k in names}}
         report.rows.append(row)
@@ -217,9 +216,9 @@ def cmd_verify(args) -> int:
         columns=[("n", "n"), ("trees", "trees")],
     )
     t0 = time.time()
-    seqs = chain.from_iterable([en._free_level_sequences(n) for n in sizes])
-    swept = bd.peel_sweep(seqs, dist_sum_mode=args.distsum)
-    pinned = bd.pinned_diameters(sizes)
+    seqs = chain.from_iterable([batch._free_level_sequences(n) for n in sizes])
+    swept = batch.peel_sweep(seqs, dist_sum_mode=args.distsum)
+    pinned = batch.pinned_diameters(sizes)
     # checked before any tree is valued; a canonical code has two bytes per vertex
     missing = set(sizes).difference(len(code) // 2 for code in pinned)
     if missing:
@@ -227,13 +226,14 @@ def cmd_verify(args) -> int:
     counts = dict.fromkeys(sizes, 0)
     histogram: dict[int, int] = {}
     violations = []
-    for seq, code, (bound, *_) in swept:  # the main bound, first in bd.BOUNDS
+    for seq, code, (bound, *_) in swept:  # the main bound, first in batch.BOUNDS
         exact = pinned[code]
-        slack = bound.moves - exact
+        slack = bound - exact
         histogram[slack] = histogram.get(slack, 0) + 1
         if slack < 0:
+            from . import enumeration as en
             g6 = en.encode_graph6(en._from_level_sequence(seq))  # the one tree built
-            violations.append((g6, bound.moves, exact))
+            violations.append((g6, bound, exact))
         counts[len(seq)] += 1
     report.rows = [{"n": n, "trees": count} for n, count in counts.items()]
     slacks = sorted(histogram.items())
@@ -261,7 +261,7 @@ def _add_common(p: argparse.ArgumentParser, *flags: str,
     """--output (one of `outputs`) and --distsum, plus those of
     --strict-pseudocode and --cap that `flags` names."""
     p.add_argument("--output", choices=outputs, default="text")
-    p.add_argument("--distsum", choices=bd.DIST_SUM_MODES, default="global")
+    p.add_argument("--distsum", choices=batch.DIST_SUM_MODES, default="global")
     if "strict-pseudocode" in flags:
         p.add_argument("--strict-pseudocode", action="store_true")
     if "cap" in flags:
@@ -297,7 +297,7 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
         if name == "table1":
             p.add_argument("--n-min", type=int, default=6)
             p.add_argument("--n-max", type=int, default=13)
-            p.add_argument("--bound", choices=("all", *bd.BOUNDS), default="all")
+            p.add_argument("--bound", choices=("all", *batch.BOUNDS), default="all")
             p.add_argument("--jobs", type=int, default=0,
                            help="ignored: table1 runs in one process; the flag is kept "
                                 "for compatibility")
@@ -316,12 +316,12 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
 
 
 def _errors() -> tuple:
-    """The exceptions main() reports as a one-line error.  An except clause
-    evaluates its tuple only when an exception propagates, so tree and
-    oracle load here only on that path."""
-    from . import oracle as orc, tree as tr
-    return (UsageError, tr.TreeError, en.MalformedGraph6Error, en.TreeSizeError,
-            orc.TooLargeError, orc.NotGeneratingError, OSError)
+    """The exceptions main() reports as a one-line error, in the modules this
+    run loaded: one never loaded cannot have raised, so none loads here."""
+    names = ("batch.TreeSizeError", "enumeration.MalformedGraph6Error", "tree.TreeError",
+             "oracle.TooLargeError", "oracle.NotGeneratingError")
+    found = [(sys.modules.get(f"{__package__}.{m}"), x) for m, x in (n.split(".") for n in names)]
+    return (UsageError, OSError, *(getattr(mod, x) for mod, x in found if mod))
 
 
 def main(argv=None) -> int:

@@ -1,22 +1,19 @@
-"""Enumeration of non-isomorphic free trees and the graph6 text format.
+"""Non-isomorphic free trees as tree.Tree, and the graph6 text format.
 
-Free trees are generated as level sequences by the algorithm of Wright,
-Richmond, Odlyzko & McKay, "Constant time generation of free trees" (SIAM
-J. Comput. 15, 1986), which walks the rooted-tree successor of Beyer &
-Hedetniemi (1980) and jumps over every sequence that is not the canonical
-one of its free tree.  The test suite re-derives the counts and the
-isomorphism-class uniqueness independently, so a generator defect cannot
-pass silently.  enumerate_free_trees sorts the trees by canonical code, so
-its output does not depend on the generator's order; table1 and verify,
-whose results do not either, take the generator's level sequences, each
-rooted at a center (_free_level_sequences), and build no tree: tree is
-imported only by the functions that build or read one.
+enumerate_free_trees builds the trees of batch._free_level_sequences sorted
+by canonical code, so its output does not depend on the generator's order.
+The test suite re-derives the counts and the isomorphism-class uniqueness
+independently, so a generator defect cannot pass silently.  table1 and
+verify value the level sequences themselves and load this module only to
+name a violating tree; tree is imported only by the functions that build
+or read one.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from typing import TYPE_CHECKING
+
+from .batch import _free_level_sequences, _Rooted
 
 if TYPE_CHECKING:
     from . import tree as tr
@@ -24,64 +21,6 @@ if TYPE_CHECKING:
 
 class MalformedGraph6Error(ValueError):
     """Input line is not valid short-form graph6."""
-
-
-class TreeSizeError(ValueError):
-    """Requested tree size is outside what enumeration supports."""
-
-
-def _successor(seq: list[int], p: int | None = None) -> list[int] | None:
-    """Beyer-Hedetniemi: the next rooted level sequence, None after the last.
-
-    Position p is advanced; by default the last vertex above level 1.
-    """
-    if p is None:
-        p = len(seq) - 1
-        while seq[p] == 1:
-            p -= 1
-    if p == 0:
-        return None
-    q = p - 1
-    while seq[q] != seq[p] - 1:
-        q -= 1
-    out = seq[:p]
-    for i in range(p, len(seq)):
-        out.append(out[i - p + q])
-    return out
-
-
-def _split(seq: list[int]) -> tuple[list[int], list[int]]:
-    """The root's first subtree, and the tree with that subtree removed."""
-    m = next((i for i in range(2, len(seq)) if seq[i] == 1), len(seq))
-    return [x - 1 for x in seq[1:m]], [0] + seq[m:]
-
-
-def _free_level_sequences(n: int) -> Iterator[list[int]]:
-    """Preorder level sequences of every free tree on n vertices, one per
-    isomorphism class, each rooted at a center; n is checked on the call."""
-    if not 1 <= n <= 16:
-        raise TreeSizeError(f"supported range is 1 <= n <= 16, got {n}")
-    return _wrom(n) if n > 1 else iter([[0]])
-
-
-def _wrom(n: int) -> Iterator[list[int]]:
-    # the generator of Wright, Richmond, Odlyzko and McKay, for n >= 2
-    seq = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))  # centred path
-    while seq is not None:
-        left, rest = _split(seq)
-        # canonical when the first subtree is no higher than the rest, then
-        # no larger, then not lexicographically later
-        if (max(left), len(left), left) > (max(rest), len(rest), rest):
-            # jump: advance at the first subtree's last vertex p and, when
-            # needed, make the tail a path one level higher than that subtree
-            p = len(left)
-            jumped = _successor(seq, p)
-            if seq[p] > 2:
-                height = max(_split(jumped)[0])
-                jumped[-height - 1:] = range(1, height + 2)
-            seq = jumped
-        yield seq
-        seq = _successor(seq)
 
 
 def _from_level_sequence(seq: list[int]) -> tr.Tree:
@@ -103,7 +42,7 @@ def _from_level_sequence(seq: list[int]) -> tr.Tree:
 
 def level_sequence(t: tr.Tree) -> tuple[list[int], list[int]]:
     """t's preorder level sequence rooted at its first center, for
-    bounds.peel_sweep, and the label of the vertex at each of its entries.
+    batch.peel_sweep, and the label of the vertex at each of its entries.
     The centers are the middle of a longest path, found from two BFS rows."""
     from . import tree as tr
     row = tr.bfs_distances(t, 0)
@@ -128,7 +67,6 @@ def level_sequence(t: tr.Tree) -> tuple[list[int], list[int]]:
 def enumerate_free_trees(n: int) -> list[tr.Tree]:
     """All free trees on n vertices, each isomorphism class exactly once,
     in canonical-code order."""
-    from .bounds import _Rooted
     # each sequence is rooted at a center, so its _Rooted code is canonical
     seqs = sorted(_free_level_sequences(n), key=lambda seq: _Rooted(seq).code)
     return list(map(_from_level_sequence, seqs))

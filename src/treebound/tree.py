@@ -1,6 +1,6 @@
 """Labeled free trees and the distance machinery (BFS rows,
 eccentricities, clusters) the peel step is checked against; the canonical
-code is the peel engine's (bounds._Rooted).
+code is the peel engine's (batch._Rooted).
 
 Vertices are dense 0-based internal indices; every tree carries an external
 label per index (1-based positions of the permutation being sorted).  All
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bounds import DIST_SUM_MODES, _Rooted
+from .batch import DIST_SUM_MODES, _Rooted
 from .enumeration import level_sequence
 
 
@@ -172,7 +172,7 @@ def clusters(t: Tree, s, dist_sum_mode: str = "global") -> list[Cluster]:
     every vertex; "pairwise": over unordered member pairs only), and the
     canonical code of the tree it would leave behind (delete_vertices).
     Returned sorted by (size desc, distSum asc, canonical key, min label),
-    the order in which the peel step (bounds._Rooted.pick, then the least
+    the order in which the peel step (batch._Rooted.pick, then the least
     label) picks C*: an independent reference for that step.
     """
     s = sorted(s)
@@ -211,7 +211,7 @@ def _cluster_groups(t: Tree, s: list[int], diam: int) -> tuple[list[list[int]], 
     Components of the "closer than diam" relation come out ordered by least
     member, members ascending; each is checked to be a clique under the
     relation.  On the peripheral set these must be the groups of S that the
-    peel step ranks (bounds._Rooted.pick: one per branch, or per side, of
+    peel step ranks (batch._Rooted.pick: one per branch, or per side, of
     the center); the tests hold them to that.
     """
     rows = {v: bfs_distances(t, v) for v in s}
@@ -268,7 +268,7 @@ def delete_vertices(t: Tree, xs) -> Tree:
 
 def canonical_code(t: Tree) -> bytes:
     """AHU canonical form rooted at the center, the peel engine's
-    (bounds._Rooted); equal codes <=> isomorphic."""
+    (batch._Rooted); equal codes <=> isomorphic."""
     return _Rooted(level_sequence(t)[0]).code
 
 

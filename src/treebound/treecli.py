@@ -1,14 +1,14 @@
 """The tree-side subcommands, bound, table2, enumerate and oracle: each
-builds or reads a tree.Tree.  cli.build_parser imports this module only
-when the command line names one of them or none, so table1 and verify
-neither load nor compile it."""
+builds or reads a tree.Tree, and only bound and table2 load bounds.
+cli.build_parser imports this module only when the command line names one
+of them or none, so table1 and verify neither load nor compile it."""
 
 from __future__ import annotations
 
 import argparse
 import time
 
-from . import bounds as bd
+from . import batch
 from . import enumeration as en
 from . import tree as tr
 from .cli import (EXIT_OK, Comparison, ExperimentReport, UsageError, _add_common, _emit,
@@ -58,10 +58,11 @@ def _load_trees(args) -> list[tuple[str, tr.Tree]]:
 def cmd_bound(args) -> int:
     if args.trace and args.output == "csv":
         raise UsageError("--trace has no csv form: use --output text or json")
-    names = tuple(bd.BOUNDS) if args.bound == "all" else (args.bound,)
+    from . import bounds as bd
+    names = tuple(batch.BOUNDS) if args.bound == "all" else (args.bound,)
     results = []  # (identifier, tree, {bound name: (value, trace)})
     for ident, t in _load_trees(args):
-        res = {name: bd._peel(t, bd.BOUNDS[name], dist_sum_mode=args.distsum,
+        res = {name: bd._peel(t, batch.BOUNDS[name], dist_sum_mode=args.distsum,
                               strict_pseudocode=args.strict_pseudocode)
                for name in names}
         results.append((ident, t, res))
@@ -90,7 +91,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_table2(args) -> int:
-    from . import golden
+    from . import bounds as bd, golden
     names = ("delta-prime-v1", "delta-prime-v2", "delta-star")  # column order
     depths = _span(args.d_min, args.d_max, "d")
     case2 = "post" if args.strict_pseudocode else "pre"
@@ -104,14 +105,14 @@ def cmd_table2(args) -> int:
         },
         header=f"experiment table2 distsum={args.distsum} case2={case2}",
         columns=[("d", "d"), ("n", "n"), ("leaves", "leaves")]
-        + [(k, bd.BOUNDS[k]) for k in names],
+        + [(k, batch.BOUNDS[k]) for k in names],
     )
     t0 = time.time()
-    swept = bd.peel_sweep((en.level_sequence(tr.make_full_binary(d))[0] for d in depths),
-                          dist_sum_mode=args.distsum, strict_pseudocode=args.strict_pseudocode)
+    swept = batch.peel_sweep((en.level_sequence(tr.make_full_binary(d))[0] for d in depths),
+                             dist_sum_mode=args.distsum, strict_pseudocode=args.strict_pseudocode)
     for d, (seq, _, values) in zip(depths, swept):
         row = {"d": d, "n": len(seq), "leaves": (len(seq) + 1) // 2,
-               **{k: v.moves for k, v in zip(bd.BOUNDS, values)}}
+               **dict(zip(batch.BOUNDS, values))}
         report.rows.append(row)
         gold = golden.BINARY.get(d)
         report.compare(row, gold)
@@ -185,7 +186,7 @@ def _add_source(p: argparse.ArgumentParser) -> None:
 
 def add_bound(p: argparse.ArgumentParser) -> None:
     _add_source(p)
-    p.add_argument("--bound", choices=("all", *bd.BOUNDS), default="all")
+    p.add_argument("--bound", choices=("all", *batch.BOUNDS), default="all")
     p.add_argument("--trace", action="store_true")
     _add_common(p, "strict-pseudocode")
     p.set_defaults(func=cmd_bound)

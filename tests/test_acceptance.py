@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import pytest
 
+from treebound import batch
 from treebound import bounds as bd
 from treebound import enumeration as en
 from treebound import golden
@@ -37,9 +38,10 @@ def sweep():
     """Per-tree (graph6, then each bound's moves in bounds.BOUNDS order) for
     every tree, n = 6..15, in generation order."""
     sweep = {n: [] for n in range(6, 16)}
-    for seq, _, v in bd.peel_sweep(s for n in range(6, 16) for s in en._free_level_sequences(n)):
+    seqs = (s for n in range(6, 16) for s in batch._free_level_sequences(n))
+    for seq, _, v in batch.peel_sweep(seqs):
         g6 = en.encode_graph6(en._from_level_sequence(seq))
-        sweep[len(seq)].append((g6, *(x.moves for x in v)))
+        sweep[len(seq)].append((g6, *v))
     return sweep
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treebound import batch
 from treebound import bounds as bd
 from treebound import cli
 from treebound import enumeration as en
@@ -27,7 +28,7 @@ def dprime(t, variant, **kw) -> int:
 # half-move arithmetic
 
 def test_half_moves():
-    a = bd.HalfMoves.from_moves(3)
+    a = bd.HalfMoves(6)
     b = bd.HalfMoves(7)
     assert a.units == 6 and a.is_whole and a.moves == 3
     assert not b.is_whole and str(b) == "3.5" and b.as_fraction() == (7, 2)
@@ -135,7 +136,7 @@ def test_dist_sum_mode_validation():
         with pytest.raises(ValueError, match="bogus"):
             bd.delta_prime(star, variant, dist_sum_mode="bogus")
     with pytest.raises(ValueError, match="bogus"):
-        bd.peel_sweep([en.level_sequence(star)[0]], dist_sum_mode="bogus")
+        batch.peel_sweep([en.level_sequence(star)[0]], dist_sum_mode="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +158,7 @@ def test_trace_invariants(all_trees):
                 assert trace.records[-1].case == bd.STAR
                 assert trace.records[-1].deleted_labels == ()
                 for r in trace.records[:-1]:
-                    assert r.case in (bd.CASE1, bd.CASE2, bd.FULL_S)
+                    assert r.case in (batch.CASE1, batch.CASE2, batch.FULL_S)
                     assert r.deleted_labels
                     assert sum(r.cluster_sizes) == r.s_size
                 sizes = [r.n for r in trace.records]
@@ -216,13 +217,13 @@ def test_c_star_is_the_first_cluster(all_trees):
     cases = steps = 0
     for n in range(3, 13):
         for t in all_trees(n):
-            rooted = bd._Rooted(en.level_sequence(t)[0])
+            rooted = batch._Rooted(en.level_sequence(t)[0])
             assert rooted.diam == max(tr.eccentricities(t))
             if rooted.diam <= 2:  # a star has no peel step
                 continue
             s = tr.peripheral_set(t)
             assert rooted.left_code() == tr.canonical_code(tr.delete_vertices(t, s))
-            for mode in bd.DIST_SUM_MODES:
+            for mode in batch.DIST_SUM_MODES:
                 ranked = tr.clusters(t, s, mode)
                 tied, sizes, code = rooted.pick(mode == "pairwise")
                 assert sorted(sizes, reverse=True) == [c.size for c in ranked]
@@ -234,7 +235,7 @@ def test_c_star_is_the_first_cluster(all_trees):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.integers(3, 40), st.integers(0, 2**32), st.sampled_from(bd.DIST_SUM_MODES))
+@given(st.integers(3, 40), st.integers(0, 2**32), st.sampled_from(batch.DIST_SUM_MODES))
 def test_c_star_is_the_first_cluster_on_random_labellings(n, seed, mode):
     # labels that do not follow the level sequence: the least label among
     # tied clusters is the vertex's, not its position's
@@ -245,22 +246,22 @@ def test_c_star_is_the_first_cluster_on_random_labellings(n, seed, mode):
 
 
 def _sequences(sizes):
-    return [seq for n in sizes for seq in en._free_level_sequences(n)]
+    return [seq for n in sizes for seq in batch._free_level_sequences(n)]
 
 
 def test_sweep_codes_each_leftover_once(monkeypatch):
     # ranking a (size, distSum) tie joins each tied cluster's leftover code;
     # the step then looks the winner's up in the memo without joining it again
     calls, trees = [], []
-    real = bd._Rooted.left_code
+    real = batch._Rooted.left_code
 
     def left_code(tree, keep=()):
         trees.append(tree)  # kept alive, so no id is reused
         calls.append((id(tree), tuple(keep)))
         return real(tree, keep)
 
-    monkeypatch.setattr(bd._Rooted, "left_code", left_code)
-    for _ in bd.peel_sweep(_sequences(range(6, 13))):
+    monkeypatch.setattr(batch._Rooted, "left_code", left_code)
+    for _ in batch.peel_sweep(_sequences(range(6, 13))):
         pass
     assert len(set(calls)) == len(calls) == 1188
 
@@ -290,9 +291,9 @@ def test_peel_derives_each_step_from_one_pass(monkeypatch, all_trees, capsys):
     monkeypatch.setattr(tr, "delete_vertices",
                         lambda t, xs: builds.append(t.n) or real_delete(t, xs))
 
-    steps, real_rooted = [], bd._Rooted
+    steps, real_rooted = [], batch._Rooted
     with monkeypatch.context() as m:
-        m.setattr(bd, "_Rooted", lambda seq: steps.append(len(seq)) or real_rooted(seq))
+        m.setattr(batch, "_Rooted", lambda seq: steps.append(len(seq)) or real_rooted(seq))
         for run in PEEL_RUNS:
             for t in trees:
                 eccs.clear()
@@ -314,12 +315,12 @@ def test_peel_derives_each_step_from_one_pass(monkeypatch, all_trees, capsys):
     eccs.clear()
     rows.clear()
     made, lefts = [], []
-    real_branch, real_left = bd._Branch, bd._Rooted.left
+    real_branch, real_left = batch._Branch, batch._Rooted.left
     with monkeypatch.context() as m:
         m.setattr(tr, "Tree", forbidden)
-        m.setattr(bd, "_BRANCHES", {})
-        m.setattr(bd, "_Branch", lambda levels: made.append(levels) or real_branch(levels))
-        m.setattr(bd._Rooted, "left", lambda *a: lefts.append(real_left(*a)) or lefts[-1])
+        m.setattr(batch, "_BRANCHES", {})
+        m.setattr(batch, "_Branch", lambda levels: made.append(levels) or real_branch(levels))
+        m.setattr(batch._Rooted, "left", lambda *a: lefts.append(real_left(*a)) or lefts[-1])
         assert (cli.main(["table1", "--n-min", "6", "--n-max", "12"]),
                 capsys.readouterr().out) == want
     assert eccs == builds == rows == []
@@ -329,12 +330,12 @@ def test_peel_derives_each_step_from_one_pass(monkeypatch, all_trees, capsys):
     # alone, the n = 9 trees value their leftovers on demand: each tree
     # summarised beyond one per input is a leftover built after a memo miss
     rooted = []
-    real_rooted = bd._Rooted
-    monkeypatch.setattr(bd._Rooted, "left", lambda *a: lefts.append(real_left(*a)) or lefts[-1])
-    monkeypatch.setattr(bd, "_Rooted", lambda seq: rooted.append(seq) or real_rooted(seq))
+    real_rooted = batch._Rooted
+    monkeypatch.setattr(batch._Rooted, "left", lambda *a: lefts.append(real_left(*a)) or lefts[-1])
+    monkeypatch.setattr(batch, "_Rooted", lambda seq: rooted.append(seq) or real_rooted(seq))
     nine = _sequences([9])
     for strict in (False, True):
-        assert len(list(bd.peel_sweep(nine, strict_pseudocode=strict))) == len(nine)
+        assert len(list(batch.peel_sweep(nine, strict_pseudocode=strict))) == len(nine)
     assert lefts and len(rooted) == 2 * len(nine) + len(lefts)
     assert eccs == builds == rows == []
 
@@ -346,15 +347,15 @@ def test_peel_sweep_matches_engine():
     seqs = _sequences((*range(7, 13), *range(1, 7)))
     trees = [en._from_level_sequence(seq) for seq in seqs]
     for mode in ("global", "pairwise"):
-        baselines = [(bd.delta_prime(t, "v1", dist_sum_mode=mode)[0],
-                      bd.delta_prime(t, "v2", dist_sum_mode=mode)[0]) for t in trees]
+        baselines = [(bd.delta_prime(t, "v1", dist_sum_mode=mode)[0].moves,
+                      bd.delta_prime(t, "v2", dist_sum_mode=mode)[0].moves) for t in trees]
         for strict in (False, True):
-            swept = bd.peel_sweep(seqs, dist_sum_mode=mode, strict_pseudocode=strict)
+            swept = batch.peel_sweep(seqs, dist_sum_mode=mode, strict_pseudocode=strict)
             for t, v12, (seq, code, (ds, *v)) in zip(trees, baselines, swept, strict=True):
                 g6 = en.encode_graph6(t)
                 assert code == tr.canonical_code(t), g6
                 assert ds == bd.delta_star(t, dist_sum_mode=mode,
-                                           strict_pseudocode=strict)[0], (g6, mode, strict)
+                                           strict_pseudocode=strict)[0].moves, (g6, mode, strict)
                 assert tuple(v) == v12, (g6, mode)
 
 
@@ -363,15 +364,32 @@ def test_peel_sweep_matches_engine_on_full_binary_trees():
     trees = [tr.make_full_binary(d) for d in range(1, 8)]
     for mode in ("global", "pairwise"):
         for strict in (False, True):
-            swept = bd.peel_sweep((en.level_sequence(t)[0] for t in trees), dist_sum_mode=mode,
-                                  strict_pseudocode=strict)
+            swept = batch.peel_sweep((en.level_sequence(t)[0] for t in trees),
+                                     dist_sum_mode=mode, strict_pseudocode=strict)
             for t, (seq, _, values) in zip(trees, swept, strict=True):
                 assert len(seq) == t.n
                 assert values == (
-                    bd.delta_star(t, dist_sum_mode=mode, strict_pseudocode=strict)[0],
-                    bd.delta_prime(t, "v1", dist_sum_mode=mode)[0],
-                    bd.delta_prime(t, "v2", dist_sum_mode=mode)[0],
+                    bd.delta_star(t, dist_sum_mode=mode, strict_pseudocode=strict)[0].moves,
+                    bd.delta_prime(t, "v1", dist_sum_mode=mode)[0].moves,
+                    bd.delta_prime(t, "v2", dist_sum_mode=mode)[0].moves,
                 ), (t.n, mode, strict)
+
+
+def test_peel_sweep_refuses_a_half_integral_total(monkeypatch):
+    # the memo is in half-move units and only whole totals leave the sweep:
+    # one odd step charge makes a total half-integral, a ValueError as in
+    # HalfMoves.moves on the traced path
+    real = batch._charge
+
+    def odd(*args):
+        case, units = real(*args)
+        return case, units + 1
+
+    monkeypatch.setattr(batch, "_charge", odd)
+    with pytest.raises(ValueError, match="not all whole moves"):
+        list(batch.peel_sweep([en.level_sequence(tr.make_path(4))[0]]))
+    with pytest.raises(ValueError, match="not a whole number of moves"):
+        _ = bd.delta_star(tr.make_path(4))[0].moves
 
 
 def test_distsum_modes_diverge():

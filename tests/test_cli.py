@@ -13,6 +13,7 @@ import warnings
 import pytest
 
 from treebound import _bfs_kernels as kern
+from treebound import batch
 from treebound import bounds as bd
 from treebound import cli
 from treebound import enumeration as en
@@ -191,13 +192,14 @@ def test_table1_sweep_skips_the_sort_key(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(tr, "canonical_code", no_sort_key)
-        sweep = list(bd.peel_sweep(s for n in range(6, 12) for s in en._free_level_sequences(n)))
+        seqs = (s for n in range(6, 12) for s in batch._free_level_sequences(n))
+        sweep = list(batch.peel_sweep(seqs))
     assert [len(s) for s, _, _ in sweep] == sorted(len(s) for s, _, _ in sweep)
     assert {len(s) for s, _, _ in sweep} == set(range(6, 12))
     for n in range(6, 12):
         got = {en.encode_graph6(en._from_level_sequence(s)): v for s, _, v in sweep if len(s) == n}
         trees = en.enumerate_free_trees(n)
-        swept = bd.peel_sweep(en.level_sequence(t)[0] for t in trees)
+        swept = batch.peel_sweep(en.level_sequence(t)[0] for t in trees)
         want = {en.encode_graph6(t): v for t, (_, _, v) in zip(trees, swept)}
         assert sum(len(s) == n for s, _, _ in sweep) == len(trees)
         assert got == want, n
@@ -537,7 +539,7 @@ def test_bad_range_fails_before_any_tree_is_valued(capsys, monkeypatch, argv, pr
         raise AssertionError("a tree was valued before the range was checked")
 
     monkeypatch.setattr(tr, "bfs_distances", valued)
-    monkeypatch.setattr(bd, "_Rooted", valued)
+    monkeypatch.setattr(batch, "_Rooted", valued)
     monkeypatch.setattr(orc, "cayley_diameter", valued)
     assert_error(capsys, prefix, *argv)
 
@@ -623,10 +625,13 @@ def test_subcommands_without_the_oracle_run_without_numpy():
                   "assert cli.main(['enumerate', '--n', '7']) == 0\n"
                   "assert cli.main(['verify']) == 0\n"),  # 3..8: every diameter is pinned
         # the batch path: table1 values level sequences, verify reads pinned codes
-        ("treebound.tree treebound.oracle",
+        ("treebound.tree treebound.oracle treebound.bounds treebound.enumeration",
          "assert cli.main(['table1', '--n-min', '6', '--n-max', '8']) == 0\n"),
-        ("treebound.tree treebound.golden treebound.oracle",
-         "assert cli.main(['verify']) == 0\n"),
+        ("treebound.tree treebound.golden treebound.oracle treebound.bounds "
+         "treebound.enumeration", "assert cli.main(['verify']) == 0\n"),
+        # the traced layer is loaded only by bound and table2
+        ("treebound.bounds", "assert cli.main(['enumerate', '--n', '7']) == 0\n"
+                             "assert cli.main(['oracle', '--make', 'star:4']) == 0\n"),
         # the tree-side subcommands' module is loaded only by them
         ("treebound.treecli", "assert cli.main(['table1', '--n-min', '6', '--n-max', '8']) == 0\n"
                               "assert cli.main(['verify']) == 0\n"),
@@ -715,21 +720,46 @@ def test_module_run_matches_main(capsys, argv, code):
         assert done.stderr == want[2].encode()
 
 
-@pytest.mark.parametrize("argv, absent", [
-    (("verify", "--n-min", "3", "--n-max", "7"),
-     {"treebound.oracle", "treebound.tree", "treebound.treecli"}),
-    (("table1", "--n-min", "6", "--n-max", "7"), {"treebound.oracle", "treebound.treecli"}),
-    # treecli imports the running cli, which must not be compiled a second time
-    (("bound", "--make", "star:4"), {"treebound.cli", "treebound.oracle"}),
-    (("oracle", "--make", "star:4"), {"treebound.cli"}),
-], ids=["verify", "table1", "bound", "oracle"])
-def test_module_run_imports_only_what_it_runs(argv, absent):
+def _module_run(*argv):
+    """A `python -m treebound.cli` run under -X importtime, and the package
+    modules it imported."""
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-X", "importtime", "-m", "treebound.cli", *argv],
                           env=env, capture_output=True, text=True, timeout=120)
     imported = {line.split("|")[-1].strip() for line in done.stderr.splitlines()
                 if line.startswith("import time:")}
-    assert "treebound.bounds" in imported and not absent & imported, done.stderr
+    return done, {m for m in imported if m.startswith("treebound.")}
+
+
+_BATCH_ONLY = {"treebound.batch"}
+_TRACED = {"treebound.batch", "treebound.bounds", "treebound.enumeration", "treebound.tree",
+           "treebound.treecli"}
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("verify", "--n-min", "3", "--n-max", "7"), _BATCH_ONLY),
+    (("table1", "--n-min", "6", "--n-max", "7"), _BATCH_ONLY | {"treebound.golden"}),
+    # treecli imports the running cli, which must not be compiled a second time
+    (("bound", "--make", "star:4"), _TRACED),
+    (("enumerate", "--n", "5"), _TRACED - {"treebound.bounds"}),
+    (("oracle", "--make", "star:4"),
+     _TRACED - {"treebound.bounds"} | {"treebound.oracle", "treebound._bfs_kernels"}),
+], ids=["verify", "table1", "bound", "enumerate", "oracle"])
+def test_module_run_imports_only_what_it_runs(argv, want):
+    done, imported = _module_run(*argv)
+    assert done.returncode == 0 and imported == want, done.stderr
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("verify", "--n-max", "12"), "error: n=12 has no pinned exact diameter to verify against"),
+    (("table1", "--n-max", "17"), "error: supported range is 1 <= n <= 16, got 17"),
+], ids=["verify-unpinned", "table1-size"])
+def test_refused_run_names_its_error_without_loading_more(argv, error):
+    # main() names the exception classes of the modules a run loaded only
+    done, imported = _module_run(*argv)
+    lines = [line for line in done.stderr.splitlines() if not line.startswith("import time:")]
+    assert (done.returncode, done.stdout, lines) == (1, "", [error])
+    assert imported <= _BATCH_ONLY | {"treebound.golden"}, imported
 
 
 def test_run_freezes_the_heap_and_still_runs_atexit():

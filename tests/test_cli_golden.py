@@ -105,7 +105,7 @@ def test_golden_covers_every_case(golden):
     assert all(golden[name]["argv"] == argv for name, argv in CASES.items())
 
 
-# the batch reports take every value from bounds.peel_sweep; the per-tree
+# the batch reports take every value from batch.peel_sweep; the per-tree
 # engine runs only where a trace can be printed
 BATCH = ("table1", "table2", "verify")
 

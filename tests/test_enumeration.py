@@ -6,6 +6,7 @@ import random
 import networkx as nx
 import pytest
 
+from treebound import batch
 from treebound import enumeration as en
 from treebound import golden
 from treebound import tree as tr
@@ -36,16 +37,16 @@ def _root_branch_heights(seq):
 
 
 def test_level_sequences_are_rooted_at_a_center():
-    # bounds.peel_sweep reads the centers off the root's branches: the root
+    # batch.peel_sweep reads the centers off the root's branches: the root
     # is a center iff its two tallest branches differ in height by at most
     # one, and when they differ the taller one's root is the other center
-    assert list(en._free_level_sequences(1)) == [[0]]
-    assert list(en._free_level_sequences(2)) == [[0, 1]]
+    assert list(batch._free_level_sequences(1)) == [[0]]
+    assert list(batch._free_level_sequences(2)) == [[0, 1]]
     for n in (0, 17):  # checked on the call, before any sequence is made
-        with pytest.raises(en.TreeSizeError):
-            en._free_level_sequences(n)
+        with pytest.raises(batch.TreeSizeError):
+            batch._free_level_sequences(n)
     for n in range(1, 15):
-        seqs = list(en._free_level_sequences(n))
+        seqs = list(batch._free_level_sequences(n))
         assert len(seqs) == golden.TREE_COUNTS[n]
         for seq in seqs:
             heights = _root_branch_heights(seq) + [0, 0]

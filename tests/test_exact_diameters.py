@@ -3,7 +3,7 @@
 src/treebound/exact_diameters.txt holds one "<graph6> <diameter> <code>"
 line per free tree on 1..11 vertices, in enumerate_free_trees order, each
 diameter computed by the oracle's BFS.  <code> is the tree's canonical code
-in hex of its parenthesis bits ("(" = 1, ")" = 0), so bounds.pinned_diameters
+in hex of its parenthesis bits ("(" = 1, ")" = 0), so batch.pinned_diameters
 looks diameters up without parsing graph6; _line writes it, and only
 pinned_diameters reads it back.  verify reads the file and runs no BFS.
 These tests check that the file covers exactly those trees with their
@@ -24,7 +24,7 @@ import warnings
 
 import pytest
 
-from treebound import bounds as bd
+from treebound import batch
 from treebound import enumeration as en
 from treebound import oracle as orc
 from treebound import tree as tr
@@ -58,7 +58,7 @@ def _line(g6: str, diameter: int) -> str:
 
 @pytest.fixture(scope="module")
 def pinned():
-    return bd.pinned_diameters(SIZES)
+    return batch.pinned_diameters(SIZES)
 
 
 def test_file_holds_every_tree_in_enumeration_order():
@@ -93,14 +93,14 @@ def test_loader_builds_no_tree(monkeypatch, pinned):
 
     monkeypatch.setattr(tr, "Tree", built)
     monkeypatch.setattr(tr, "bfs_distances", built)
-    assert bd.pinned_diameters(range(1, 12)) == want == pinned
+    assert batch.pinned_diameters(range(1, 12)) == want == pinned
 
 
 def test_loader_parses_only_the_requested_sizes(pinned):
     assert len(pinned) == sum(COUNTS)
-    some = bd.pinned_diameters(range(3, 8))
+    some = batch.pinned_diameters(range(3, 8))
     assert len(some) == 1 + 2 + 3 + 6 + 11 and some.items() <= pinned.items()
-    assert bd.pinned_diameters([12, 13]) == {}
+    assert batch.pinned_diameters([12, 13]) == {}
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -134,10 +134,9 @@ def test_pinned_matches_the_oracle_on_named_trees(pinned, make, exact):
 def test_every_bound_is_sound_against_the_pinned_diameters(pinned):
     violations = []
     trees = [t for n in SIZES for t in en.enumerate_free_trees(n)]
-    for t, (_, _, values) in zip(trees, bd.peel_sweep(en.level_sequence(t)[0] for t in trees)):
+    for t, (_, _, values) in zip(trees, batch.peel_sweep(en.level_sequence(t)[0] for t in trees)):
         exact = pinned[tr.canonical_code(t)]
-        violations += [(en.encode_graph6(t), v.moves, exact) for v in values
-                       if v.moves < exact]
+        violations += [(en.encode_graph6(t), v, exact) for v in values if v < exact]
     assert not violations
 
 

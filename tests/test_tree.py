@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treebound import bounds as bd
+from treebound import batch
 from treebound import enumeration as en
 from treebound import tree as tr
 from conftest import prufer_tree
@@ -136,11 +136,11 @@ def test_peripheral_set_examples():
 # groups of S the peel step ranks
 
 def _rooted_groups(t: tr.Tree) -> tuple[list[list[int]], list[int]]:
-    # the groups of S as bounds._Rooted.pick forms them (one per branch of
+    # the groups of S as batch._Rooted.pick forms them (one per branch of
     # the center, or per side of the central edge), as internal indices
     # ordered by least member, and pick's size of each group
     seq, labels = en.level_sequence(t)
-    rooted = bd._Rooted(seq)
+    rooted = batch._Rooted(seq)
     starts, brs = rooted.starts, rooted.branches
     deep = [j for j, x in enumerate(rooted.in_s) if x]
     groups = ([[j] for j in deep] if rooted.second < 0 else
@@ -209,7 +209,7 @@ def test_cluster_keys_follow_dist_sum(all_trees):
     for t in all_trees(9):
         s = tr.peripheral_set(t)
         dist = dict(nx.all_pairs_shortest_path_length(_nx_graph(t)))
-        for mode in bd.DIST_SUM_MODES:
+        for mode in batch.DIST_SUM_MODES:
             for c in tr.clusters(t, s, dist_sum_mode=mode):
                 if mode == "global":
                     assert c.dist_sum == sum(sum(dist[v].values()) for v in c.members)
