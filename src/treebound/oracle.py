@@ -12,7 +12,7 @@ module (_bfs_kernels) is imported on the first depth-table build, so
 importing this module, or the CLI, does not load numpy.
 
 The exact diameter of every free tree with n <= MAX_CAP is also pinned as
-data, read by bounds.pinned_diameters; verify reads that and never loads
+data, read by batch.pinned_diameters; verify reads that and never loads
 this module.  cayley_diameter and depth_profile always run the BFS.
 """
 

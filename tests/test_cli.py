@@ -732,7 +732,7 @@ def _module_run(*argv):
 
 
 _BATCH_ONLY = {"treebound.batch"}
-_TRACED = {"treebound.batch", "treebound.bounds", "treebound.enumeration", "treebound.tree",
+_TREE_SIDE = {"treebound.batch", "treebound.bounds", "treebound.enumeration", "treebound.tree",
            "treebound.treecli"}
 
 
@@ -740,10 +740,10 @@ _TRACED = {"treebound.batch", "treebound.bounds", "treebound.enumeration", "tree
     (("verify", "--n-min", "3", "--n-max", "7"), _BATCH_ONLY),
     (("table1", "--n-min", "6", "--n-max", "7"), _BATCH_ONLY | {"treebound.golden"}),
     # treecli imports the running cli, which must not be compiled a second time
-    (("bound", "--make", "star:4"), _TRACED),
-    (("enumerate", "--n", "5"), _TRACED - {"treebound.bounds"}),
+    (("bound", "--make", "star:4"), _TREE_SIDE),
+    (("enumerate", "--n", "5"), _TREE_SIDE - {"treebound.bounds"}),
     (("oracle", "--make", "star:4"),
-     _TRACED - {"treebound.bounds"} | {"treebound.oracle", "treebound._bfs_kernels"}),
+     _TREE_SIDE - {"treebound.bounds"} | {"treebound.oracle", "treebound._bfs_kernels"}),
 ], ids=["verify", "table1", "bound", "enumerate", "oracle"])
 def test_module_run_imports_only_what_it_runs(argv, want):
     done, imported = _module_run(*argv)
