@@ -7,13 +7,16 @@ Odlyzko & McKay, "Constant time generation of free trees" (SIAM J. Comput.
 free tree.  peel_sweep values them with the peel engine (_Rooted, _charge:
 exact, in half-move units); bounds runs it for a trace.  pinned_diameters
 reads the oracle's exact diameters of all trees with n <= 11, keyed by the
-engine's canonical code.  No other module of the package is imported here.
+engine's canonical code.  No other module of the package is imported here;
+the package itself holds DIST_SUM_MODES.
 """
 
 from __future__ import annotations
 
 import os
 from collections.abc import Iterator
+
+from . import DIST_SUM_MODES
 
 
 class TreeSizeError(ValueError):
@@ -83,10 +86,6 @@ FULL_S = "FullSDeletion"
 # Every bound, in report order: its CLI name -> the step rule it peels with
 # (_charge).  The rule name is also its column in golden's tables.
 BOUNDS = {"delta-star": "dstar", "delta-prime-v1": "v1", "delta-prime-v2": "v2"}
-
-# The cluster tie-break keys (_Rooted.pick, tr.clusters) live here, not in
-# tree.py, which imports them: peel_sweep never loads tree.
-DIST_SUM_MODES = ("global", "pairwise")
 
 
 def _ahu(codes: list[bytes]) -> bytes:
@@ -336,7 +335,7 @@ def pinned_diameters(sizes) -> dict[bytes, int]:
     heads = {chr(63 + n) for n in sizes}
     out = {}
     path = os.path.join(os.path.dirname(__file__), "exact_diameters.txt")
-    with open(path, encoding="ascii") as fh:
+    with open(path, encoding="utf-8") as fh:  # ASCII data; utf-8 is always loaded
         for line in fh:
             if line[0] in heads:
                 _, diameter, code = line.split()

@@ -12,11 +12,11 @@ engine of batch, whose peel_sweep values trees without this module.
 
 from __future__ import annotations
 
-from math import isqrt
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import DIST_SUM_MODES
 from . import batch  # read as batch._Rooted: a test's substitute reaches both drivers
-from .batch import DIST_SUM_MODES, FULL_S, STAR
+from .batch import FULL_S, STAR
 from .enumeration import level_sequence
 
 if TYPE_CHECKING:
@@ -234,35 +234,3 @@ def _peel(t, rule, *, dist_sum_mode, strict_pseudocode):
     total = HalfMoves(sum(r.cost.units for r in records))
     return total, BoundTrace(records=tuple(records), total=total)
 
-
-def predicted_gap(d: int, baseline: str) -> HalfMoves:
-    """Predicted excess of a baseline bound over the main bound on the full
-    binary tree of depth d (m = 2^d leaves), exact in half-move units.
-
-    v1: (m+1)/6 + 1 + 1/2 for odd d, (m+2)/6 + 1 for even d.
-    v2: (m+1)/6 + sqrt(m/8) + 1/2 for odd d, (m+2)/6 + sqrt(m/4) for even d.
-    """
-    if d < 2:
-        raise ValueError("gap formulas require depth d >= 2")
-    if baseline not in ("v1", "v2"):
-        raise ValueError(f"baseline must be 'v1' or 'v2', got {baseline!r}")
-    m = 2 ** d
-    if d % 2:
-        assert (m + 1) % 3 == 0
-        base = (m + 1) // 3  # 2*(m+1)/6 half-moves
-        if baseline == "v1":
-            units = base + 3
-        else:
-            root = isqrt(m // 8)
-            assert root * root * 8 == m
-            units = base + 2 * root + 1
-    else:
-        assert (m + 2) % 3 == 0
-        base = (m + 2) // 3
-        if baseline == "v1":
-            units = base + 2
-        else:
-            root = isqrt(m // 4)
-            assert root * root * 4 == m
-            units = base + 2 * root
-    return HalfMoves(units)

@@ -6,14 +6,13 @@ The test suite re-derives the counts and the isomorphism-class uniqueness
 independently, so a generator defect cannot pass silently.  table1 and
 verify value the level sequences themselves and load this module only to
 name a violating tree; tree is imported only by the functions that build
-or read one.
+or read one, and batch only by enumerate_free_trees, so oracle compiles
+neither the generator nor the peel engine.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
-
-from .batch import _free_level_sequences, _Rooted
 
 if TYPE_CHECKING:
     from . import tree as tr
@@ -67,6 +66,7 @@ def level_sequence(t: tr.Tree) -> tuple[list[int], list[int]]:
 def enumerate_free_trees(n: int) -> list[tr.Tree]:
     """All free trees on n vertices, each isomorphism class exactly once,
     in canonical-code order."""
+    from .batch import _free_level_sequences, _Rooted
     # each sequence is rooted at a center, so its _Rooted code is canonical
     seqs = sorted(_free_level_sequences(n), key=lambda seq: _Rooted(seq).code)
     return list(map(_from_level_sequence, seqs))

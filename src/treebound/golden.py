@@ -6,11 +6,13 @@ record itself cannot support are flagged: the cumulative row for n = 15 is
 inconsistent with the tree-count growth (its per-tree mean falls below the
 n = 10 mean), and computation shows the n = 13 row breaks the recorded
 sequence's own growth trend, so both are carried as reference data and
-reported, never treated as gates here.
+reported, never treated as gates here.  predicted_gap is the closed form
+that table2 checks the binary table's recorded gaps against.
 """
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import NamedTuple
 
 
@@ -58,3 +60,39 @@ def recorded_gap(d: int, variant: str) -> int:
     """Recorded baseline-minus-main difference from the binary table."""
     row = BINARY[d]
     return row.values[variant] - row.values["dstar"]
+
+
+def predicted_gap(d: int, baseline: str) -> int:
+    """Predicted excess, in whole moves, of a baseline bound over the main
+    bound on the full binary tree of depth d (m = 2^d leaves), computed
+    exactly in half-move units; table2 checks it against recorded_gap.
+
+    v1: (m+1)/6 + 1 + 1/2 for odd d, (m+2)/6 + 1 for even d.
+    v2: (m+1)/6 + sqrt(m/8) + 1/2 for odd d, (m+2)/6 + sqrt(m/4) for even d.
+    """
+    if d < 2:
+        raise ValueError("gap formulas require depth d >= 2")
+    if baseline not in ("v1", "v2"):
+        raise ValueError(f"baseline must be 'v1' or 'v2', got {baseline!r}")
+    m = 2 ** d
+    if d % 2:
+        assert (m + 1) % 3 == 0
+        base = (m + 1) // 3  # 2*(m+1)/6 half-moves
+        if baseline == "v1":
+            units = base + 3
+        else:
+            root = isqrt(m // 8)
+            assert root * root * 8 == m
+            units = base + 2 * root + 1
+    else:
+        assert (m + 2) % 3 == 0
+        base = (m + 2) // 3
+        if baseline == "v1":
+            units = base + 2
+        else:
+            root = isqrt(m // 4)
+            assert root * root * 4 == m
+            units = base + 2 * root
+    # (m+1)/3 is odd for odd d and (m+2)/3 even for even d, so units is even
+    assert units % 2 == 0
+    return units // 2

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .batch import DIST_SUM_MODES, _Rooted
+from . import DIST_SUM_MODES
 from .enumeration import level_sequence
 
 
@@ -269,6 +269,7 @@ def delete_vertices(t: Tree, xs) -> Tree:
 def canonical_code(t: Tree) -> bytes:
     """AHU canonical form rooted at the center, the peel engine's
     (batch._Rooted); equal codes <=> isomorphic."""
+    from .batch import _Rooted  # loaded where it runs: oracle never codes a tree
     return _Rooted(level_sequence(t)[0]).code
 
 

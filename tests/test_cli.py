@@ -629,9 +629,14 @@ def test_subcommands_without_the_oracle_run_without_numpy():
          "assert cli.main(['table1', '--n-min', '6', '--n-max', '8']) == 0\n"),
         ("treebound.tree treebound.golden treebound.oracle treebound.bounds "
          "treebound.enumeration", "assert cli.main(['verify']) == 0\n"),
-        # the traced layer is loaded only by bound and table2
-        ("treebound.bounds", "assert cli.main(['enumerate', '--n', '7']) == 0\n"
-                             "assert cli.main(['oracle', '--make', 'star:4']) == 0\n"),
+        # the traced layer is loaded only by bound, the report renderer only
+        # by table1, table2 and verify
+        ("treebound.bounds treebound.batchcli treebound.golden",
+         "assert cli.main(['enumerate', '--n', '7']) == 0\n"
+         "assert cli.main(['oracle', '--make', 'star:4']) == 0\n"),
+        ("treebound.bounds", "assert cli.main(['table2', '--d-max', '3']) == 2\n"),
+        # the oracle values no tree by the peel engine
+        ("treebound.batch", "assert cli.main(['oracle', '--make', 'star:4']) == 0\n"),
         # the tree-side subcommands' module is loaded only by them
         ("treebound.treecli", "assert cli.main(['table1', '--n-min', '6', '--n-max', '8']) == 0\n"
                               "assert cli.main(['verify']) == 0\n"),
@@ -708,9 +713,10 @@ def test_json_output_loads_json_on_demand():
     (("bound", "--make", "pentagon:5"), 1),
 ], ids=["ok", "mismatch", "hard"])
 def test_module_run_matches_main(capsys, argv, code):
-    frozen = gc.get_freeze_count()
+    frozen, collecting = gc.get_freeze_count(), gc.isenabled()
     want = run(capsys, *argv)
-    assert gc.get_freeze_count() == frozen  # main() leaves its caller's heap collectable
+    # main() leaves its caller's heap collectable, and its collector as it was
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, collecting)
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-m", "treebound.cli", *argv], env=env,
                           capture_output=True, timeout=120)
@@ -731,23 +737,26 @@ def _module_run(*argv):
     return done, {m for m in imported if m.startswith("treebound.")}
 
 
-_BATCH_ONLY = {"treebound.batch"}
-_TREE_SIDE = {"treebound.batch", "treebound.bounds", "treebound.enumeration", "treebound.tree",
-           "treebound.treecli"}
+_BATCH_ONLY = {"treebound.batch", "treebound.batchcli"}
+_TREE_SIDE = {"treebound.enumeration", "treebound.tree", "treebound.treecli"}
 
 
-@pytest.mark.parametrize("argv, want", [
-    (("verify", "--n-min", "3", "--n-max", "7"), _BATCH_ONLY),
-    (("table1", "--n-min", "6", "--n-max", "7"), _BATCH_ONLY | {"treebound.golden"}),
-    # treecli imports the running cli, which must not be compiled a second time
-    (("bound", "--make", "star:4"), _TREE_SIDE),
-    (("enumerate", "--n", "5"), _TREE_SIDE - {"treebound.bounds"}),
-    (("oracle", "--make", "star:4"),
-     _TREE_SIDE - {"treebound.bounds"} | {"treebound.oracle", "treebound._bfs_kernels"}),
-], ids=["verify", "table1", "bound", "enumerate", "oracle"])
-def test_module_run_imports_only_what_it_runs(argv, want):
+@pytest.mark.parametrize("argv, code, want", [
+    (("verify", "--n-min", "3", "--n-max", "7"), 0, _BATCH_ONLY),
+    (("table1", "--n-min", "6", "--n-max", "7"), 0, _BATCH_ONLY | {"treebound.golden"}),
+    # batchcli and treecli import the running cli, which must not be compiled
+    # a second time
+    (("bound", "--make", "star:4"), 0, _TREE_SIDE | {"treebound.batch", "treebound.bounds"}),
+    (("enumerate", "--n", "5"), 0, _TREE_SIDE | {"treebound.batch"}),
+    # the oracle compiles neither the generator nor the peel engine
+    (("oracle", "--make", "star:4"), 0,
+     _TREE_SIDE | {"treebound.oracle", "treebound._bfs_kernels"}),
+    # table2 takes its gap formula from golden and its renderer from batchcli
+    (("table2", "--d-max", "3"), 2, _TREE_SIDE | _BATCH_ONLY | {"treebound.golden"}),
+], ids=["verify", "table1", "bound", "enumerate", "oracle", "table2"])
+def test_module_run_imports_only_what_it_runs(argv, code, want):
     done, imported = _module_run(*argv)
-    assert done.returncode == 0 and imported == want, done.stderr
+    assert done.returncode == code and imported == want, done.stderr
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -763,13 +772,21 @@ def test_refused_run_names_its_error_without_loading_more(argv, error):
 
 
 def test_run_freezes_the_heap_and_still_runs_atexit():
+    # run() turns the collector off before main(), and main() leaves it so
     code = (
         "import atexit, gc, sys\n"
         "import treebound.cli as cli\n"
         "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "main = cli.main\n"
+        "def watched():\n"
+        "    print('collecting', gc.isenabled())\n"
+        "    code = main()\n"
+        "    print('collecting', gc.isenabled())\n"
+        "    return code\n"
+        "cli.main = watched\n"
         "sys.argv = ['treebound', 'enumerate', '--n', '4']\n"
         "cli.run()\n"
     )
     done = _run_python(code)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "Cs\nCk\nfrozen True\n"
+    assert done.stdout == "collecting False\nCs\nCk\ncollecting False\nfrozen True\n"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treebound import DIST_SUM_MODES
 from treebound import batch
 from treebound import enumeration as en
 from treebound import tree as tr
@@ -209,7 +210,7 @@ def test_cluster_keys_follow_dist_sum(all_trees):
     for t in all_trees(9):
         s = tr.peripheral_set(t)
         dist = dict(nx.all_pairs_shortest_path_length(_nx_graph(t)))
-        for mode in batch.DIST_SUM_MODES:
+        for mode in DIST_SUM_MODES:
             for c in tr.clusters(t, s, dist_sum_mode=mode):
                 if mode == "global":
                     assert c.dist_sum == sum(sum(dist[v].values()) for v in c.members)
