@@ -8,7 +8,7 @@ free tree.  peel_sweep values them with the peel engine (_Rooted, _charge:
 exact, in half-move units); bounds runs it for a trace.  pinned_diameters
 reads the oracle's exact diameters of all trees with n <= 11, keyed by the
 engine's canonical code.  No other module of the package is imported here;
-the package itself holds DIST_SUM_MODES.
+the package itself holds DIST_SUM_MODES and the exception base Error.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from __future__ import annotations
 import os
 from collections.abc import Iterator
 
-from . import DIST_SUM_MODES
+from . import DIST_SUM_MODES, Error
 
 
-class TreeSizeError(ValueError):
+class TreeSizeError(Error, ValueError):
     """Requested tree size is outside what the generator supports."""
 
 
@@ -271,7 +271,7 @@ def peel_sweep(
     tree's canonical code, and per bound in BOUNDS order the whole moves
     bounds.delta_star or delta_prime would give it (a ValueError if not
     whole).  Each seq is rooted at a center (_free_level_sequences and
-    enumeration.level_sequence make them so).  This is the batch path of
+    tree.level_sequence make them so).  This is the batch path of
     table1, table2 and verify; bounds._peel runs the same step to the end.
 
     Dynamic programming over isomorphism classes.  What a step charges is

@@ -1,10 +1,10 @@
 """The batch-side subcommands, table1 and verify, and the report renderer
 (ExperimentReport) that they and table2 print through.  Both value level
-sequences with batch.peel_sweep and build no tree.Tree; verify loads
-enumeration only to name a violating tree.  cli.build_parser imports this
-module only when the command line names table1 or verify, or none, and
-table2 imports it for the renderer, so oracle, bound and enumerate neither
-load nor compile it."""
+sequences with batch.peel_sweep and build no tree.Tree; verify loads tree
+and enumeration only to build and name a violating tree.
+cli.build_parser imports this module only when the command line names
+table1 or verify, or none, and table2 imports it for the renderer, so
+oracle, bound and enumerate neither load nor compile it."""
 
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ import time
 from itertools import chain
 from typing import NamedTuple
 
+from . import EXIT_HARD, EXIT_MISMATCH, EXIT_OK, UsageError, _add_common, _emit, _json, _note
 from . import batch
-from .cli import EXIT_HARD, EXIT_MISMATCH, EXIT_OK, UsageError, _add_common, _emit, _json, _note
 
 # golden is imported by the subcommands that use it, so verify does not load it
 
@@ -189,8 +189,8 @@ def cmd_verify(args) -> int:
         slack = bound - exact
         histogram[slack] = histogram.get(slack, 0) + 1
         if slack < 0:
-            from . import enumeration as en
-            g6 = en.encode_graph6(en._from_level_sequence(seq))  # the one tree built
+            from . import enumeration as en, tree as tr
+            g6 = en.encode_graph6(tr._from_level_sequence(seq))  # the one tree built
             violations.append((g6, bound, exact))
         counts[len(seq)] += 1
     report.rows = [{"n": n, "trees": count} for n, count in counts.items()]

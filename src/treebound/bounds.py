@@ -12,15 +12,12 @@ engine of batch, whose peel_sweep values trees without this module.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import DIST_SUM_MODES
 from . import batch  # read as batch._Rooted: a test's substitute reaches both drivers
+from . import tree as tr
 from .batch import FULL_S, STAR
-from .enumeration import level_sequence
-
-if TYPE_CHECKING:
-    from . import tree as tr
 
 
 class _HalfMovesFields(NamedTuple):
@@ -198,7 +195,7 @@ def _peel(t, rule, *, dist_sum_mode, strict_pseudocode):
     if dist_sum_mode not in DIST_SUM_MODES:
         raise ValueError(f"unknown dist_sum mode {dist_sum_mode!r}")
     pairwise = dist_sum_mode == "pairwise"
-    seq, labels = level_sequence(t)
+    seq, labels = tr.level_sequence(t)
     records = []
     while True:
         tree = batch._Rooted(seq)

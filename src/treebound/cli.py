@@ -1,13 +1,15 @@
 """Batch experiment command line.
 
 Subcommands: bound, table1, table2, verify, enumerate, oracle.  This module
-holds the parser, main(), run() and the output helpers every run uses; the
-batch-side subcommands (table1, verify) and the report renderer live in
-batchcli, and the tree-side ones (bound, table2, enumerate, oracle), which
-build or read a tree.Tree, in treecli.  A run builds, and loads, only the
-subcommand it names: table1 and verify compile batchcli and batch and
-neither treecli, bounds, enumeration, tree nor oracle; oracle compiles
-treecli, enumeration and tree, and no batch.
+holds the parser, main() and run(); the batch-side subcommands (table1,
+verify) and the report renderer live in batchcli, and the tree-side ones
+(bound, table2, enumerate, oracle), which build or read a tree.Tree, in
+treecli.  The exit codes, UsageError and the output helpers that all three
+use live in the package's __init__, so neither batchcli nor treecli
+imports this module.  A run builds, and loads, only the subcommand it
+names: table1 and verify compile batchcli and batch and neither treecli,
+bounds, enumeration, tree nor oracle; oracle compiles treecli,
+enumeration and tree, and no batch.
 
 Stdout is byte-stable given identical flags: wall time goes to stderr only.
 
@@ -23,15 +25,7 @@ import argparse
 import gc
 import sys
 
-from . import DIST_SUM_MODES
-
-EXIT_OK = 0
-EXIT_HARD = 1
-EXIT_MISMATCH = 2
-
-
-class UsageError(Exception):
-    """Unusable flag value or tree source."""
+from . import EXIT_HARD, Error, UsageError, _note
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,35 +35,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
-
-
-def _emit(text: str) -> None:
-    sys.stdout.write(text + "\n")
-
-
-def _note(text: str) -> None:
-    sys.stdout.flush()
-    sys.stderr.write(text + "\n")
-
-
-def _json(doc) -> str:
-    import json  # only --output json needs it; imported here to keep start-up short
-
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-# ---------------------------------------------------------------------------
-
-def _add_common(p: argparse.ArgumentParser, *flags: str,
-                outputs: tuple[str, ...] = ("text", "csv", "json")) -> None:
-    """--output (one of `outputs`) and --distsum, plus those of
-    --strict-pseudocode and --cap that `flags` names."""
-    p.add_argument("--output", choices=outputs, default="text")
-    p.add_argument("--distsum", choices=DIST_SUM_MODES, default="global")
-    if "strict-pseudocode" in flags:
-        p.add_argument("--strict-pseudocode", action="store_true")
-    if "cap" in flags:
-        p.add_argument("--cap", type=int)
 
 
 # every subcommand and its help, in help order
@@ -105,21 +70,12 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     return ap
 
 
-def _errors() -> tuple:
-    """The exceptions main() reports as a one-line error, in the modules this
-    run loaded: one never loaded cannot have raised, so none loads here."""
-    names = ("batch.TreeSizeError", "enumeration.MalformedGraph6Error", "tree.TreeError",
-             "oracle.TooLargeError", "oracle.NotGeneratingError")
-    found = [(sys.modules.get(f"{__package__}.{m}"), x) for m, x in (n.split(".") for n in names)]
-    return (UsageError, OSError, *(getattr(mod, x) for mod, x in found if mod))
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser(argv).parse_args(argv)
         return args.func(args)
-    except _errors() as exc:
+    except (Error, OSError) as exc:
         _note(f"error: {exc}")
         return EXIT_HARD
 
@@ -145,8 +101,4 @@ def run() -> None:
 
 
 if __name__ == "__main__":
-    # batchcli and treecli import this module by name: without this entry,
-    # cli.py would run a second time, with a second UsageError class that
-    # main() does not catch
-    sys.modules[__spec__.name] = sys.modules[__name__]
     run()

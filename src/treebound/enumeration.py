@@ -1,66 +1,23 @@
 """Non-isomorphic free trees as tree.Tree, and the graph6 text format.
 
-enumerate_free_trees builds the trees of batch._free_level_sequences sorted
-by canonical code, so its output does not depend on the generator's order.
-The test suite re-derives the counts and the isomorphism-class uniqueness
-independently, so a generator defect cannot pass silently.  table1 and
-verify value the level sequences themselves and load this module only to
-name a violating tree; tree is imported only by the functions that build
-or read one, and batch only by enumerate_free_trees, so oracle compiles
-neither the generator nor the peel engine.
+enumerate_free_trees builds the trees of batch._free_level_sequences
+(tree._from_level_sequence) sorted by canonical code, so its output does
+not depend on the generator's order.  The test suite re-derives the counts
+and the isomorphism-class uniqueness independently, so a generator defect
+cannot pass silently.  batch is imported only by enumerate_free_trees, so
+oracle, which reads graph6 through this module, compiles neither the
+generator nor the peel engine; table1 and verify value the level sequences
+themselves and load this module only to name a violating tree.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from . import tree as tr
+from . import Error
+from . import tree as tr
 
 
-class MalformedGraph6Error(ValueError):
+class MalformedGraph6Error(Error, ValueError):
     """Input line is not valid short-form graph6."""
-
-
-def _from_level_sequence(seq: list[int]) -> tr.Tree:
-    from . import tree as tr
-    # vertex i's parent is the last earlier vertex one level up; label i + 1.
-    # A tree by construction, so build_tree's checks are skipped; each
-    # neighbour list comes out ascending (parent first, then children).
-    last = [0] * len(seq)
-    adj: list[list[int]] = [[] for _ in seq]
-    for i, level in enumerate(seq):
-        if level:
-            parent = last[level - 1]
-            adj[parent].append(i)
-            adj[i].append(parent)
-        last[level] = i
-    n = len(seq)
-    return tr.Tree(n=n, adj=tuple(map(tuple, adj)), labels=tuple(range(1, n + 1)))
-
-
-def level_sequence(t: tr.Tree) -> tuple[list[int], list[int]]:
-    """t's preorder level sequence rooted at its first center, for
-    batch.peel_sweep, and the label of the vertex at each of its entries.
-    The centers are the middle of a longest path, found from two BFS rows."""
-    from . import tree as tr
-    row = tr.bfs_distances(t, 0)
-    row = tr.bfs_distances(t, row.index(max(row)))  # from one end of a longest path
-    d = max(row)
-    v, u = row.index(d), -1  # back from its other end to the middle: the centers
-    while row[v] > d // 2:
-        for w in t.adj[v]:
-            if row[w] < row[v]:
-                u, v = v, w
-                break
-    levels, labels = [], []
-    todo = [(min(u, v) if d % 2 else v, -1, 0)]  # a stack: no recursion, however deep t is
-    while todo:
-        v, parent, level = todo.pop()
-        levels.append(level)
-        labels.append(t.labels[v])
-        todo += [(w, v, level + 1) for w in reversed(t.adj[v]) if w != parent]
-    return levels, labels
 
 
 def enumerate_free_trees(n: int) -> list[tr.Tree]:
@@ -69,7 +26,7 @@ def enumerate_free_trees(n: int) -> list[tr.Tree]:
     from .batch import _free_level_sequences, _Rooted
     # each sequence is rooted at a center, so its _Rooted code is canonical
     seqs = sorted(_free_level_sequences(n), key=lambda seq: _Rooted(seq).code)
-    return list(map(_from_level_sequence, seqs))
+    return list(map(tr._from_level_sequence, seqs))
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +64,6 @@ def parse_graph6(line: str) -> tr.Tree:
     MalformedGraph6Error for anything that is not clean short-form graph6
     and NotATreeError when the decoded graph is not a tree.
     """
-    from . import tree as tr
     s = line.strip()
     if s.startswith(_HEADER):
         s = s[len(_HEADER):]

@@ -22,10 +22,10 @@ import warnings
 from collections.abc import Sequence
 from functools import lru_cache
 from math import factorial
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-if TYPE_CHECKING:
-    from . import tree as tr
+from . import Error
+from . import tree as tr
 
 # One-line external view: p[i] is the symbol at 1-based position i+1.
 Permutation = tuple[int, ...]
@@ -35,11 +35,11 @@ DEFAULT_CAP = 10
 MAX_CAP = 11
 
 
-class TooLargeError(ValueError):
+class TooLargeError(Error, ValueError):
     """Vertex count exceeds the oracle cap."""
 
 
-class NotGeneratingError(RuntimeError):
+class NotGeneratingError(Error, RuntimeError):
     """BFS failed to visit all n! states (broken input or kernel bug)."""
 
 

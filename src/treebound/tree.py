@@ -1,6 +1,9 @@
-"""Labeled free trees and the distance machinery (BFS rows,
-eccentricities, clusters) the peel step is checked against; the canonical
-code is the peel engine's (batch._Rooted).
+"""Labeled free trees, the distance machinery (BFS rows, eccentricities,
+clusters) the peel step is checked against, and the conversions between a
+Tree and the preorder level sequences the peel engine reads
+(level_sequence, _from_level_sequence).  The canonical code is the peel
+engine's (batch._Rooted), imported where canonical_code runs, so a run
+that codes no tree, as oracle does, never loads batch.
 
 Vertices are dense 0-based internal indices; every tree carries an external
 label per index (1-based positions of the permutation being sorted).  All
@@ -13,11 +16,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import DIST_SUM_MODES
-from .enumeration import level_sequence
+from . import DIST_SUM_MODES, Error
 
 
-class TreeError(Exception):
+class TreeError(Error):
     """Base class for tree construction and manipulation errors."""
 
 
@@ -264,6 +266,48 @@ def delete_vertices(t: Tree, xs) -> Tree:
     # Simultaneous leaf removal keeps a tree connected for n >= 3 (leaves are
     # never adjacent there); the n = 2 case degenerates to a single vertex.
     return Tree(n=len(keep), adj=adj, labels=tuple(t.labels[v] for v in keep))
+
+
+# ---------------------------------------------------------------------------
+# Preorder level sequences, the form batch's peel engine reads a tree in.
+
+def _from_level_sequence(seq: list[int]) -> Tree:
+    # vertex i's parent is the last earlier vertex one level up; label i + 1.
+    # A tree by construction, so build_tree's checks are skipped; each
+    # neighbour list comes out ascending (parent first, then children).
+    last = [0] * len(seq)
+    adj: list[list[int]] = [[] for _ in seq]
+    for i, level in enumerate(seq):
+        if level:
+            parent = last[level - 1]
+            adj[parent].append(i)
+            adj[i].append(parent)
+        last[level] = i
+    n = len(seq)
+    return Tree(n=n, adj=tuple(map(tuple, adj)), labels=tuple(range(1, n + 1)))
+
+
+def level_sequence(t: Tree) -> tuple[list[int], list[int]]:
+    """t's preorder level sequence rooted at its first center, for
+    batch.peel_sweep, and the label of the vertex at each of its entries.
+    The centers are the middle of a longest path, found from two BFS rows."""
+    row = bfs_distances(t, 0)
+    row = bfs_distances(t, row.index(max(row)))  # from one end of a longest path
+    d = max(row)
+    v, u = row.index(d), -1  # back from its other end to the middle: the centers
+    while row[v] > d // 2:
+        for w in t.adj[v]:
+            if row[w] < row[v]:
+                u, v = v, w
+                break
+    levels, labels = [], []
+    todo = [(min(u, v) if d % 2 else v, -1, 0)]  # a stack: no recursion, however deep t is
+    while todo:
+        v, parent, level = todo.pop()
+        levels.append(level)
+        labels.append(t.labels[v])
+        todo += [(w, v, level + 1) for w in reversed(t.adj[v]) if w != parent]
+    return levels, labels
 
 
 def canonical_code(t: Tree) -> bytes:

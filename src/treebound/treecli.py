@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import time
 
+from . import EXIT_OK, UsageError, _add_common, _emit, _json, _note
 from . import enumeration as en
 from . import tree as tr
-from .cli import EXIT_OK, UsageError, _add_common, _emit, _json, _note
 
 # --make kind -> parameter count; the constructor is tr.make_<kind>
 _MAKE = {"star": 1, "path": 1, "full-binary": 1, "spider": 2, "matchstick": 1}
@@ -110,7 +110,7 @@ def cmd_table2(args) -> int:
         + [(k, batch.BOUNDS[k]) for k in names],
     )
     t0 = time.time()
-    swept = batch.peel_sweep((en.level_sequence(tr.make_full_binary(d))[0] for d in depths),
+    swept = batch.peel_sweep((tr.level_sequence(tr.make_full_binary(d))[0] for d in depths),
                              dist_sum_mode=args.distsum, strict_pseudocode=args.strict_pseudocode)
     for d, (seq, _, values) in zip(depths, swept):
         row = {"d": d, "n": len(seq), "leaves": (len(seq) + 1) // 2,

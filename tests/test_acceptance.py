@@ -40,7 +40,7 @@ def sweep():
     sweep = {n: [] for n in range(6, 16)}
     seqs = (s for n in range(6, 16) for s in batch._free_level_sequences(n))
     for seq, _, v in batch.peel_sweep(seqs):
-        g6 = en.encode_graph6(en._from_level_sequence(seq))
+        g6 = en.encode_graph6(tr._from_level_sequence(seq))
         sweep[len(seq)].append((g6, *v))
     return sweep
 

@@ -138,7 +138,7 @@ def test_dist_sum_mode_validation():
         with pytest.raises(ValueError, match="bogus"):
             bd.delta_prime(star, variant, dist_sum_mode="bogus")
     with pytest.raises(ValueError, match="bogus"):
-        batch.peel_sweep([en.level_sequence(star)[0]], dist_sum_mode="bogus")
+        batch.peel_sweep([tr.level_sequence(star)[0]], dist_sum_mode="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +219,7 @@ def test_c_star_is_the_first_cluster(all_trees):
     cases = steps = 0
     for n in range(3, 13):
         for t in all_trees(n):
-            rooted = batch._Rooted(en.level_sequence(t)[0])
+            rooted = batch._Rooted(tr.level_sequence(t)[0])
             assert rooted.diam == max(tr.eccentricities(t))
             if rooted.diam <= 2:  # a star has no peel step
                 continue
@@ -347,7 +347,7 @@ def test_peel_sweep_matches_engine():
     # from level sequences, and sizes 1..6 then come out of the memo: both
     # paths are checked, on every tree with n <= 12.
     seqs = _sequences((*range(7, 13), *range(1, 7)))
-    trees = [en._from_level_sequence(seq) for seq in seqs]
+    trees = [tr._from_level_sequence(seq) for seq in seqs]
     for mode in ("global", "pairwise"):
         baselines = [(bd.delta_prime(t, "v1", dist_sum_mode=mode)[0].moves,
                       bd.delta_prime(t, "v2", dist_sum_mode=mode)[0].moves) for t in trees]
@@ -366,7 +366,7 @@ def test_peel_sweep_matches_engine_on_full_binary_trees():
     trees = [tr.make_full_binary(d) for d in range(1, 8)]
     for mode in ("global", "pairwise"):
         for strict in (False, True):
-            swept = batch.peel_sweep((en.level_sequence(t)[0] for t in trees),
+            swept = batch.peel_sweep((tr.level_sequence(t)[0] for t in trees),
                                      dist_sum_mode=mode, strict_pseudocode=strict)
             for t, (seq, _, values) in zip(trees, swept, strict=True):
                 assert len(seq) == t.n
@@ -389,7 +389,7 @@ def test_peel_sweep_refuses_a_half_integral_total(monkeypatch):
 
     monkeypatch.setattr(batch, "_charge", odd)
     with pytest.raises(ValueError, match="not all whole moves"):
-        list(batch.peel_sweep([en.level_sequence(tr.make_path(4))[0]]))
+        list(batch.peel_sweep([tr.level_sequence(tr.make_path(4))[0]]))
     with pytest.raises(ValueError, match="not a whole number of moves"):
         _ = bd.delta_star(tr.make_path(4))[0].moves
 

@@ -2,9 +2,11 @@
 
 import argparse
 import gc
+import importlib
 import json
 import os
 import pathlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -12,6 +14,7 @@ import warnings
 
 import pytest
 
+import treebound
 from treebound import _bfs_kernels as kern
 from treebound import batch
 from treebound import bounds as bd
@@ -197,9 +200,9 @@ def test_table1_sweep_skips_the_sort_key(monkeypatch):
     assert [len(s) for s, _, _ in sweep] == sorted(len(s) for s, _, _ in sweep)
     assert {len(s) for s, _, _ in sweep} == set(range(6, 12))
     for n in range(6, 12):
-        got = {en.encode_graph6(en._from_level_sequence(s)): v for s, _, v in sweep if len(s) == n}
+        got = {en.encode_graph6(tr._from_level_sequence(s)): v for s, _, v in sweep if len(s) == n}
         trees = en.enumerate_free_trees(n)
-        swept = batch.peel_sweep(en.level_sequence(t)[0] for t in trees)
+        swept = batch.peel_sweep(tr.level_sequence(t)[0] for t in trees)
         want = {en.encode_graph6(t): v for t, (_, _, v) in zip(trees, swept)}
         assert sum(len(s) == n for s, _, _ in sweep) == len(trees)
         assert got == want, n
@@ -275,6 +278,26 @@ def test_verify_at_n_11_does_not_warn_of_a_bfs(capsys):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+def test_verify_names_a_violating_tree(capsys, monkeypatch):
+    # the star on 4 vertices pinned one move above its bound: verify builds
+    # that one tree, names it by graph6 and exits 1
+    star = tr.make_star(4)
+    bound = bd.delta_star(star)[0].moves
+    pinned_diameters = batch.pinned_diameters
+
+    def raised(sizes):
+        pinned = pinned_diameters(sizes)
+        assert tr.canonical_code(star) in pinned
+        return {**pinned, tr.canonical_code(star): bound + 1}
+
+    monkeypatch.setattr(batch, "pinned_diameters", raised)
+    code, out, _ = run(capsys, "verify", "--n-min", "4", "--n-max", "4")
+    lines = out.splitlines()
+    assert code == 1
+    assert f"VIOLATION tree={en.encode_graph6(star)} bound={bound} exact={bound + 1}" in lines
+    assert lines[-1] == "violations-total=1"
+
+
 def test_oracle_builds_each_swap_table_once():
     # the 23 trees on 3..7 vertices have 116 edges between them, but their
     # swap tables span only 37 distinct (n, i, j)
@@ -324,6 +347,31 @@ def test_oracle_csv(capsys):
 def test_oracle_cap_exceeded(capsys):
     code, _, err = run(capsys, "oracle", "--make", "path:12")
     assert code == 1 and "error:" in err
+
+
+def test_oracle_reports_a_bfs_that_misses_states(capsys, monkeypatch):
+    # a kernel that visits fewer than n! states: one error line, not a traceback
+    monkeypatch.setattr(kern, "bfs_numpy", lambda n, edges: (None, [1, 3]))
+    orc._depth_table_cached.cache_clear()  # an earlier star:4 table would skip the kernel
+    code, out, err = run(capsys, "oracle", "--make", "star:4")
+    assert (code, out) == (1, "")
+    assert err == ("error: BFS visited 4 of 24 states; "
+                   "the edge set does not generate the symmetric group\n")
+
+
+def test_every_package_exception_is_an_error():
+    # cli.main() reports a treebound.Error as one `error:` line, exit 1;
+    # each keeps its second base for library callers
+    modules = [treebound] + [importlib.import_module(f"treebound.{m.name}")
+                             for m in pkgutil.iter_modules(treebound.__path__)]
+    found = [obj for module in modules for obj in vars(module).values()
+             if isinstance(obj, type) and issubclass(obj, BaseException)
+             and obj.__module__ == module.__name__]
+    assert {treebound.UsageError, tr.NotATreeError, orc.NotGeneratingError} <= set(found)
+    assert all(issubclass(x, treebound.Error) for x in found), found
+    for cls, base in [(en.MalformedGraph6Error, ValueError), (batch.TreeSizeError, ValueError),
+                      (orc.TooLargeError, ValueError), (orc.NotGeneratingError, RuntimeError)]:
+        assert issubclass(cls, base)
 
 
 # ---------------------------------------------------------------------------
@@ -744,8 +792,6 @@ _TREE_SIDE = {"treebound.enumeration", "treebound.tree", "treebound.treecli"}
 @pytest.mark.parametrize("argv, code, want", [
     (("verify", "--n-min", "3", "--n-max", "7"), 0, _BATCH_ONLY),
     (("table1", "--n-min", "6", "--n-max", "7"), 0, _BATCH_ONLY | {"treebound.golden"}),
-    # batchcli and treecli import the running cli, which must not be compiled
-    # a second time
     (("bound", "--make", "star:4"), 0, _TREE_SIDE | {"treebound.batch", "treebound.bounds"}),
     (("enumerate", "--n", "5"), 0, _TREE_SIDE | {"treebound.batch"}),
     # the oracle compiles neither the generator nor the peel engine

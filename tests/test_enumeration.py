@@ -53,7 +53,7 @@ def test_level_sequences_are_rooted_at_a_center():
             assert seq[0] == 0 and heights[0] - heights[1] <= 1, seq
             if n > 12:
                 continue
-            ecc = tr.eccentricities(en._from_level_sequence(seq))
+            ecc = tr.eccentricities(tr._from_level_sequence(seq))
             centers = [v for v in range(n) if ecc[v] == min(ecc)]
             if heights[0] == heights[1]:
                 assert centers == [0], seq
@@ -63,8 +63,8 @@ def test_level_sequences_are_rooted_at_a_center():
 
 
 def _check_level_sequence(t):
-    seq, labels = en.level_sequence(t)
-    again = en._from_level_sequence(seq)  # entry i is labelled i + 1
+    seq, labels = tr.level_sequence(t)
+    again = tr._from_level_sequence(seq)  # entry i is labelled i + 1
     assert tr.canonical_code(again) == tr.canonical_code(t)
     heights = _root_branch_heights(seq) + [0, 0]
     assert heights[0] - heights[1] <= 1, seq
@@ -92,7 +92,7 @@ def test_level_sequence_of_a_tree(all_trees):
 
 def test_level_sequence_of_a_deep_tree():
     # no recursion per level: a path far deeper than the recursion limit
-    seq, labels = en.level_sequence(tr.make_path(2100))
+    seq, labels = tr.level_sequence(tr.make_path(2100))
     assert seq == [0, *range(1, 1050), *range(1, 1051)]
     assert labels == [*range(1050, 0, -1), *range(1051, 2101)]
 

@@ -134,7 +134,7 @@ def test_pinned_matches_the_oracle_on_named_trees(pinned, make, exact):
 def test_every_bound_is_sound_against_the_pinned_diameters(pinned):
     violations = []
     trees = [t for n in SIZES for t in en.enumerate_free_trees(n)]
-    for t, (_, _, values) in zip(trees, batch.peel_sweep(en.level_sequence(t)[0] for t in trees)):
+    for t, (_, _, values) in zip(trees, batch.peel_sweep(tr.level_sequence(t)[0] for t in trees)):
         exact = pinned[tr.canonical_code(t)]
         violations += [(en.encode_graph6(t), v, exact) for v in values if v < exact]
     assert not violations

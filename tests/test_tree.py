@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from treebound import DIST_SUM_MODES
 from treebound import batch
-from treebound import enumeration as en
 from treebound import tree as tr
 from conftest import prufer_tree
 import reference as ref
@@ -140,7 +139,7 @@ def _rooted_groups(t: tr.Tree) -> tuple[list[list[int]], list[int]]:
     # the groups of S as batch._Rooted.pick forms them (one per branch of
     # the center, or per side of the central edge), as internal indices
     # ordered by least member, and pick's size of each group
-    seq, labels = en.level_sequence(t)
+    seq, labels = tr.level_sequence(t)
     rooted = batch._Rooted(seq)
     starts, brs = rooted.starts, rooted.branches
     deep = [j for j, x in enumerate(rooted.in_s) if x]
