@@ -17,11 +17,11 @@ symbols lie below each of them, and so every new digit.  Hence
 rank(p∘(i j)) - rank(p) is a function of the mixed-radix segment value
     seg = r // w[j] - (r // w[i-1]) * M,   M = prod_{k=i..j} (n - k),
 where w[k] = (n-1-k)! is the weight of digit k.  That function is
-tabulated once per (n, i, j) in a process (M int32 entries, from the
-digit-delta rule below run over the M ranks seg * w[j]), and shared by
-every BFS whose tree has that edge; then a frontier chunk costs a few
-floor divisions, shared between edges, plus one take and one add per
-edge.  M grows with the span j - i and towards position 0, so frame
+tabulated once per (n, i, j) in a process (M int32 entries, one per
+representative rank seg * w[j], filled by decoding the representatives,
+swapping and re-ranking them), and shared by every BFS whose tree has
+that edge; then a frontier chunk costs a few floor divisions, shared
+between edges, plus one take and one add per edge.  M grows with the span j - i and towards position 0, so frame
 picks a labeling of the positions that keeps the tables small, and the
 oracle runs the kernel in it; the kernel itself works in whatever frame
 it is given.
@@ -132,14 +132,6 @@ def frame(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
         frame[u], frame[v] = frame[v], frame[u]
 
 
-# ---------------------------------------------------------------------------
-# The digit-delta rule.  Swapping positions i < j with symbols a = p[i],
-# b = p[j] changes only the Lehmer digits i..j:
-#   d_i' = d_j + #{i<l<j: p_l<b} + [a<b]
-#   d_j' = d_i - [b<a] - #{i<l<j: p_l<a}
-#   d_k' = d_k + [a<p_k] - [b<p_k] = d_k + [p_k<b] - [p_k<a]   (i < k < j)
-# so the rank changes by O(j - i) weighted terms.
-
 @cache
 def _segment_table(n: int, i: int, j: int) -> np.ndarray:
     """delta[seg] = rank(p∘(i j)) - rank(p) for the states whose digits i..j
@@ -155,18 +147,14 @@ def _segment_table(n: int, i: int, j: int) -> np.ndarray:
     delta = np.empty(size, np.int32)
     for lo in range(0, size, CHUNK):
         ranks = np.arange(lo, min(lo + CHUNK, size), dtype=np.int32) * w[j]
-        digits = np.stack([ranks // w[k] % (n - k) for k in range(n)])
         # right to left: symbol k is digit k among the symbols after it
-        perms = digits.astype(np.int8)
+        perms = np.stack([ranks // w[k] % (n - k) for k in range(n)]).astype(np.int8)
         for k in range(n - 2, -1, -1):
             perms[k + 1:] += perms[k + 1:] >= perms[k]
-        a, b = perms[i], perms[j]
-        d = (digits[j] - digits[i]) * (w[i] - w[j])
-        d += (a < b) * (w[i] + w[j]) - w[j]
-        for k in range(i + 1, j):
-            d += (perms[k] < b) * (w[i] + w[k])
-            d -= (perms[k] < a) * (w[j] + w[k])
-        delta[lo:lo + ranks.size] = d
+        perms[[i, j]] = perms[[j, i]]
+        # digit k of the swapped state counts the later symbols below symbol k
+        swapped = sum((perms[k + 1:] < perms[k]).sum(0) * w[k] for k in range(n - 1))
+        delta[lo:lo + ranks.size] = swapped - ranks
     delta.flags.writeable = False
     return delta
 

@@ -71,6 +71,8 @@ def test_star_bound_values():
     assert bd.star_bound(2).moves == 1
     assert bd.star_bound(4).moves == 4
     assert bd.star_bound(7).moves == 9
+    with pytest.raises(ValueError):
+        bd.star_bound(0)
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,22 @@ def test_table1_csv(capsys):
     assert lines[1].startswith("6,6,63,63,63")
 
 
+def test_table1_ordering_violation_is_a_hard_failure(capsys, monkeypatch):
+    # with v1 charging nothing, its column mismatches the reference (exit 2)
+    # and falls below dstar; the ordering failure decides the exit code
+    charge = batch._charge
+
+    def v1_free(rule, *args):
+        case, cost = charge(rule, *args)
+        return case, 0 if rule == "v1" else cost
+
+    monkeypatch.setattr(batch, "_charge", v1_free)
+    code, out, _ = run(capsys, "table1", "--n-min", "6", "--n-max", "7")
+    assert "MISMATCH" in out
+    assert out.splitlines()[-1] == "ordering dstar<=v2<=v1: VIOLATED"
+    assert code == 1
+
+
 def test_table1_sweep_skips_the_sort_key(monkeypatch):
     # table1 and verify only sum or count per size, so they take each
     # size's level sequences unsorted and never compute enumerate_free_trees'
@@ -238,6 +254,19 @@ def test_table2_gap_checks_all_pass(capsys):
     _, out, _ = run(capsys, "table2")
     gaps = [l for l in out.splitlines() if l.startswith("gap-check")]
     assert len(gaps) == 12
+
+
+def test_rows_without_a_reference_row_are_not_compared(capsys):
+    # the cumulative table starts at n = 6 and the binary table stops at d = 7
+    code, out, _ = run(capsys, "table1", "--n-min", "5", "--n-max", "6")
+    assert code == 0
+    assert "n=5 trees=3 delta-star=23 delta-prime-v1=23 delta-prime-v2=23" in out.splitlines()
+    _, out, _ = run(capsys, "table1", "--n-min", "5", "--n-max", "6", "--output", "json")
+    assert {c["row"] for c in json.loads(out)["comparisons"]} == {"n=6"}
+    # no reference row, so no gap check either
+    code, out, _ = run(capsys, "table2", "--d-min", "8", "--d-max", "8")
+    assert code == 0
+    assert out.splitlines()[1:] == ["d=8 n=511 leaves=256 v1=6669 v2=6662 dstar=6627"]
 
 
 def test_table2_csv(capsys):
@@ -526,6 +555,17 @@ def test_tree_file_not_ascii(capsys, tmp_path, cmd, fmt):
     path.write_bytes(b"2\n1 \xc3\n")
     assert_error(capsys, f"error: {path} is not an ASCII text file",
                  cmd, "--input", str(path), "--format", fmt)
+
+
+@pytest.mark.parametrize("cmd", ["bound", "oracle"])
+def test_no_tree_source(capsys, cmd):
+    assert_error(capsys, "error: no tree source: pass --make or --input", cmd)
+
+
+def test_graph6_file_without_a_tree(capsys, tmp_path):
+    path = tmp_path / "trees.g6"
+    path.write_text("# comments only\n\n  # and blank lines\n")
+    assert_error(capsys, f"error: no graph6 lines in {path}", "oracle", "--input", str(path))
 
 
 @pytest.mark.parametrize("argv", [

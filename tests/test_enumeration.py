@@ -204,6 +204,12 @@ def test_encode_path3():
     assert en.encode_graph6(tr.make_path(3)) == "Bg"
 
 
+def test_encode_refuses_a_tree_past_the_short_form():
+    # one header byte, 63 + n, must stay printable: n <= 62
+    with pytest.raises(en.MalformedGraph6Error):
+        en.encode_graph6(tr.make_path(63))
+
+
 def test_parse_path3():
     t = en.parse_graph6("Bg")
     assert t.n == 3 and sorted(t.label_edges()) == [(1, 2), (2, 3)]

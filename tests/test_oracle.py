@@ -23,6 +23,8 @@ def test_identity_and_validation():
         orc.rank((1, 1, 2))
     with pytest.raises(ValueError):
         orc.sort_distance(tr.make_path(3), (1, 1, 2))
+    with pytest.raises(ValueError):
+        orc.sort_distance(tr.make_path(4), (2, 1, 3))
 
 
 def test_apply_move_examples():
@@ -307,6 +309,18 @@ def test_frame_keeps_swap_tables_small(all_trees):
         # the kernel keeps one table per span for the life of the process, so
         # a run over every tree of one size holds these (118,898 entries at n = 11)
         assert sum(kern.table_size(n, i, j) for i, j in used) <= 1 << 17, n
+
+
+def test_segment_tables_hold_each_swaps_rank_change():
+    # the definition: the entry at p's digits i..j is rank(p∘(i j)) - rank(p)
+    for n in range(2, 7):
+        for i, j in itertools.combinations(range(n), 2):
+            table = kern._segment_table(n, i, j)
+            size = kern.table_size(n, i, j)
+            for p in itertools.permutations(range(1, n + 1)):
+                r = orc.rank(p)
+                seg = r // math.factorial(n - 1 - j) % size
+                assert table[seg] == orc.rank(ref.apply_move(p, (i + 1, j + 1))) - r, (n, i, j, p)
 
 
 def test_segment_tables_are_memoised_and_read_only():
