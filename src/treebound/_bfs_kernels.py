@@ -4,8 +4,10 @@ A chunked, vectorized numpy kernel fills a dense uint8 depth table indexed
 by Lehmer rank (identity = rank 0, unvisited = 255), one level at a time.
 Each level's frontier is exactly the set of states at that depth, so its
 size is that level's count in the depth profile; the kernel returns these
-sizes with the table.  tests/test_oracle.py checks both against a
-plain-Python BFS.
+sizes with the table.  The next frontier is the states a level marks as
+it expands, joined once the old frontier is released and sorted into
+ascending rank.  tests/test_oracle.py checks both against a plain-Python
+BFS.
 
 Neighbours come from one table lookup per edge, not from decoding states.
 Swapping positions i < j changes only the Lehmer digits i..j, and the
@@ -42,7 +44,6 @@ UNSEEN = 255
 # perfbench records this; it goes with the benchmark-upkeep change (ROADMAP item 7)
 HAS_NUMBA = False
 CHUNK = 1 << 15  # frontier states expanded at once
-SCAN = 1 << 18  # depth-table entries scanned at once for the next frontier
 
 
 def bfs_numpy(n: int, edges: list[tuple[int, int]]) -> tuple[np.ndarray, list[int]]:
@@ -63,23 +64,26 @@ def bfs_numpy(n: int, edges: list[tuple[int, int]]) -> tuple[np.ndarray, list[in
     level = 0
     while frontier.size:
         sizes.append(frontier.size)
-        found = 0  # states first reached at level + 1
+        finds = []  # states first reached at level + 1
         for lo in range(0, frontier.size, CHUNK):
             ranks = frontier[lo:lo + CHUNK]
             quot = {k: ranks // w[k] for k in divisors}
             for (i, j), table in zip(pairs, tables):
                 seg = quot[j] - quot[i - 1] * table.size if i else quot[j]
                 nbr = ranks + table.take(seg)
-                # found counts each new state once: a swap is a bijection, so
-                # nbr has no repeats, and states an earlier swap marked fail
+                # each new state is kept once: a swap is a bijection, so nbr
+                # has no repeats, and states an earlier swap marked fail
                 # this filter
                 nbr = nbr.compress(depth.take(nbr) == UNSEEN)
                 # numpy scatters through intp indices faster than through
                 # int32 ones, even counting the cast
                 depth[nbr.astype(np.intp)] = level + 1
-                found += nbr.size
+                finds.append(nbr)
         level += 1
-        frontier = _level_ranks(depth, level, found)
+        # ranks is a view of the old frontier: drop both before the join
+        del frontier, ranks
+        frontier = np.concatenate(finds) if finds else np.zeros(0, np.int32)
+        frontier.sort()
     return depth, sizes
 
 
@@ -157,20 +161,3 @@ def _segment_table(n: int, i: int, j: int) -> np.ndarray:
         delta[lo:lo + ranks.size] = swapped - ranks
     delta.flags.writeable = False
     return delta
-
-
-# Gathering the frontier from the level's own finds instead: ~20% faster at n = 9, but star:11
-# peak RSS 158 -> 203 MB and time 3.3 -> 7.6 s unsorted (4.35 -> 4.45 s sorted); not adopted.
-def _level_ranks(depth: np.ndarray, level: int, count: int) -> np.ndarray:
-    """Ascending int32 ranks of the count states at depth level, found by a
-    block-wise scan that stops once all are found: no whole-table mask and
-    no int64 index of the whole level."""
-    out = np.empty(count, np.int32)
-    at = 0
-    for lo in range(0, depth.size, SCAN):
-        if at == count:
-            break
-        idx = np.flatnonzero(depth[lo:lo + SCAN] == level)
-        np.add(idx, lo, out=out[at:at + idx.size], casting="unsafe")
-        at += idx.size
-    return out

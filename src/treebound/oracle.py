@@ -101,10 +101,10 @@ def _depth_table(t: tr.Tree, cap: int | None) -> _Table:
     n = t.n
     _check_cap(n, cap)
     if n > DEFAULT_CAP:
-        # 4.5 bytes per state: `oracle --make star:11 --cap 11` peaked at 158 MB
-        # RSS (ru_maxrss), 4.1 per state; path:11 at 88 MB.  The uint8 table
-        # plus two adjacent levels as int32 frontiers (the star's two widest
-        # hold 30% and 27% of all states at n = 10).
+        # 4.5 bytes per state: `oracle --make star:11 --cap 11` peaked at 162 MB
+        # RSS (ru_maxrss), 4.3 per state; path:11 at 88.5 MB.  The uint8 table
+        # plus a level's int32 frontier and the next level's int32 finds (the
+        # star's two widest levels hold 30% and 27% of all states at n = 10).
         warnings.warn(
             f"oracle BFS at n={n} touches {factorial(n)} states "
             f"(~{factorial(n) * 9 // 2 ** 21} MB); expect a long run",

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from treebound import _bfs_kernels as kern
+from treebound import enumeration as en
 from treebound import oracle as orc
 from treebound import tree as tr
 import reference as ref
@@ -227,9 +228,10 @@ def test_depth_profile_memory():
 
 
 def test_depth_profile_memory_star():
-    # the star's widest level holds 30% of the states at n = 10, so the
-    # frontier rebuild must hold neither a whole-table mask nor an int64
-    # index of that level (5.8 bytes per state when it did, about 4.1 now)
+    # the star's two widest levels hold 30% and 27% of the states at n = 10,
+    # and expanding the first holds both as int32 ranks; building the next
+    # frontier must add neither a whole-table mask nor an int64 index of a
+    # level (5.8 bytes per state when it did, about 4.1 now)
     peak = _profile_peak(tr.make_star(10))
     assert peak < 5 * math.factorial(10), peak
 
@@ -267,18 +269,23 @@ def _reference_depths(n, edges):
     return np.array(depth, np.uint8)
 
 
-def test_numpy_kernel_matches_reference_bfs(all_trees):
+def test_numpy_kernel_matches_reference_bfs(all_trees, monkeypatch):
     trees = [t for n in range(2, 7) for t in all_trees(n)]
     trees += [tr.make_path(7), tr.make_star(7), tr.make_spider(2, 3)]
+    # every level here fits in one CHUNK; a CHUNK of 16 splits the wider
+    # levels, so their next frontiers join the finds of several chunks
+    chunks = (16, kern.CHUNK)  # the last one stays set for sort_distance
     for t in trees:
         forward = [(min(a, b) - 1, max(a, b) - 1) for a, b in t.label_edges()]
         expected = _reference_depths(t.n, forward)
         expected_sizes = np.bincount(expected).tolist()
-        for edges in (forward, [(j, i) for i, j in forward]):
-            depth, sizes = kern.bfs_numpy(t.n, edges)
-            assert depth.dtype == np.uint8
-            assert np.array_equal(depth, expected), (t.n, edges)
-            assert sizes == expected_sizes, (t.n, edges)
+        for chunk in chunks:
+            monkeypatch.setattr(kern, "CHUNK", chunk)
+            for edges in (forward, [(j, i) for i, j in forward]):
+                depth, sizes = kern.bfs_numpy(t.n, edges)
+                assert depth.dtype == np.uint8
+                assert np.array_equal(depth, expected), (t.n, edges, chunk)
+                assert sizes == expected_sizes, (t.n, edges, chunk)
         # the oracle runs the kernel in a relabeled frame and conjugates
         # each query into it
         if t.n <= 5:
@@ -288,6 +295,19 @@ def test_numpy_kernel_matches_reference_bfs(all_trees):
             perms = [tuple(rng.sample(range(1, t.n + 1), t.n)) for _ in range(200)]
         for p in perms:
             assert orc.sort_distance(t, p) == expected[orc.rank(p)], (t.n, p)
+
+
+def test_numpy_kernel_sizes_count_the_table_at_n9():
+    # unpatched: the widest levels of HhI?GE? (43,435 states) and the star
+    # (114,064) span two to four CHUNKs, the path's (29,228) fits in one;
+    # the sizes must still count the table, and the BFS reach every state
+    for t in (en.parse_graph6("HhI?GE?"), tr.make_path(9), tr.make_star(9)):
+        edges = tuple(sorted((min(e), max(e)) for e in t.label_edges()))
+        frame = kern.frame(9, edges)
+        depth, sizes = kern.bfs_numpy(9, [(frame[a - 1], frame[b - 1]) for a, b in edges])
+        assert sizes == np.bincount(depth).tolist(), edges
+        assert sum(sizes) == math.factorial(9), edges
+        assert not (depth == kern.UNSEEN).any(), edges
 
 
 def test_frame_keeps_swap_tables_small(all_trees):
